@@ -349,36 +349,86 @@ class _UnionFind:
 # -- constructions --------------------------------------------------------
 
 
+def _closure(
+    signature: Signature,
+    apply,
+    seeds: Iterable,
+    max_carrier: Optional[int] = None,
+    max_table_cells: Optional[int] = None,
+) -> tuple[list, dict[str, list[int]]]:
+    """Close ``seeds`` under ``apply(name, args)``: elements in discovery
+    order and each op table over their indices, recorded as found.
+
+    Order: zeroary results, the seeds, then rounds of each op over the
+    elements known when the round began.  A round skips argument tuples
+    whose arguments all predate the previous round (semi-naive): their
+    results are already known, so the order is the naive loop's.  Results
+    go into nested lists, one level per argument; lexicographic rounds
+    only ever append to them.
+    """
+    elems: list = []
+    index: dict = {}
+    found: dict[str, list] = {name: [] for name in signature.names}
+
+    def add(v) -> int:
+        i = index.get(v)
+        if i is None:
+            if max_carrier is not None and len(elems) >= max_carrier:
+                raise BudgetExceededError(
+                    f"carrier exceeded budget {max_carrier} during closure"
+                )
+            i = index[v] = len(elems)
+            elems.append(v)
+        return i
+
+    for name, arity in signature.ops:
+        if arity == 0:
+            found[name].append(add(apply(name, ())))
+    for s in seeds:
+        add(s)
+    old = 0
+    while True:
+        n = len(elems)
+        if max_table_cells is not None and any(
+            n**arity > max_table_cells for _, arity in signature.ops
+        ):
+            raise BudgetExceededError("operation table too large for the budget")
+        for name, arity in signature.ops:
+            if arity == 0:
+                continue
+            for args in itertools.product(range(n), repeat=arity):
+                if max(args) >= old:
+                    row = found[name]
+                    for a in args[:-1]:
+                        if a == len(row):
+                            row.append([])
+                        row = row[a]
+                    row.append(add(apply(name, [elems[a] for a in args])))
+        if len(elems) == n:
+            break
+        old = n
+
+    def flatten(rows, depth):
+        return rows if depth <= 1 else [v for r in rows for v in flatten(r, depth - 1)]
+
+    return elems, {name: flatten(found[name], arity) for name, arity in signature.ops}
+
+
 def generated_subalgebra(
     alg: FiniteAlgebra, seed: Iterable[int]
 ) -> tuple[FiniteAlgebra, Homomorphism]:
     """Least subset containing ``seed`` closed under all ops, with its inclusion.
 
-    The empty seed yields the closure of the zeroary constants (the empty
-    algebra when there are none).
+    The closure runs in ``_closure``; ``subalgebra_on`` then rebuilds the
+    tables in ascending carrier order.  The empty seed yields the closure
+    of the zeroary constants (the empty algebra when there are none).
     """
-    members = set()
+    seed = list(seed)
     for x in seed:
         if not (0 <= x < alg.size):
             raise AlgebraError(f"seed element {x} is off the carrier")
-        members.add(x)
-    for name, arity in alg.signature.ops:
-        if arity == 0:
-            members.add(alg.op(name))
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(members)
-        for name, arity in alg.signature.ops:
-            if arity == 0:
-                continue
-            for args in itertools.product(current, repeat=arity):
-                v = alg.op(name, *args)
-                if v not in members:
-                    members.add(v)
-                    changed = True
-    carrier = sorted(members)
-    return subalgebra_on(alg, carrier)
+    members, _ = _closure(alg.signature, lambda name, args: alg.op(name, *args), seed)
+    return subalgebra_on(alg, sorted(members))
 
 
 def subalgebra_on(alg: FiniteAlgebra, carrier: Sequence[int]) -> tuple[FiniteAlgebra, Homomorphism]:
@@ -604,16 +654,14 @@ def canonical_form(alg: FiniteAlgebra) -> tuple:
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphism]:
-    """Some isomorphism a -> b, or None; brute force over bijections."""
+    """Some isomorphism a -> b, or None: on carriers of equal size an
+    injective homomorphism is bijective, hence an isomorphism."""
+    from .homsearch import SearchBudget, find_homomorphisms  # homsearch imports this module
+
     if a.signature != b.signature or a.size != b.size:
         return None
-    for perm in itertools.permutations(range(b.size)):
-        try:
-            h = Homomorphism(a, b, perm)
-        except AlgebraError:
-            continue
-        return h
-    return None
+    found = find_homomorphisms(a, b, budget=SearchBudget(max_solutions=1), injective=True)
+    return found[0] if found else None
 
 
 def are_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:

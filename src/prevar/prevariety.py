@@ -14,6 +14,7 @@ debugging and assertions.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -28,7 +29,9 @@ from .algcore import (
     Signature,
     Term,
     Var,
+    _closure,
     all_congruences,
+    are_isomorphic,
     canonical_form,
     eval_term,
     generated_subalgebra,
@@ -103,60 +106,31 @@ def _closed_tuple_algebra(
 ) -> tuple[FiniteAlgebra, list[tuple[int, ...]]]:
     """Subalgebra of the product of ``factors`` generated by ``seeds``.
 
-    The ambient product is never materialized; closure works directly on
-    tuples, in discovery order (zeroary constants, then seeds, then one
-    round of each op at a time over elements in index order).
+    The ambient product is never materialized: ``_closure`` works directly
+    on tuples, in its discovery order, looking each coordinate up in its
+    factor's table.
     """
     if len(factors) > budget.max_index:
         raise BudgetExceededError(
             f"product index of {len(factors)} exceeds budget {budget.max_index}"
         )
-    elems: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
+    sizes = [f.size for f in factors]
+    columns = {name: [f.tables[name] for f in factors] for name in signature.names}
 
-    def add(t: tuple[int, ...]) -> None:
-        if t not in index:
-            if len(elems) >= budget.max_carrier:
-                raise BudgetExceededError(
-                    f"carrier exceeded budget {budget.max_carrier} during closure"
-                )
-            index[t] = len(elems)
-            elems.append(t)
+    def apply(name, args):
+        # row-major index into each factor's table, coordinatewise
+        if not args:
+            return tuple(table[0] for table in columns[name])
+        idx = args[0]
+        for a in args[1:]:
+            idx = map(operator.add, map(operator.mul, idx, sizes), a)
+        return tuple(map(operator.getitem, columns[name], idx))
 
-    for name, arity in signature.ops:
-        if arity == 0:
-            add(tuple(f.op(name) for f in factors))
-    for s in seeds:
-        add(tuple(s))
-    while True:
-        before = len(elems)
-        snapshot = list(elems)
-        for name, arity in signature.ops:
-            if arity == 0:
-                continue
-            for args in itertools.product(snapshot, repeat=arity):
-                add(
-                    tuple(
-                        f.op(name, *(arg[k] for arg in args))
-                        for k, f in enumerate(factors)
-                    )
-                )
-        if len(elems) == before:
-            break
-    n = len(elems)
-    for _, arity in signature.ops:
-        if n**arity > budget.max_table_cells:
-            raise BudgetExceededError("operation table too large for the budget")
-    tables = {}
-    for name, arity in signature.ops:
-        table = []
-        for args in itertools.product(elems, repeat=arity):
-            value = tuple(
-                f.op(name, *(arg[k] for arg in args)) for k, f in enumerate(factors)
-            )
-            table.append(index[value])
-        tables[name] = table
-    return FiniteAlgebra(signature, n, tables), elems
+    elems, tables = _closure(
+        signature, apply, [tuple(s) for s in seeds], budget.max_carrier,
+        budget.max_table_cells,
+    )
+    return FiniteAlgebra(signature, len(elems), tables), elems
 
 
 # -- free algebras ---------------------------------------------------------
@@ -211,12 +185,12 @@ class CoproductResult:
 def _hom_family_index(
     ctx: PrevarietyCtx,
     sources: Sequence[FiniteAlgebra],
-    constraint=None,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    constraint,
+    search_budget: SearchBudget,
 ):
     """All pairs (generator, family of homs source_i -> generator).
 
-    ``constraint(gen_idx, family) -> bool`` filters families (used for
+    ``constraint(family) -> bool`` filters families (used for
     amalgamation over a shared base).  Order: generators as declared,
     then families lexicographically in per-source hom order.
     """
@@ -226,9 +200,41 @@ def _hom_family_index(
             find_homomorphisms(src, gen, budget=search_budget) for src in sources
         ]
         for family in itertools.product(*hom_lists):
-            if constraint is None or constraint(a_idx, family):
+            if constraint is None or constraint(family):
                 entries.append((a_idx, family))
     return entries
+
+
+def _indexed_coproduct(
+    ctx: PrevarietyCtx,
+    sources: Sequence[FiniteAlgebra],
+    constraint,
+    budget: ConstructionBudget,
+    search_budget: SearchBudget,
+) -> CoproductResult:
+    """The subalgebra generated by the sources' images in the product
+    indexed by their hom families (filtered by ``constraint``), with the
+    coprojections sending each element to its image."""
+    entries = _hom_family_index(ctx, sources, constraint, search_budget)
+    if len(entries) > budget.max_index:
+        raise BudgetExceededError("hom-family index exceeds the budget")
+    images = [
+        [tuple(family[i](x) for _, family in entries) for x in range(src.size)]
+        for i, src in enumerate(sources)
+    ]
+    alg, elems = _closed_tuple_algebra(
+        ctx.signature,
+        [ctx.generators[a_idx] for a_idx, _ in entries],
+        [t for per_source in images for t in per_source],
+        budget,
+    )
+    position = {t: i for i, t in enumerate(elems)}
+    coprojections = [
+        Homomorphism(src, alg, tuple(position[t] for t in per_source))
+        for src, per_source in zip(sources, images)
+    ]
+    metadata = tuple((a_idx, tuple(h.mapping for h in family)) for a_idx, family in entries)
+    return CoproductResult(alg, coprojections, metadata, elems)
 
 
 def coproduct(
@@ -247,28 +253,25 @@ def coproduct(
     if check_membership:
         for f in factors:
             ctx.require_member(f, search_budget)
-    entries = _hom_family_index(ctx, factors, search_budget=search_budget)
-    if len(entries) > budget.max_index:
-        raise BudgetExceededError("hom-family index exceeds the budget")
-    prod_factors = [ctx.generators[a_idx] for a_idx, _ in entries]
-    seeds = []
-    per_factor_seeds: list[list[tuple[int, ...]]] = []
-    for i, f in enumerate(factors):
-        images = []
-        for b in range(f.size):
-            images.append(tuple(family[i](b) for _, family in entries))
-        per_factor_seeds.append(images)
-        seeds.extend(images)
-    alg, elems = _closed_tuple_algebra(ctx.signature, prod_factors, seeds, budget)
-    position = {t: i for i, t in enumerate(elems)}
-    coprojections = [
-        Homomorphism(f, alg, tuple(position[t] for t in per_factor_seeds[i]))
-        for i, f in enumerate(factors)
-    ]
-    metadata = tuple(
-        (a_idx, tuple(h.mapping for h in family)) for a_idx, family in entries
+    return _indexed_coproduct(ctx, factors, None, budget, search_budget)
+
+
+def _extend(
+    source: FiniteAlgebra,
+    target: FiniteAlgebra,
+    pairs: Iterable[tuple[int, int]],
+    search_budget: SearchBudget,
+) -> Optional[Homomorphism]:
+    """The first homomorphism extending the ``(key, value)`` pairs, or None
+    when two pairs conflict or no homomorphism extends them."""
+    seed: dict[int, int] = {}
+    for key, val in pairs:
+        if seed.setdefault(key, val) != val:
+            return None
+    found = find_homomorphisms(
+        source, target, seed=seed, budget=SearchBudget(search_budget.max_nodes, 1)
     )
-    return CoproductResult(alg, coprojections, metadata, elems)
+    return found[0] if found else None
 
 
 def is_coproduct(
@@ -299,22 +302,10 @@ def is_coproduct(
             find_homomorphisms(m.source, gen_alg, budget=search_budget) for m in maps
         ]
         for family in itertools.product(*hom_lists):
-            seed: dict[int, int] = {}
-            ok = True
-            for m, g in zip(maps, family):
-                for x in range(m.source.size):
-                    key, val = m(x), g(x)
-                    if seed.setdefault(key, val) != val:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                return False
-            found = find_homomorphisms(
-                b, gen_alg, seed=seed, budget=SearchBudget(search_budget.max_nodes, 1)
-            )
-            if not found:
+            pairs = [
+                (m(x), g(x)) for m, g in zip(maps, family) for x in range(m.source.size)
+            ]
+            if _extend(b, gen_alg, pairs, search_budget) is None:
                 return False
     return True
 
@@ -564,21 +555,15 @@ def chain_independence(
             retractions.append(None)
             continue
         f_i = targets[0]
-        seed = {span_pos[x]: a_local.index(x) for x in a_local}
-        for k, x in enumerate(b_local):
-            key = span_pos[x]
-            val = f_i(k)
-            if seed.setdefault(key, val) != val:
-                raise AlgebraError("retraction seed conflict on overlapping carriers")
-        found = find_homomorphisms(
-            span, a_sub, seed=seed, budget=SearchBudget(search_budget.max_nodes, 1)
-        )
-        if not found:
+        pairs = [(span_pos[x], k) for k, x in enumerate(a_local)]
+        pairs += [(span_pos[x], f_i(k)) for k, x in enumerate(b_local)]
+        retraction = _extend(span, a_sub, pairs, search_budget)
+        if retraction is None:
             raise AlgebraError(
                 "no retraction extends the chosen component map; "
                 "contradicts the verified independence"
             )
-        retractions.append(found[0])
+        retractions.append(retraction)
 
     independent = is_independent(ctx, a0, components, search_budget)
 
@@ -594,23 +579,11 @@ def chain_independence(
     ]
     almost = True
     for family in itertools.product(*hom_lists):
-        seed = {span_pos[x]: k for k, x in enumerate(levels[n])}
-        ok = True
-        for s, h in zip(components, family):
-            for k, x in enumerate(s):
-                key, val = span_pos[x], h(k)
-                if seed.setdefault(key, val) != val:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            almost = False
-            break
-        found = find_homomorphisms(
-            span_all, last_alg, seed=seed, budget=SearchBudget(search_budget.max_nodes, 1)
-        )
-        if not found:
+        pairs = [(span_pos[x], k) for k, x in enumerate(levels[n])]
+        pairs += [
+            (span_pos[x], h(k)) for s, h in zip(components, family) for k, x in enumerate(s)
+        ]
+        if _extend(span_all, last_alg, pairs, search_budget) is None:
             almost = False
             break
     return ChainReport(independent, almost, retractions)
@@ -824,7 +797,7 @@ def amalgamated_coproduct(
         for alg, _ in arms:
             ctx.require_member(alg, search_budget)
 
-    def agrees(a_idx, family):
+    def agrees(family):
         for s in range(base.size):
             values = {family[i](emb(s)) for i, (_, emb) in enumerate(arms)}
             if len(values) > 1:
@@ -832,34 +805,14 @@ def amalgamated_coproduct(
         return True
 
     sources = [alg for alg, _ in arms]
-    entries = _hom_family_index(ctx, sources, constraint=agrees, search_budget=search_budget)
-    if len(entries) > budget.max_index:
-        raise BudgetExceededError("hom-family index exceeds the budget")
-    prod_factors = [ctx.generators[a_idx] for a_idx, _ in entries]
-    seeds = []
-    per_arm_seeds = []
-    for i, (alg, _) in enumerate(arms):
-        images = [
-            tuple(family[i](x) for _, family in entries) for x in range(alg.size)
-        ]
-        per_arm_seeds.append(images)
-        seeds.extend(images)
-    result, elems = _closed_tuple_algebra(ctx.signature, prod_factors, seeds, budget)
-    position = {t: i for i, t in enumerate(elems)}
-    coprojections = [
-        Homomorphism(alg, result, tuple(position[t] for t in per_arm_seeds[i]))
-        for i, (alg, _) in enumerate(arms)
-    ]
+    result = _indexed_coproduct(ctx, sources, agrees, budget, search_budget)
     base_map = None
     if arms:
-        alg0, emb0 = arms[0]
-        base_map = Homomorphism(
-            base, result, tuple(coprojections[0](emb0(s)) for s in range(base.size))
-        )
-    metadata = tuple(
-        (a_idx, tuple(h.mapping for h in family)) for a_idx, family in entries
+        first, emb0 = result.coprojections[0], arms[0][1]
+        base_map = Homomorphism(base, result.algebra, tuple(first(emb0(s)) for s in range(base.size)))
+    return AmalgamatedResult(
+        result.algebra, result.coprojections, base_map, result.index_metadata
     )
-    return AmalgamatedResult(result, coprojections, base_map, metadata)
 
 
 @dataclass
@@ -937,22 +890,18 @@ def check_coproduct_monotone_bounded(
     qb = amalgamated_coproduct(
         ctx, base, [(b, f.compose(e)) for _, b, e, f in instances], budget, search_budget
     )
-    seed: dict[int, int] = {}
-    for i, (a, _, _, f) in enumerate(instances):
-        for x in range(a.size):
-            key = qa.coprojections[i](x)
-            val = qb.coprojections[i](f(x))
-            if seed.setdefault(key, val) != val:
-                return False
-    found = find_homomorphisms(
-        qa.algebra, qb.algebra, seed=seed, budget=SearchBudget(search_budget.max_nodes, 1)
-    )
-    if not found:
+    pairs = [
+        (qa.coprojections[i](x), qb.coprojections[i](f(x)))
+        for i, (a, _, _, f) in enumerate(instances)
+        for x in range(a.size)
+    ]
+    induced = _extend(qa.algebra, qb.algebra, pairs, search_budget)
+    if induced is None:
         raise AlgebraError(
             "no induced map between amalgamated coproducts; "
             "contradicts their universal property"
         )
-    return found[0].is_injective()
+    return induced.is_injective()
 
 
 def subfamily_independence_check(
@@ -986,8 +935,6 @@ def subfamily_independence_check(
     if not chosen:
         initial = coproduct(ctx, [], check_membership=False)
         generated, _ = generated_subalgebra(ambient, [])
-        from .algcore import are_isomorphic
-
         return are_isomorphic(generated, initial.algebra)
     return is_independent(ctx, ambient, chosen, search_budget)
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prevar.algcore import (
     AlgebraError,
@@ -14,7 +16,9 @@ from prevar.algcore import (
     UNARY_SIGNATURE,
     Var,
     all_congruences,
+    apply_relabeling,
     are_isomorphic,
+    canonical_form,
     congruence_generated,
     cyclic_unary,
     direct_product,
@@ -338,3 +342,50 @@ class TestValidation:
         for proj in projections:
             for x in range(prod.size):
                 assert proj(prod.op("a", x)) == proj.target.op("a", proj(x))
+
+
+ISO_SIGNATURES = [
+    UNARY_SIGNATURE,
+    Signature((("g", 2),)),
+    Signature((("f", 1), ("g", 2))),
+    Signature((("c", 0), ("f", 1))),
+]
+
+
+@st.composite
+def algebra_pairs(draw):
+    """Pairs of equal size: a relabeled copy, possibly with one entry
+    changed, or an independent draw."""
+    sig = draw(st.sampled_from(ISO_SIGNATURES))
+    size = draw(st.integers(1, 5))
+
+    def tables():
+        return {
+            name: draw(st.lists(st.integers(0, size - 1), min_size=size**arity,
+                                max_size=size**arity))
+            for name, arity in sig.ops
+        }
+
+    a = FiniteAlgebra(sig, size, tables())
+    kind = draw(st.sampled_from(["copy", "perturbed", "independent"]))
+    if kind == "independent":
+        return a, FiniteAlgebra(sig, size, tables())
+    b = apply_relabeling(a, draw(st.permutations(range(size))))
+    if kind == "perturbed":
+        name = draw(st.sampled_from(sig.names))
+        table = list(b.tables[name])
+        table[draw(st.integers(0, len(table) - 1))] = draw(st.integers(0, size - 1))
+        b = FiniteAlgebra(sig, size, {**b.tables, name: table})
+    return a, b
+
+
+class TestIsomorphism:
+    @settings(max_examples=200, deadline=None)
+    @given(algebra_pairs())
+    def test_agrees_with_canonical_form_oracle(self, pair):
+        a, b = pair
+        assert are_isomorphic(a, b) == (canonical_form(a) == canonical_form(b))
+
+    def test_size_and_signature_mismatch(self):
+        assert not are_isomorphic(C2, C3)
+        assert not are_isomorphic(C2, trivial_algebra(Signature((("g", 2),))))

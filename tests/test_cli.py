@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import prevar
 from prevar.algcore import cyclic_unary, disjoint_union
 from prevar.cli import SUITES, main
 
@@ -45,6 +49,19 @@ class TestFree:
         assert code == 0
         report = json.loads(out)
         assert report["size"] == 6 and report["cyclic_order"] == 6
+
+    def test_rank_two_answers_promptly(self, algebra_files):
+        # two disjoint 6-cycles: the cyclic-order check must refute
+        # "12-cycle" without walking the 12! bijections
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prevar.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "prevar.cli", "--json", "free", "--gen",
+             algebra_files["c2"], "--gen", algebra_files["c3"], "-n", "2"],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["size"] == 12 and report["cyclic_order"] is None
 
 
 class TestCoproduct:

@@ -6,6 +6,8 @@ import pytest
 from prevar.algcore import (
     AlgebraError,
     App,
+    BudgetExceededError,
+    FiniteAlgebra,
     Homomorphism,
     Signature,
     UNARY_SIGNATURE,
@@ -21,6 +23,7 @@ from prevar.algcore import (
 from prevar.homsearch import MembershipError, find_homomorphisms, in_sp
 from prevar.prevariety import (
     ChainHypothesisError,
+    ConstructionBudget,
     chain_independence,
     check_amalgamation_bounded,
     check_coproduct_monotone_bounded,
@@ -125,6 +128,16 @@ class TestFreeAlgebra:
         alg, gens = free_algebra(sp(C2, C3), 2)
         assert alg.size == 12  # two disjoint orbits of period lcm(2, 3)
         assert len(set(gens)) == 2
+
+    def test_table_cells_budget_enforced(self):
+        lattice = FiniteAlgebra(Signature((("j", 2), ("m", 2))), 2,
+                                {"j": [0, 1, 1, 1], "m": [0, 0, 0, 1]})
+        with pytest.raises(BudgetExceededError):
+            free_algebra(sp(lattice), 3, ConstructionBudget(max_table_cells=100))
+        # checked as the closure runs: the table bound trips before the
+        # 166-element carrier reaches the carrier bound
+        with pytest.raises(BudgetExceededError, match="table"):
+            free_algebra(sp(lattice), 4, ConstructionBudget(max_carrier=100, max_table_cells=100))
 
     def test_universal_property_exactly_one_hom_per_tuple(self):
         ctx = sp(C2, C3)
