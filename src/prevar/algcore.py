@@ -65,13 +65,6 @@ class Signature:
 UNARY_SIGNATURE = Signature((("a", 1),))
 
 
-def _tuple_index(args: Sequence[int], size: int) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
-
-
 class FiniteAlgebra:
     """A finite algebra: a carrier ``0..size-1`` plus one total table per op."""
 
@@ -106,6 +99,14 @@ class FiniteAlgebra:
         for a in args:
             idx = idx * self.size + a
         return self.tables[name][idx]
+
+    def _cells(self, name: str, values: Sequence[int]) -> Iterable[int]:
+        """The ``name`` table's entries at every argument tuple over ``values``,
+        in ``itertools.product(values, repeat=arity)`` order."""
+        idxs = [0]
+        for _ in range(self._arities[name]):
+            idxs = [i * self.size + v for i in idxs for v in values]
+        return map(self.tables[name].__getitem__, idxs)
 
     def elements(self) -> range:
         return range(self.size)
@@ -219,16 +220,19 @@ class Homomorphism:
             raise AlgebraError("homomorphism between different signatures")
         if len(self.mapping) != self.source.size:
             raise AlgebraError("mapping length differs from the source carrier")
-        if any(not (0 <= v < self.target.size) for v in self.mapping):
+        src, tgt, m = self.source, self.target, self.mapping
+        if m and (min(m) < 0 or max(m) >= tgt.size):
             raise AlgebraError("mapping leaves the target carrier")
-        for name, arity in self.source.signature.ops:
-            for args in itertools.product(range(self.source.size), repeat=arity):
-                lhs = self.mapping[self.source.op(name, *args)]
-                rhs = self.target.op(name, *(self.mapping[a] for a in args))
-                if lhs != rhs:
-                    raise AlgebraError(
-                        f"map does not commute with {name!r} at {args}"
-                    )
+        for name, arity in src.signature.ops:
+            # the image of each source cell against the target cell at the
+            # images of its arguments, cell by cell in row-major order
+            lhs = [m[v] for v in src.tables[name]]
+            rhs = list(tgt._cells(name, m))
+            if lhs != rhs:
+                k = next(k for k, (u, w) in enumerate(zip(lhs, rhs)) if u != w)
+                args = next(itertools.islice(
+                    itertools.product(range(src.size), repeat=arity), k, None))
+                raise AlgebraError(f"map does not commute with {name!r} at {args}")
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -419,16 +423,21 @@ def generated_subalgebra(
 ) -> tuple[FiniteAlgebra, Homomorphism]:
     """Least subset containing ``seed`` closed under all ops, with its inclusion.
 
-    The closure runs in ``_closure``; ``subalgebra_on`` then rebuilds the
-    tables in ascending carrier order.  The empty seed yields the closure
-    of the zeroary constants (the empty algebra when there are none).
+    The closure runs in ``_closure``; its tables, recorded over the
+    discovery order, are then permuted to ascending carrier order.  The
+    empty seed yields the closure of the zeroary constants (the empty
+    algebra when there are none).
     """
     seed = list(seed)
     for x in seed:
         if not (0 <= x < alg.size):
             raise AlgebraError(f"seed element {x} is off the carrier")
-    members, _ = _closure(alg.signature, lambda name, args: alg.op(name, *args), seed)
-    return subalgebra_on(alg, sorted(members))
+    members, tables = _closure(alg.signature, lambda name, args: alg.op(name, *args), seed)
+    carrier = sorted(members)
+    position = {x: i for i, x in enumerate(carrier)}
+    found = FiniteAlgebra(alg.signature, len(members), tables)
+    sub = apply_relabeling(found, [position[x] for x in members])
+    return sub, Homomorphism(sub, alg, tuple(carrier))
 
 
 def subalgebra_on(alg: FiniteAlgebra, carrier: Sequence[int]) -> tuple[FiniteAlgebra, Homomorphism]:
@@ -438,13 +447,10 @@ def subalgebra_on(alg: FiniteAlgebra, carrier: Sequence[int]) -> tuple[FiniteAlg
     if len(position) != len(carrier):
         raise AlgebraError("carrier subset has repeats")
     tables = {}
-    for name, arity in alg.signature.ops:
-        table = []
-        for args in itertools.product(carrier, repeat=arity):
-            v = alg.op(name, *args)
-            if v not in position:
-                raise AlgebraError(f"subset is not closed under {name!r}")
-            table.append(position[v])
+    for name in alg.signature.names:
+        table = [position.get(v) for v in alg._cells(name, carrier)]
+        if None in table:
+            raise AlgebraError(f"subset is not closed under {name!r}")
         tables[name] = table
     sub = FiniteAlgebra(alg.signature, len(carrier), tables)
     return sub, Homomorphism(sub, alg, tuple(carrier))
@@ -465,17 +471,15 @@ def direct_product(
     for a in algebras:
         if a.signature != signature:
             raise AlgebraError("product factors have mismatched signatures")
-    sizes = [a.size for a in algebras]
-    carrier = list(itertools.product(*(range(s) for s in sizes)))
-    index = {t: i for i, t in enumerate(carrier)}
+    carrier = list(itertools.product(*(range(a.size) for a in algebras)))
     tables = {}
     for name, arity in signature.ops:
-        table = []
-        for args in itertools.product(carrier, repeat=arity):
-            value = tuple(
-                algebras[k].op(name, *(arg[k] for arg in args)) for k in range(len(algebras))
-            )
-            table.append(index[value])
+        # each cell's index in the carrier, a mixed-radix number built one
+        # coordinate at a time from that factor's table
+        table = [0] * len(carrier) ** arity
+        for k, a in enumerate(algebras):
+            column = a._cells(name, [t[k] for t in carrier])
+            table = [i * a.size + v for i, v in zip(table, column)]
         tables[name] = table
     prod = FiniteAlgebra(signature, len(carrier), tables)
     projections = [
@@ -517,12 +521,7 @@ def quotient(alg: FiniteAlgebra, c: Congruence) -> tuple[FiniteAlgebra, Homomorp
     for x in range(alg.size):
         if reps[c.blocks[x]] is None:
             reps[c.blocks[x]] = x
-    tables = {}
-    for name, arity in alg.signature.ops:
-        table = []
-        for args in itertools.product(reps, repeat=arity):
-            table.append(c.blocks[alg.op(name, *args)])
-        tables[name] = table
+    tables = {name: [c.blocks[v] for v in alg._cells(name, reps)] for name in alg.signature.names}
     q = FiniteAlgebra(alg.signature, nblocks, tables)
     return q, Homomorphism(alg, q, c.blocks)
 
@@ -633,12 +632,7 @@ def apply_relabeling(alg: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     inverse = [0] * alg.size
     for x, y in enumerate(perm):
         inverse[y] = x
-    tables = {}
-    for name, arity in alg.signature.ops:
-        table = []
-        for args in itertools.product(range(alg.size), repeat=arity):
-            table.append(perm[alg.op(name, *(inverse[a] for a in args))])
-        tables[name] = table
+    tables = {name: [perm[v] for v in alg._cells(name, inverse)] for name in alg.signature.names}
     return FiniteAlgebra(alg.signature, alg.size, tables)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algcore import (
     AlgebraError,
@@ -79,30 +79,32 @@ class MembershipError(AlgebraError):
 
 
 class _Search:
-    def __init__(self, source, target, injective, budget):
+    """``iterate`` yields each homomorphism's mapping only when it is pulled,
+    so a caller that stops pulling stops the search."""
+
+    def __init__(self, source, target, injective, max_nodes):
         self.A = source
         self.B = target
         self.injective = injective
-        self.budget = budget
+        self.max_nodes = max_nodes
         self.nodes = 0
-        self.solutions: list[Homomorphism] = []
-        # precompute op tuples once; zeroary ops become forced assignments.
+        # one (target table, args, result) constraint per cell of each
+        # non-zeroary source table; zeroary ops become forced assignments.
         # a constraint already satisfied never breaks later, so propagation
         # and candidate filtering only visit constraints touching the
         # element being assigned
-        self.constraints = []
         self.touching = [[] for _ in range(source.size)]
         for name, arity in source.signature.ops:
             if arity == 0:
                 continue
-            for args in itertools.product(range(source.size), repeat=arity):
-                constraint = (name, args, source.op(name, *args))
-                index = len(self.constraints)
-                self.constraints.append(constraint)
-                for e in sorted(set(args) | {constraint[2]}):
-                    self.touching[e].append(index)
+            table = target.tables[name]
+            cells = itertools.product(range(source.size), repeat=arity)
+            for args, result in zip(cells, source.tables[name]):
+                constraint = (table, args, result)
+                for e in {*args, result}:
+                    self.touching[e].append(constraint)
 
-    def run(self, seed: dict[int, int]) -> list[Homomorphism]:
+    def iterate(self, seed: dict[int, int]) -> Iterator[tuple[int, ...]]:
         assignment: list[Optional[int]] = [None] * self.A.size
         used = [0] * self.B.size
         pending = []
@@ -113,11 +115,22 @@ class _Search:
         for name, arity in self.A.signature.ops:
             if arity == 0:
                 # constants are hard constraints; conflicts kill the branch
-                pending.append((self.A.op(name), self.B.op(name)))
-        if not self._assign_all(assignment, used, pending):
-            return []
-        self._extend(assignment, used)
-        return self.solutions
+                pending.append((self.A.tables[name][0], self.B.tables[name][0]))
+        if self._assign_all(assignment, used, pending):
+            yield from self._extend(assignment, used)
+
+    def _forced(self, assignment, x):
+        # (result, its forced value) of each determined constraint touching x
+        size = self.B.size
+        for table, args, result in self.touching[x]:
+            idx = 0
+            for a in args:
+                w = assignment[a]
+                if w is None:
+                    break
+                idx = idx * size + w
+            else:
+                yield result, table[idx]
 
     # assign the pending pairs plus everything forced by propagation;
     # False means a contradiction (this branch has no extension)
@@ -134,73 +147,60 @@ class _Search:
                 return False
             assignment[x] = v
             used[v] += 1
-            for idx in self.touching[x]:
-                name, args, result = self.constraints[idx]
-                vals = [assignment[a] for a in args]
-                if any(w is None for w in vals):
-                    continue
-                forced = self.B.op(name, *vals)
-                if assignment[result] is None:
+            for result, forced in self._forced(assignment, x):
+                res = assignment[result]
+                if res is None:
                     queue.append((result, forced))
-                elif assignment[result] != forced:
+                elif res != forced:
                     return False
         return True
 
     def _candidates(self, assignment, used, x) -> list[int]:
+        # x is unassigned; each value is tried by assigning it in place
+        injective = self.injective
         out = []
         for v in range(self.B.size):
-            if self.injective and used[v]:
+            if injective and used[v]:
                 continue
-            ok = True
-            for idx in self.touching[x]:
-                name, args, result = self.constraints[idx]
-                vals = [assignment[a] if a != x else v for a in args]
-                if any(w is None for w in vals):
-                    continue
-                forced = self.B.op(name, *vals)
-                res = assignment[result] if result != x else v
-                if res is not None and res != forced:
-                    ok = False
-                    break
-                if self.injective and res is None and used[forced]:
+            assignment[x] = v
+            for result, forced in self._forced(assignment, x):
+                res = assignment[result]
+                if res is not None:
+                    if res != forced:
+                        break
+                elif injective and used[forced]:
                     # result would be forced onto an already-taken target
-                    ok = False
                     break
-            if ok:
+            else:
                 out.append(v)
+        assignment[x] = None
         return out
 
-    def _extend(self, assignment, used) -> bool:
-        """Depth-first; returns True when the solution cap was reached."""
+    def _extend(self, assignment, used) -> Iterator[tuple[int, ...]]:
         unassigned = [x for x in range(self.A.size) if assignment[x] is None]
         if not unassigned:
-            self.solutions.append(
-                Homomorphism(self.A, self.B, tuple(assignment))  # re-checked here
-            )
-            cap = self.budget.max_solutions
-            return cap is not None and len(self.solutions) >= cap
+            yield tuple(assignment)
+            return
         best = None
         for x in unassigned:
             cands = self._candidates(assignment, used, x)
-            if best is None or (len(cands), x) < (len(best[1]), best[0]):
+            if best is None or len(cands) < len(best[1]):
                 best = (x, cands)
             if not cands:
                 break
         x, cands = best
         for v in cands:
             self.nodes += 1
-            if self.nodes > self.budget.max_nodes:
+            if self.nodes > self.max_nodes:
                 raise BudgetExceededError(
-                    f"homomorphism search exceeded {self.budget.max_nodes} nodes"
+                    f"homomorphism search exceeded {self.max_nodes} nodes"
                 )
             trail_assignment = list(assignment)
             trail_used = list(used)
             if self._assign_all(assignment, used, [(x, v)]):
-                if self._extend(assignment, used):
-                    return True
+                yield from self._extend(assignment, used)
             assignment[:] = trail_assignment
             used[:] = trail_used
-        return False
 
 
 def find_homomorphisms(
@@ -212,10 +212,10 @@ def find_homomorphisms(
 ) -> list[Homomorphism]:
     """All total homomorphisms extending ``seed``, in deterministic order.
 
-    ``seed`` is a dict or a ``PartialMap``.  Reaching ``max_solutions``
-    stops the search normally; exceeding ``max_nodes`` raises
-    ``BudgetExceededError`` so exhaustion is never mistaken for "no
-    solutions".
+    ``seed`` is a dict or a ``PartialMap``.  The search is lazy: reaching
+    ``max_solutions`` stops it before any further node.  Exceeding
+    ``max_nodes`` raises ``BudgetExceededError`` so exhaustion is never
+    mistaken for "no solutions".
     """
     if source.signature != target.signature:
         raise AlgebraError("search between different signatures")
@@ -225,7 +225,8 @@ def find_homomorphisms(
         seed = seed.as_dict()
     if target.size == 0:
         return [] if source.size > 0 else [Homomorphism(source, target, ())]
-    return _Search(source, target, injective, budget).run(seed or {})
+    found = _Search(source, target, injective, budget.max_nodes).iterate(seed or {})
+    return [Homomorphism(source, target, m) for m in itertools.islice(found, budget.max_solutions)]
 
 
 def exists_embedding(
@@ -247,32 +248,31 @@ def separating_family(
 ) -> tuple[bool, Optional[tuple[int, int]], list[Homomorphism]]:
     """Point-separation data for membership of ``a`` in SP(generators).
 
-    Returns ``(ok, witness, homs)``: when ``ok`` is false, ``witness`` is a
-    pair of elements no homomorphism into any generator separates; when
-    true, ``homs`` holds one separating homomorphism per element pair, in
-    pair order.
+    Returns ``(ok, witness, homs)``: when ``ok`` is false, ``witness`` is
+    the first pair of elements no homomorphism into any generator
+    separates; when true, ``homs`` holds, for each element pair in pair
+    order, the first separating homomorphism in generator order, then in
+    ``find_homomorphisms`` order.  The generators are searched in order,
+    one homomorphism at a time, each under ``budget``; the search stops as
+    soon as every pair is separated, and later generators are not searched.
     """
     for g in generators:
         if g.signature != a.signature:
             raise AlgebraError("membership test across signatures")
     if a.size <= 1:
         return True, None, []
-    hom_lists = [find_homomorphisms(a, g, budget=budget) for g in generators]
-    chosen = []
-    for x in range(a.size):
-        for y in range(x + 1, a.size):
-            sep = None
-            for homs in hom_lists:
-                for h in homs:
-                    if h(x) != h(y):
-                        sep = h
-                        break
-                if sep:
-                    break
-            if sep is None:
-                return False, (x, y), []
-            chosen.append(sep)
-    return True, None, chosen
+    pending = pairs = [(x, y) for x in range(a.size) for y in range(x + 1, a.size)]
+    chosen: dict[tuple[int, int], Homomorphism] = {}
+    for g in generators:
+        found = _Search(a, g, False, budget.max_nodes).iterate({})
+        for mapping in itertools.islice(found, budget.max_solutions):
+            separated = [(x, y) for x, y in pending if mapping[x] != mapping[y]]
+            if separated:
+                chosen.update(dict.fromkeys(separated, Homomorphism(a, g, mapping)))
+                pending = [p for p in pending if p not in chosen]
+                if not pending:
+                    return True, None, [chosen[p] for p in pairs]
+    return False, pending[0], []
 
 
 def in_sp(

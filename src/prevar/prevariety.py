@@ -293,6 +293,11 @@ def is_coproduct(
             raise MembershipError("a coproduct factor is not in SP of the generators")
     if not ctx.contains(b, search_budget):
         return False
+    return _generates_and_extends(ctx, b, maps, search_budget)
+
+
+def _generates_and_extends(ctx: PrevarietyCtx, b: FiniteAlgebra, maps, search_budget) -> bool:
+    """``is_coproduct`` once ``b`` and the maps' sources are known members."""
     union = sorted({v for m in maps for v in m.mapping})
     gen, _ = generated_subalgebra(b, union)
     if gen.size != b.size:
@@ -471,7 +476,8 @@ def is_independent(
     search_budget: SearchBudget = DEFAULT_BUDGET,
 ) -> bool:
     """True iff the subalgebra generated by the union is the coproduct of
-    the given closed subsets, via the inclusion maps."""
+    the given closed subsets, via the inclusion maps.  Only ``ambient`` is
+    tested for membership: SP(Y) is closed under subalgebras."""
     ctx.require_member(ambient, search_budget)
     subsets = [sorted(set(s)) for s in subalgebras]
     union = sorted({x for s in subsets for x in s})
@@ -481,7 +487,7 @@ def is_independent(
     for s in subsets:
         sub, _ = subalgebra_on(ambient, s)  # raises if not closed
         maps.append(Homomorphism(sub, generated, tuple(back[x] for x in s)))
-    return is_coproduct(ctx, generated, maps, search_budget)
+    return _generates_and_extends(ctx, generated, maps, search_budget)
 
 
 class ChainHypothesisError(AlgebraError):

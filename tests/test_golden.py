@@ -6,6 +6,11 @@ Each digest below is the sha256 of ``to_json()`` followed by the JSON of the
 generator indices (free algebras) or the coprojection and base mappings
 (coproducts).  A change that renumbers carriers changes a digest.  The
 closure engine is also checked against the naive fixpoint loop it replaced.
+
+Search-order digests pin what depends on the order in which homomorphisms
+are found: the separating family chosen for each pair, the product and
+embedding ``sp_embedding`` builds from it, and the retractions
+``chain_independence`` reports.  Each is the sha256 of the output's JSON.
 """
 
 import hashlib
@@ -22,9 +27,17 @@ from prevar.algcore import (
     Signature,
     _closure,
     cyclic_unary,
+    direct_product,
     disjoint_union,
 )
-from prevar.prevariety import amalgamated_coproduct, coproduct, free_algebra, sp
+from prevar.homsearch import separating_family, sp_embedding
+from prevar.prevariety import (
+    amalgamated_coproduct,
+    chain_independence,
+    coproduct,
+    free_algebra,
+    sp,
+)
 
 
 def _chain(size: int, sig: Signature) -> FiniteAlgebra:
@@ -64,6 +77,26 @@ def _amalgamated():
     return _digest(result.algebra, maps)
 
 
+def _sha(data) -> str:
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+def _separating(alg, gens):
+    ok, witness, homs = separating_family(alg, gens)
+    return _sha([ok, witness, [[h.target.to_json(), list(h.mapping)] for h in homs]])
+
+
+def _embedding(alg, gens):
+    prod, injection = sp_embedding(alg, gens)
+    return _sha([prod.to_json(), list(injection.mapping)])
+
+
+def _chain_report(a0, chain, components):
+    r = chain_independence(a0, chain, components)
+    return _sha([r.independent, r.almost_independent,
+                 [list(h.mapping) if h else None for h in r.retractions]])
+
+
 CASES = {
     "free-lattice-0": lambda: _free([L2], 0),
     "free-lattice-1": lambda: _free([L2], 1),
@@ -76,6 +109,17 @@ CASES = {
     "free-c2-c3-2": lambda: _free([C2, C3], 2),
     "coproduct-u23-c2-c3": _coproduct,
     "amalgamated-l3-l3-over-l2": _amalgamated,
+    "separating-c6-c2-c3": lambda: _separating(cyclic_unary(6), [C2, C3]),
+    "separating-c2c3-witness": lambda: _separating(disjoint_union([C2, C3]), [C2, C3]),
+    "separating-l2xl3-l3-l2": lambda: _separating(direct_product([L2, L3])[0], [L3, L2]),
+    "embedding-c2c2-c2": lambda: _embedding(disjoint_union([C2, C2]), [C2]),
+    "embedding-l3-l2": lambda: _embedding(L3, [L2]),
+    "chain-u3-two-steps": lambda: _chain_report(
+        disjoint_union([C3, C3, C3]), [[0, 1, 2, 3, 4, 5], [0, 1, 2]], [[6, 7, 8], [3, 4, 5]]
+    ),
+    "chain-u2-two-steps": lambda: _chain_report(
+        disjoint_union([C2, C2, C2]), [[0, 1, 2, 3], [0, 1]], [[4, 5], [2, 3]]
+    ),
 }
 
 # taken with the brute-force closure loops that preceded the shared engine
@@ -91,6 +135,15 @@ GOLDEN = {
     "free-c2-c3-2": "a5a5a9a5dd815b24570c4aaea7c9c84550718eba2e58fcf99039a0a9e0ae62bb",
     "coproduct-u23-c2-c3": "c810be1f0cf5824e1893982c4a816635a629354374ef2ea78e9925efb8e43540",
     "amalgamated-l3-l3-over-l2": "e193ed7eba7927ccd7ce384aff4f352b8eecf581df7394b9561436e3bbbcc4e5",
+    # taken with the eager search that listed every homomorphism into every
+    # generator before looking at a pair
+    "separating-c6-c2-c3": "5d342308a11537c9d41c8302b9959bef1f1566bc8ce9227bf9cd7a7328d8b9b4",
+    "separating-c2c3-witness": "2eb3ba7b9aa52af94952313f4202617dcf65961eef930121c3fb0dc80169e72d",
+    "separating-l2xl3-l3-l2": "e5337d39027a4d6a0c11b86fa38decd952cff9a7914d0f2a8c0824a8b36110d3",
+    "embedding-c2c2-c2": "5105feac11c59f29e322a129e6a562ddcd41fb828d2eebe9fc238519836af968",
+    "embedding-l3-l2": "1a1400a89d4500ad5ad058fa3f2189ec1613f125266bd49f17dfaf1a122c3e6a",
+    "chain-u3-two-steps": "8d66be25a32f35083d0903bcdbaab976e9e63d5b9fa2c2da5e965bcec386bf39",
+    "chain-u2-two-steps": "0d777498dcf1cfa963aa75decfafd407704c697e24e1f811eaefa6e367193cb1",
 }
 
 

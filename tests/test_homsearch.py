@@ -2,10 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prevar.algcore import (
+    AlgebraError,
     BudgetExceededError,
     FiniteAlgebra,
+    Homomorphism,
     Signature,
     UNARY_SIGNATURE,
     cyclic_unary,
@@ -16,6 +20,7 @@ from prevar.algcore import (
 from prevar.homsearch import (
     MembershipError,
     SearchBudget,
+    _Search,
     exists_embedding,
     find_homomorphisms,
     in_sp,
@@ -193,3 +198,193 @@ class TestPartialMap:
         seed = PartialMap(C2, C2, ((0, 1),))
         with pytest.raises(AlgebraError):
             find_homomorphisms(C3, C3, seed=seed)
+
+
+# -- cross-checks of the lazy, table-indexed search against eager references ----------
+
+
+def eager_search(a, b, seed, injective):
+    """The eager search the generator replaced, kept as the order reference:
+    every solution collected by recursion, cells evaluated through ``op``."""
+    assignment, used, solutions = [None] * a.size, [0] * b.size, []
+    constraints = [
+        (name, args, a.op(name, *args))
+        for name, arity in a.signature.ops if arity
+        for args in itertools.product(range(a.size), repeat=arity)
+    ]
+
+    def assign_all(pending):
+        queue = list(pending)
+        while queue:
+            x, v = queue.pop()
+            if assignment[x] is not None:
+                if assignment[x] != v:
+                    return False
+                continue
+            if injective and used[v]:
+                return False
+            assignment[x] = v
+            used[v] += 1
+            for name, args, result in constraints:
+                if x not in args and x != result:
+                    continue
+                vals = [assignment[t] for t in args]
+                if None in vals:
+                    continue
+                forced = b.op(name, *vals)
+                if assignment[result] is None:
+                    queue.append((result, forced))
+                elif assignment[result] != forced:
+                    return False
+        return True
+
+    def candidates(x):
+        out = []
+        for v in range(b.size):
+            if injective and used[v]:
+                continue
+            ok = True
+            for name, args, result in constraints:
+                if x not in args and x != result:
+                    continue
+                vals = [assignment[t] if t != x else v for t in args]
+                if None in vals:
+                    continue
+                forced = b.op(name, *vals)
+                res = assignment[result] if result != x else v
+                if (res is not None and res != forced) or (
+                        injective and res is None and used[forced]):
+                    ok = False
+                    break
+            if ok:
+                out.append(v)
+        return out
+
+    def extend():
+        unassigned = [x for x in range(a.size) if assignment[x] is None]
+        if not unassigned:
+            solutions.append(tuple(assignment))
+            return
+        best = None
+        for x in unassigned:
+            cands = candidates(x)
+            if best is None or (len(cands), x) < (len(best[1]), best[0]):
+                best = (x, cands)
+            if not cands:
+                break
+        x, cands = best
+        for v in cands:
+            trail = (list(assignment), list(used))
+            if assign_all([(x, v)]):
+                extend()
+            assignment[:], used[:] = trail
+
+    constants = [(a.op(name), b.op(name)) for name, arity in a.signature.ops if arity == 0]
+    if assign_all(sorted(seed.items()) + constants):
+        extend()
+    return solutions
+
+
+def eager_separating_family(a, generators):
+    """The separating family as computed before the search became lazy:
+    every homomorphism into every generator listed first."""
+    if a.size <= 1:
+        return True, None, []
+    hom_lists = [find_homomorphisms(a, g) for g in generators]
+    chosen = []
+    for x in range(a.size):
+        for y in range(x + 1, a.size):
+            sep = next((h for homs in hom_lists for h in homs if h(x) != h(y)), None)
+            if sep is None:
+                return False, (x, y), []
+            chosen.append(sep)
+    return True, None, chosen
+
+
+SMALL_SIGNATURES = [
+    UNARY_SIGNATURE,
+    Signature((("m", 2),)),
+    Signature((("c", 0), ("a", 1))),
+    Signature((("c", 0), ("m", 2))),
+]
+
+
+@st.composite
+def small_algebra(draw, sig, min_size=1):
+    binary = any(arity == 2 for _, arity in sig.ops)
+    size = draw(st.integers(min_size, 4 if binary else 5))
+    return FiniteAlgebra(sig, size, {
+        name: draw(st.lists(st.integers(0, size - 1), min_size=size**arity,
+                            max_size=size**arity))
+        for name, arity in sig.ops
+    })
+
+
+@st.composite
+def algebra_pairs(draw):
+    sig = draw(st.sampled_from(SMALL_SIGNATURES))
+    return draw(small_algebra(sig)), draw(small_algebra(sig))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_pairs(), st.booleans(), st.data())
+def test_search_generator_matches_eager_order_and_brute_force(pair, injective, data):
+    a, b = pair
+    seed = data.draw(st.dictionaries(st.integers(0, a.size - 1), st.integers(0, b.size - 1),
+                                     max_size=1))
+    found = list(_Search(a, b, injective, 10**6).iterate(seed))
+    assert found == eager_search(a, b, seed, injective)
+    if not seed and not injective:
+        assert sorted(found) == brute_force_homs(a, b)
+
+
+@st.composite
+def membership_cases(draw):
+    sig = draw(st.sampled_from(SMALL_SIGNATURES))
+    gens = draw(st.lists(small_algebra(sig), min_size=1, max_size=3))
+    return draw(small_algebra(sig)), gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_cases())
+def test_lazy_separating_family_matches_eager_reference(case):
+    a, gens = case
+    ok, witness, homs = separating_family(a, gens)
+    ref_ok, ref_witness, ref_homs = eager_separating_family(a, gens)
+    assert (ok, witness) == (ref_ok, ref_witness)
+    assert [(h.target, h.mapping) for h in homs] == [(h.target, h.mapping) for h in ref_homs]
+
+
+def first_commutation_failure(a, b, mapping):
+    for name, arity in a.signature.ops:
+        for args in itertools.product(range(a.size), repeat=arity):
+            if mapping[a.op(name, *args)] != b.op(name, *(mapping[x] for x in args)):
+                return f"map does not commute with {name!r} at {args}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebra_pairs(), st.data())
+def test_validator_matches_brute_force_commutation(pair, data):
+    a, b = pair
+    mapping = tuple(data.draw(st.lists(st.integers(0, b.size - 1), min_size=a.size,
+                                       max_size=a.size)))
+    expected = first_commutation_failure(a, b, mapping)
+    if expected is None:
+        assert Homomorphism(a, b, mapping).mapping == mapping
+    else:
+        with pytest.raises(AlgebraError) as err:
+            Homomorphism(a, b, mapping)
+        assert str(err.value) == expected
+
+
+def test_separating_family_stops_once_every_pair_is_separated():
+    # the search into the second generator needs more than two nodes, but
+    # the first homomorphism into C2 already separates C2's only pair
+    big = disjoint_union([C2] * 4)
+    budget = SearchBudget(max_nodes=2)
+    with pytest.raises(BudgetExceededError):
+        find_homomorphisms(C2, big, budget=budget)
+    ok, witness, homs = separating_family(C2, [C2, big], budget)
+    assert ok and witness is None
+    assert [(h.target, h.mapping) for h in homs] == [(C2, (0, 1))]
