@@ -521,7 +521,7 @@ def quotient(alg: FiniteAlgebra, c: Congruence) -> tuple[FiniteAlgebra, Homomorp
     for x in range(alg.size):
         if reps[c.blocks[x]] is None:
             reps[c.blocks[x]] = x
-    tables = {name: [c.blocks[v] for v in alg._cells(name, reps)] for name in alg.signature.names}
+    tables = {name: [c.blocks[v] for v in alg._cells(name, reps)] for name in alg.tables}
     q = FiniteAlgebra(alg.signature, nblocks, tables)
     return q, Homomorphism(alg, q, c.blocks)
 
@@ -632,7 +632,7 @@ def apply_relabeling(alg: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     inverse = [0] * alg.size
     for x, y in enumerate(perm):
         inverse[y] = x
-    tables = {name: [perm[v] for v in alg._cells(name, inverse)] for name in alg.signature.names}
+    tables = {name: [perm[v] for v in alg._cells(name, inverse)] for name in alg.tables}
     return FiniteAlgebra(alg.signature, alg.size, tables)
 
 
