@@ -274,21 +274,24 @@ class Congruence:
         if len(self.blocks) != self.algebra.size:
             raise AlgebraError("partition length differs from the carrier")
         object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
-        alg = self.algebra
-        for name, arity in alg.signature.ops:
-            if arity == 0:
-                continue
-            for args in itertools.product(range(alg.size), repeat=arity):
-                for slot in range(arity):
-                    for other in range(alg.size):
-                        if self.blocks[other] != self.blocks[args[slot]]:
-                            continue
-                        alt = list(args)
-                        alt[slot] = other
-                        if self.blocks[alg.op(name, *args)] != self.blocks[alg.op(name, *alt)]:
-                            raise AlgebraError(
-                                f"partition is not compatible with {name!r}"
-                            )
+        # compatible iff each cell shares a block with the cell at its
+        # arguments' block representatives (the first element of each block)
+        alg, blocks = self.algebra, self.blocks
+        first: dict[int, int] = {}
+        reps = [first.setdefault(lab, x) for x, lab in enumerate(blocks)]
+        for name in alg.signature.names:
+            if any(blocks[u] != blocks[v]
+                   for u, v in zip(alg.tables[name], alg._cells(name, reps))):
+                raise AlgebraError(f"partition is not compatible with {name!r}")
+
+    @classmethod
+    def _unchecked(cls, alg: FiniteAlgebra, labels: Sequence) -> "Congruence":
+        """A congruence that is valid by construction: the labels are
+        canonicalised but not re-validated."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "algebra", alg)
+        object.__setattr__(c, "blocks", _canonical_blocks(labels))
+        return c
 
     @classmethod
     def diagonal(cls, alg: FiniteAlgebra) -> "Congruence":
@@ -308,26 +311,22 @@ class Congruence:
         return self.blocks[a] == self.blocks[b]
 
     def meet(self, other: "Congruence") -> "Congruence":
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraError("congruences on different algebras")
-        pairs = list(zip(self.blocks, other.blocks))
-        labels = {p: i for i, p in enumerate(dict.fromkeys(pairs))}
-        return Congruence(self.algebra, tuple(labels[p] for p in pairs))
+        return Congruence._unchecked(self.algebra, list(zip(self.blocks, other.blocks)))
 
     def join(self, other: "Congruence") -> "Congruence":
         # the transitive closure of the union of two congruences is again
         # a congruence, so plain union-find merging suffices
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraError("congruences on different algebras")
         uf = _UnionFind(self.algebra.size)
         for blocks in (self.blocks, other.blocks):
             first: dict[int, int] = {}
             for x, lab in enumerate(blocks):
-                if lab in first:
-                    uf.union(first[lab], x)
-                else:
-                    first[lab] = x
-        return Congruence(self.algebra, tuple(uf.find(x) for x in range(self.algebra.size)))
+                uf.union(first.setdefault(lab, x), x)
+        roots = [uf.find(x) for x in range(self.algebra.size)]
+        return Congruence._unchecked(self.algebra, roots)
 
 
 class _UnionFind:
@@ -514,13 +513,10 @@ def disjoint_union(algebras: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
 
 def quotient(alg: FiniteAlgebra, c: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
     """Carrier = blocks; tables are well defined by compatibility."""
-    if c.algebra != alg:
+    if c.algebra is not alg and c.algebra != alg:
         raise AlgebraError("congruence is on a different algebra")
     nblocks = c.num_blocks()
-    reps = [None] * nblocks
-    for x in range(alg.size):
-        if reps[c.blocks[x]] is None:
-            reps[c.blocks[x]] = x
+    reps = [c.blocks.index(b) for b in range(nblocks)]
     tables = {name: [c.blocks[v] for v in alg._cells(name, reps)] for name in alg.tables}
     q = FiniteAlgebra(alg.signature, nblocks, tables)
     return q, Homomorphism(alg, q, c.blocks)
@@ -529,30 +525,25 @@ def quotient(alg: FiniteAlgebra, c: Congruence) -> tuple[FiniteAlgebra, Homomorp
 def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing the pairs.
 
-    Union-find plus a worklist over ops and argument slots, iterated to a
-    fixpoint; iteration order is op declaration order then lexicographic
-    argument tuples, so results are reproducible.
+    Union-find over the pairs, then passes to a fixpoint: each pass takes
+    the current roots and merges every table cell with the cell at its
+    arguments' roots.  A pass that merges nothing leaves a compatible
+    partition, and every merge is forced, so the result is the least one.
     """
     uf = _UnionFind(alg.size)
     for a, b in pairs:
+        for x in (a, b):
+            if not (0 <= x < alg.size):
+                raise AlgebraError(f"pair element {x} is off the carrier")
         uf.union(a, b)
     changed = True
     while changed:
+        roots = [uf.find(x) for x in range(alg.size)]
         changed = False
-        for name, arity in alg.signature.ops:
-            if arity == 0:
-                continue
-            for args in itertools.product(range(alg.size), repeat=arity):
-                for slot in range(arity):
-                    x = args[slot]
-                    for y in range(x + 1, alg.size):
-                        if uf.find(x) != uf.find(y):
-                            continue
-                        alt = list(args)
-                        alt[slot] = y
-                        if uf.union(alg.op(name, *args), alg.op(name, *alt)):
-                            changed = True
-    return Congruence(alg, tuple(uf.find(x) for x in range(alg.size)))
+        for name in alg.signature.names:
+            for u, v in zip(alg.tables[name], alg._cells(name, roots)):
+                changed = uf.union(u, v) or changed
+    return Congruence._unchecked(alg, roots)
 
 
 def all_congruences(
@@ -597,14 +588,17 @@ def is_subdirectly_irreducible(
     """
     if alg.size < 2:
         raise AlgebraError("subdirect irreducibility needs a nontrivial algebra")
-    congruences = all_congruences(alg, size_bound)
-    nontrivial = [c for c in congruences if not c.is_diagonal()]
+    monolith = _monolith(alg, all_congruences(alg, size_bound))
+    return monolith is not None, monolith
+
+
+def _monolith(alg: FiniteAlgebra, congruences: Iterable[Congruence]) -> Optional[Congruence]:
+    """The meet of the non-diagonal ``congruences``, or None when it is diagonal."""
     meet = Congruence.full(alg)
-    for c in nontrivial:
-        meet = meet.meet(c)
-    if meet.is_diagonal():
-        return False, None
-    return True, meet
+    for c in congruences:
+        if not c.is_diagonal():
+            meet = meet.meet(c)
+    return None if meet.is_diagonal() else meet
 
 
 def cyclic_unary(d: int) -> FiniteAlgebra:

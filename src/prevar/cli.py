@@ -18,10 +18,10 @@ from .algcore import (
     AlgebraError,
     BudgetExceededError,
     FiniteAlgebra,
+    _monolith,
     all_congruences,
     are_isomorphic,
     cyclic_unary,
-    is_subdirectly_irreducible,
 )
 from .amalgam import (
     AmalgamCtx,
@@ -149,11 +149,15 @@ def cmd_independent(args) -> int:
 
 def cmd_si(args) -> int:
     alg = FiniteAlgebra.load(args.algebra)
-    ok, monolith = is_subdirectly_irreducible(alg)
+    if alg.size < 2:
+        raise AlgebraError("subdirect irreducibility needs a nontrivial algebra")
+    congruences = all_congruences(alg)
+    monolith = _monolith(alg, congruences)
+    ok = monolith is not None
     report = {
         "subdirectly_irreducible": ok,
         "monolith": list(monolith.blocks) if monolith else None,
-        "congruences": len(all_congruences(alg)),
+        "congruences": len(congruences),
     }
     lines = [f"subdirectly irreducible: {ok}"]
     if monolith:

@@ -30,6 +30,7 @@ from .algcore import (
     Term,
     Var,
     _closure,
+    _monolith,
     all_congruences,
     are_isomorphic,
     canonical_form,
@@ -401,12 +402,7 @@ def is_p_subdirectly_irreducible(
     relative congruences is non-diagonal."""
     if alg.size < 2:
         raise AlgebraError("relative irreducibility needs a nontrivial algebra")
-    rel = relative_congruences(ctx, alg, size_bound, search_budget)
-    nontrivial = [c for c in rel if not c.is_diagonal()]
-    meet = Congruence.full(alg)
-    for c in nontrivial:
-        meet = meet.meet(c)
-    return not meet.is_diagonal()
+    return _monolith(alg, relative_congruences(ctx, alg, size_bound, search_budget)) is not None
 
 
 # -- compatible covers ------------------------------------------------------

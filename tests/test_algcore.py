@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from prevar.algcore import (
     Signature,
     UNARY_SIGNATURE,
     Var,
+    _canonical_blocks,
     all_congruences,
     apply_relabeling,
     are_isomorphic,
@@ -169,6 +171,13 @@ class TestCongruenceGenerated:
     def test_adjacent_pair_collapses_everything(self):
         assert congruence_generated(C4, {(0, 1)}).num_blocks() == 1
 
+    def test_off_carrier_pairs_rejected(self):
+        # an index past the carrier, and a negative one that would wrap around
+        with pytest.raises(AlgebraError, match="pair element 9 is off the carrier"):
+            congruence_generated(C4, [(0, 9)])
+        with pytest.raises(AlgebraError, match="pair element -1 is off the carrier"):
+            congruence_generated(C4, [(-1, 2)])
+
     def test_least_congruence_factors_through_others(self):
         # any congruence relating the pair refines to a factoring quotient map
         for alg in (C4, C6, disjoint_union([C2, C2])):
@@ -187,6 +196,122 @@ class TestCongruenceGenerated:
                         q_p, q_o, tuple(table[i] for i in range(q_p.size))
                     )
                     assert factor.mapping  # construction validates commutation
+
+
+def _pairwise_incompatible_op(alg, blocks):
+    """The check the table-indexed validator replaced: the first op where
+    moving one argument within its block moves the value to another block,
+    or None when the partition is compatible."""
+    for name, arity in alg.signature.ops:
+        for args in itertools.product(range(alg.size), repeat=arity):
+            for slot in range(arity):
+                for other in range(alg.size):
+                    if blocks[other] != blocks[args[slot]]:
+                        continue
+                    alt = list(args)
+                    alt[slot] = other
+                    if blocks[alg.op(name, *args)] != blocks[alg.op(name, *alt)]:
+                        return name
+    return None
+
+
+def _slot_by_slot_generated(alg, pairs):
+    """The generation loop the table-indexed one replaced: merge the values
+    of argument tuples that differ in one slot within a class, to a fixpoint."""
+    parent = list(range(alg.size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = sorted((find(a), find(b)))
+        parent[rb] = ra
+        return ra != rb
+
+    for a, b in pairs:
+        union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for name, arity in alg.signature.ops:
+            for args in itertools.product(range(alg.size), repeat=arity):
+                for slot in range(arity):
+                    for y in range(args[slot] + 1, alg.size):
+                        if find(args[slot]) == find(y):
+                            alt = list(args)
+                            alt[slot] = y
+                            changed = union(alg.op(name, *args), alg.op(name, *alt)) or changed
+    return _canonical_blocks([find(x) for x in range(alg.size)])
+
+
+# unary up to size 6, binary up to size 4, and each with a constant
+CONGRUENCE_CASES = [
+    (UNARY_SIGNATURE, 6),
+    (Signature((("a", 1), ("b", 1))), 6),
+    (Signature((("c", 0), ("a", 1))), 6),
+    (Signature((("g", 2),)), 4),
+    (Signature((("c", 0), ("g", 2))), 4),
+    (Signature((("a", 1), ("g", 2))), 4),
+]
+
+
+@st.composite
+def partition_cases(draw):
+    """An algebra, a few pairs, and a partition: a random one, the congruence
+    the pairs generate, one the tables were drawn to respect, or one of the
+    last two with one element moved."""
+    sig, max_size = draw(st.sampled_from(CONGRUENCE_CASES))
+    size = draw(st.integers(1, max_size))
+    element = st.integers(0, size - 1)
+    kind = draw(st.sampled_from(["random", "generated", "respected", "moved"]))
+    blocks = draw(st.lists(element, min_size=size, max_size=size))
+    tables = {}
+    for name, arity in sig.ops:
+        if kind in ("respected", "moved"):
+            # each cell's block depends only on its arguments' blocks
+            image = {}
+            tables[name] = []
+            for args in itertools.product(range(size), repeat=arity):
+                key = tuple(blocks[a] for a in args)
+                image.setdefault(key, draw(st.sampled_from(blocks)))
+                tables[name].append(draw(st.sampled_from(
+                    [x for x in range(size) if blocks[x] == image[key]])))
+        else:
+            tables[name] = draw(st.lists(element, min_size=size**arity, max_size=size**arity))
+    alg = FiniteAlgebra(sig, size, tables)
+    pairs = draw(st.lists(st.tuples(element, element), max_size=3))
+    if kind == "generated":
+        blocks = list(_slot_by_slot_generated(alg, pairs))
+    if kind == "moved":
+        blocks[draw(element)] = draw(st.integers(0, size))
+    return alg, pairs, blocks
+
+
+class TestCongruenceOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(partition_cases())
+    def test_validator_matches_pairwise_check(self, case):
+        alg, _, blocks = case
+        expected = _pairwise_incompatible_op(alg, _canonical_blocks(blocks))
+        if expected is None:
+            assert Congruence(alg, blocks).blocks == _canonical_blocks(blocks)
+        else:
+            message = f"^partition is not compatible with {re.escape(repr(expected))}$"
+            with pytest.raises(AlgebraError, match=message):
+                Congruence(alg, blocks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(partition_cases())
+    def test_generated_matches_slot_by_slot_loop(self, case):
+        alg, pairs, _ = case
+        got = congruence_generated(alg, pairs)
+        assert got.blocks == _slot_by_slot_generated(alg, pairs)
+        # results built without re-validation still pass the public check
+        other = congruence_generated(alg, pairs[:1])
+        for c in (got, got.join(other), got.meet(other)):
+            assert Congruence(alg, c.blocks).blocks == c.blocks
 
 
 class TestAllCongruences:

@@ -115,6 +115,27 @@ class TestPropertyVerbs:
         code, _, _ = run(capsys, "si", algebra_files["c6"])
         assert code == 1
 
+    def test_si_outputs_pinned(self, capsys, algebra_files, tmp_path):
+        c4 = tmp_path / "c4.alg"
+        cyclic_unary(4).save(c4)
+        cases = [
+            (["si", str(c4)], 0,
+             "subdirectly irreducible: True\nmonolith blocks: [0, 1, 0, 1]\n"),
+            (["--json", "si", str(c4)], 0,
+             '{"congruences": 3, "monolith": [0, 1, 0, 1], "subdirectly_irreducible": true}\n'),
+            (["si", algebra_files["c6"]], 1, "subdirectly irreducible: False\n"),
+            (["--json", "si", algebra_files["c6"]], 1,
+             '{"congruences": 4, "monolith": null, "subdirectly_irreducible": false}\n'),
+        ]
+        for argv, code, expected in cases:
+            assert run(capsys, *argv) == (code, expected, "")
+
+    def test_si_trivial_algebra_is_a_usage_error(self, capsys, tmp_path):
+        c1 = tmp_path / "c1.alg"
+        cyclic_unary(1).save(c1)
+        assert run(capsys, "si", str(c1)) == (
+            2, "", "error: subdirect irreducibility needs a nontrivial algebra\n")
+
     def test_rel_si(self, capsys, algebra_files):
         code, _, _ = run(
             capsys, "rel-si", "--gen", algebra_files["c2"], "--gen",

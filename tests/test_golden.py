@@ -11,6 +11,10 @@ Search-order digests pin what depends on the order in which homomorphisms
 are found: the separating family chosen for each pair, the product and
 embedding ``sp_embedding`` builds from it, and the retractions
 ``chain_independence`` reports.  Each is the sha256 of the output's JSON.
+
+Congruence digests pin the lists ``all_congruences`` and
+``relative_congruences`` return (every block vector, in order) and the
+verdicts and monoliths of the (relative) irreducibility checks.
 """
 
 import hashlib
@@ -22,13 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prevar.algcore import (
+    UNARY_SIGNATURE,
     FiniteAlgebra,
     Homomorphism,
     Signature,
     _closure,
+    all_congruences,
     cyclic_unary,
     direct_product,
     disjoint_union,
+    is_subdirectly_irreducible,
 )
 from prevar.homsearch import separating_family, sp_embedding
 from prevar.prevariety import (
@@ -36,6 +43,8 @@ from prevar.prevariety import (
     chain_independence,
     coproduct,
     free_algebra,
+    is_p_subdirectly_irreducible,
+    relative_congruences,
     sp,
 )
 
@@ -54,6 +63,11 @@ B2 = FiniteAlgebra(
     {"j": [0, 1, 1, 1], "m": [0, 0, 0, 1], "n": [1, 0], "z": [0], "o": [1]},
 )
 C2, C3 = cyclic_unary(2), cyclic_unary(3)
+# a tail of two elements running into a 4-cycle, next to a 2-cycle
+RHO = FiniteAlgebra(UNARY_SIGNATURE, 8, {"a": [1, 2, 3, 4, 5, 2, 7, 6]})
+TAIL = FiniteAlgebra(UNARY_SIGNATURE, 5, {"a": [0, 0, 1, 2, 3]})
+Z4 = FiniteAlgebra(Signature((("g", 2),)), 4,
+                   {"g": [(x + y) % 4 for x, y in itertools.product(range(4), repeat=2)]})
 
 
 def _digest(alg: FiniteAlgebra, extra) -> str:
@@ -97,6 +111,24 @@ def _chain_report(a0, chain, components):
                  [list(h.mapping) if h else None for h in r.retractions]])
 
 
+def _congruences(alg):
+    return _sha([list(c.blocks) for c in all_congruences(alg)])
+
+
+def _si(alg):
+    ok, monolith = is_subdirectly_irreducible(alg)
+    return _sha([ok, list(monolith.blocks) if monolith else None])
+
+
+def _relative(ctx, alg):
+    return _sha([[list(c.blocks) for c in relative_congruences(ctx, alg)],
+                 is_p_subdirectly_irreducible(ctx, alg)])
+
+
+def _free_semilattice_3():
+    return free_algebra(sp(S2), 3)[0]
+
+
 CASES = {
     "free-lattice-0": lambda: _free([L2], 0),
     "free-lattice-1": lambda: _free([L2], 1),
@@ -120,6 +152,19 @@ CASES = {
     "chain-u2-two-steps": lambda: _chain_report(
         disjoint_union([C2, C2, C2]), [[0, 1, 2, 3], [0, 1]], [[4, 5], [2, 3]]
     ),
+    "congruences-c12": lambda: _congruences(cyclic_unary(12)),
+    "congruences-rho": lambda: _congruences(RHO),
+    "congruences-l2xl3": lambda: _congruences(direct_product([L2, L3])[0]),
+    "congruences-b2xb2": lambda: _congruences(direct_product([B2, B2])[0]),
+    "congruences-free-semilattice-3": lambda: _congruences(_free_semilattice_3()),
+    "si-c8": lambda: _si(cyclic_unary(8)),
+    "si-rho": lambda: _si(RHO),
+    "si-tail": lambda: _si(TAIL),
+    "si-z4": lambda: _si(Z4),
+    "si-b2xb2": lambda: _si(direct_product([B2, B2])[0]),
+    "si-free-semilattice-3": lambda: _si(_free_semilattice_3()),
+    "relative-c6-in-sp-c2-c3": lambda: _relative(sp(C2, C3), cyclic_unary(6)),
+    "relative-l2xl3-in-sp-l3": lambda: _relative(sp(L3), direct_product([L2, L3])[0]),
 }
 
 # taken with the brute-force closure loops that preceded the shared engine
@@ -144,6 +189,21 @@ GOLDEN = {
     "embedding-l3-l2": "1a1400a89d4500ad5ad058fa3f2189ec1613f125266bd49f17dfaf1a122c3e6a",
     "chain-u3-two-steps": "8d66be25a32f35083d0903bcdbaab976e9e63d5b9fa2c2da5e965bcec386bf39",
     "chain-u2-two-steps": "0d777498dcf1cfa963aa75decfafd407704c697e24e1f811eaefa6e367193cb1",
+    # taken with the pairwise congruence check and the slot-by-slot
+    # congruence generation that preceded the table-indexed ones
+    "congruences-c12": "e45c2aeebbc7f778587f86d021ab6f402218e0aa1941716a7a88f06277fbdc93",
+    "congruences-rho": "5f64c7efcd365852cfbd8e38ab699d66ce3106d20b7568bb3901eff28c89615d",
+    "congruences-l2xl3": "f5fc3bdda7f7998f693ae05b5b7d8071183444012b5dcc7f696da047d6b0d9fe",
+    "congruences-b2xb2": "8a7ae89c33b7e330a8a2015e611aac63224d5a0fba951706d6b1fd29dc5819a7",
+    "congruences-free-semilattice-3": "db35d302683d0888f0087705e774ccad0fa0faf6fcc6a7e836f41a28690b76a8",
+    "si-c8": "f02cbba633e39229dd72b1ce685bbb8a01b8e4518c12f9d567ff34a76bedf436",
+    "si-rho": "7f7cc798db9e0c65ad2f1721cc87b81ddf48aa3920df74d994966b1076e6171d",
+    "si-tail": "a49b6656f5cbb3c251ce8e428583aa0b6c21937c565e3e9fe12c4e3a03f7012c",
+    "si-z4": "e5f7093fec3619bf77485b93faf5eb289af9161923f491ca6b9580bdf9011b1a",
+    "si-b2xb2": "7f7cc798db9e0c65ad2f1721cc87b81ddf48aa3920df74d994966b1076e6171d",
+    "si-free-semilattice-3": "7f7cc798db9e0c65ad2f1721cc87b81ddf48aa3920df74d994966b1076e6171d",
+    "relative-c6-in-sp-c2-c3": "5885c926dd0bd5564203820a9ceec1b8739ac036e1602e7c2ea64f356e6be899",
+    "relative-l2xl3-in-sp-l3": "c6c7ddb6165e4763db7520dd1db41cb9289695d405500bcbb7e9d8f2dfb4c517",
 }
 
 
