@@ -10,6 +10,7 @@ after construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -623,6 +624,8 @@ def trivial_algebra(signature: Signature) -> FiniteAlgebra:
 
 def apply_relabeling(alg: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     """The isomorphic copy where old element x is renamed perm[x]."""
+    if sorted(perm) != list(range(alg.size)):
+        raise AlgebraError(f"{list(perm)} is not a permutation of the carrier")
     inverse = [0] * alg.size
     for x, y in enumerate(perm):
         inverse[y] = x
@@ -631,14 +634,49 @@ def apply_relabeling(alg: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
 
 
 def canonical_form(alg: FiniteAlgebra) -> tuple:
-    """Least relabeled table vector over all permutations; an iso invariant."""
-    best = None
-    for perm in itertools.permutations(range(alg.size)):
-        relabeled = apply_relabeling(alg, perm)
-        key = tuple(relabeled.tables[name] for name in alg.signature.names)
-        if best is None or key < best:
-            best = key
-    return (alg.size, best)
+    """The size and the least table vector (signature order, then row-major)
+    of ``apply_relabeling(alg, perm)`` over all perms; an iso invariant.  An
+    exact search hands out labels 0, 1, ... in reading order: a cell's
+    unlabelled value gets the next label; a cell that needs it as an argument
+    branches over the elements giving the cell its least value, skipping ``y``
+    if swapping it with a kept ``x`` is an automorphism; a branch stops above
+    the best key.  ``n!`` leaves at worst (McKay & Piperno, 2014)."""
+    n, best = alg.size, [alg.size]  # above every key: labels are below n
+    cells = [(alg.tables[name], args, max(args, default=-1)) for name, arity in alg.signature.ops
+             for args in itertools.product(range(n), repeat=arity)]
+
+    def label(table, args, order: list) -> int:  # order: new label -> old element
+        value = table[sum(order[b] * n**i for i, b in enumerate(reversed(args)))]
+        if value not in order:
+            order.append(value)
+        return order.index(value)
+
+    @functools.cache
+    def automorphic(x: int, y: int) -> bool:  # the transposition (x y) is an automorphism
+        swap = [{x: y, y: x}.get(z, z) for z in range(n)]
+        return all(swap[v] == w for name, table in alg.tables.items()
+                   for v, w in zip(alg._cells(name, swap), table))
+
+    def search(start: int, order: list, key: list) -> None:
+        for pos in range(start, len(cells)):
+            table, args, need = cells[pos]
+            if need == len(order):
+                scores = {x: label(table, args, order + [x]) for x in range(n) if x not in order}
+                kept, low = [], min(scores.values())
+                for y in scores:
+                    if scores[y] == low and not any(automorphic(x, y) for x in kept):
+                        kept.append(y)
+                        search(pos, order + [y], list(key))
+                return
+            key.append(label(table, args, order))
+            if key > best[:pos + 1]:
+                return
+        if key < best:
+            best[:] = key
+
+    search(0, [], [])
+    values = iter(best)
+    return (n, tuple(tuple(itertools.islice(values, n**arity)) for _, arity in alg.signature.ops))
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphism]:

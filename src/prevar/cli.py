@@ -77,10 +77,12 @@ def _emit(args, report: dict, lines: Sequence[str]) -> None:
 
 
 def _maybe_cyclic_order(alg: FiniteAlgebra) -> Optional[int]:
-    if alg.signature.names == ("a",) and alg.size >= 1:
-        if are_isomorphic(alg, cyclic_unary(alg.size)):
-            return alg.size
-    return None
+    if alg.signature.ops != (("a", 1),) or alg.size < 1:
+        return None
+    x, steps = alg.tables["a"][0], 1
+    while x != 0 and steps < alg.size:  # the n-cycle: the orbit of 0 returns after n steps
+        x, steps = alg.tables["a"][x], steps + 1
+    return alg.size if x == 0 and steps == alg.size else None
 
 
 # -- verbs -------------------------------------------------------------------

@@ -514,3 +514,73 @@ class TestIsomorphism:
     def test_size_and_signature_mismatch(self):
         assert not are_isomorphic(C2, C3)
         assert not are_isomorphic(C2, trivial_algebra(Signature((("g", 2),))))
+
+
+class TestApplyRelabeling:
+    def test_non_bijection_rejected(self):
+        # [0, 0, 1] would merge 0 and 1 into a non-isomorphic algebra
+        with pytest.raises(AlgebraError):
+            apply_relabeling(C3, [0, 0, 1])
+
+    @pytest.mark.parametrize("perm", [[0, 1], [0, 1, 2, 3]])
+    def test_wrong_length_rejected(self, perm):
+        with pytest.raises(AlgebraError):
+            apply_relabeling(C3, perm)
+
+
+def brute_canonical_form(alg: FiniteAlgebra) -> tuple:
+    """The reference: the least relabeled table vector over all n! permutations."""
+    best = None
+    for perm in itertools.permutations(range(alg.size)):
+        relabeled = apply_relabeling(alg, perm)
+        key = tuple(relabeled.tables[name] for name in alg.signature.names)
+        if best is None or key < best:
+            best = key
+    return (alg.size, best)
+
+
+CANONICAL_CASES = [  # signature, largest size, smallest size
+    (UNARY_SIGNATURE, 6, 0),
+    (Signature((("g", 2),)), 4, 0),
+    (Signature((("c", 0), ("f", 1))), 6, 1),
+    (Signature((("f", 1), ("h", 1))), 6, 0),
+    (Signature((("c", 0), ("d", 0))), 5, 1),
+]
+
+
+@st.composite
+def canonical_cases(draw):
+    """Random tables, often over few values so that automorphisms abound."""
+    sig, largest, smallest = draw(st.sampled_from(CANONICAL_CASES))
+    size = draw(st.integers(smallest, largest))
+    top = draw(st.integers(0, size - 1)) if size else 0
+    return FiniteAlgebra(sig, size, {
+        name: draw(st.lists(st.integers(0, top), min_size=size**arity, max_size=size**arity))
+        for name, arity in sig.ops
+    })
+
+
+class TestCanonicalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_cases())
+    def test_matches_brute_force(self, alg):
+        assert canonical_form(alg) == brute_canonical_form(alg)
+
+    @pytest.mark.parametrize("alg", [
+        empty_algebra(UNARY_SIGNATURE),
+        disjoint_union([C2, C2, C2]),
+        direct_product([C2, C4])[0],
+        FiniteAlgebra(Signature((("g", 2),)), 4,
+                      {"g": [x ^ y for x, y in itertools.product(range(4), repeat=2)]}),
+    ])
+    def test_matches_brute_force_on_symmetric_algebras(self, alg):
+        assert canonical_form(alg) == brute_canonical_form(alg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(7, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        st.permutations(range(n)))))
+    def test_invariant_under_relabeling(self, case):
+        table, perm = case
+        alg = FiniteAlgebra(UNARY_SIGNATURE, len(table), {"a": table})
+        assert canonical_form(apply_relabeling(alg, perm)) == canonical_form(alg)

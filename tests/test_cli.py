@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import prevar
-from prevar.algcore import cyclic_unary, disjoint_union
+from prevar.algcore import FiniteAlgebra, Signature, cyclic_unary, disjoint_union
 from prevar.cli import SUITES, main
 
 
@@ -18,6 +18,8 @@ def algebra_files(tmp_path):
         ("c3", cyclic_unary(3)),
         ("c6", cyclic_unary(6)),
         ("u23", disjoint_union([cyclic_unary(2), cyclic_unary(3)])),
+        ("l2", FiniteAlgebra(Signature((("j", 2), ("m", 2))), 2,
+                             {"j": [0, 1, 1, 1], "m": [0, 0, 0, 1]})),
     ):
         path = tmp_path / f"{name}.alg"
         alg.save(path)
@@ -62,6 +64,20 @@ class TestFree:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["size"] == 12 and report["cyclic_order"] is None
+
+    @pytest.mark.parametrize("gens, n, expected", [
+        (["c6"], 1, '{"cyclic_order": 6, "generators": [0], "size": 6}'),
+        (["c6"], 2, '{"cyclic_order": null, "generators": [0, 1], "size": 12}'),
+        (["c2", "c3"], 1, '{"cyclic_order": 6, "generators": [0], "size": 6}'),
+        (["c2", "c3"], 2, '{"cyclic_order": null, "generators": [0, 1], "size": 12}'),
+        (["l2"], 1, '{"cyclic_order": null, "generators": [0], "size": 1}'),
+        (["l2"], 2, '{"cyclic_order": null, "generators": [0, 1], "size": 4}'),
+    ])
+    def test_json_output_is_pinned(self, capsys, algebra_files, gens, n, expected):
+        # taken with the isomorphism search that preceded the orbit walk
+        argv = [arg for g in gens for arg in ("--gen", algebra_files[g])]
+        code, out, _ = run(capsys, "--json", "free", *argv, "-n", str(n))
+        assert code == 0 and out == expected + "\n"
 
 
 class TestCoproduct:

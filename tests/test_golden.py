@@ -15,6 +15,9 @@ embedding ``sp_embedding`` builds from it, and the retractions
 Congruence digests pin the lists ``all_congruences`` and
 ``relative_congruences`` return (every block vector, in order) and the
 verdicts and monoliths of the (relative) irreducibility checks.
+
+Canonical-form digests pin ``canonical_form`` on fixed algebras, and on
+every unary table of size 5 as one digest over the set of forms.
 """
 
 import hashlib
@@ -32,6 +35,7 @@ from prevar.algcore import (
     Signature,
     _closure,
     all_congruences,
+    canonical_form,
     cyclic_unary,
     direct_product,
     disjoint_union,
@@ -68,6 +72,10 @@ RHO = FiniteAlgebra(UNARY_SIGNATURE, 8, {"a": [1, 2, 3, 4, 5, 2, 7, 6]})
 TAIL = FiniteAlgebra(UNARY_SIGNATURE, 5, {"a": [0, 0, 1, 2, 3]})
 Z4 = FiniteAlgebra(Signature((("g", 2),)), 4,
                    {"g": [(x + y) % 4 for x, y in itertools.product(range(4), repeat=2)]})
+XOR8 = FiniteAlgebra(Signature((("g", 2),)), 8,
+                     {"g": [x ^ y for x, y in itertools.product(range(8), repeat=2)]})
+POINTED = FiniteAlgebra(Signature((("c", 0), ("f", 1))), 7,
+                        {"c": [4], "f": [1, 0, 3, 2, 4, 6, 5]})
 
 
 def _digest(alg: FiniteAlgebra, extra) -> str:
@@ -125,6 +133,19 @@ def _relative(ctx, alg):
                  is_p_subdirectly_irreducible(ctx, alg)])
 
 
+def _unary(table):
+    return FiniteAlgebra(UNARY_SIGNATURE, len(table), {"a": table})
+
+
+def _canonical(alg):
+    return _sha(canonical_form(alg))
+
+
+def _all_unary_forms(size):
+    return _sha(sorted({canonical_form(_unary(list(t)))
+                        for t in itertools.product(range(size), repeat=size)}))
+
+
 def _free_semilattice_3():
     return free_algebra(sp(S2), 3)[0]
 
@@ -165,6 +186,14 @@ CASES = {
     "si-free-semilattice-3": lambda: _si(_free_semilattice_3()),
     "relative-c6-in-sp-c2-c3": lambda: _relative(sp(C2, C3), cyclic_unary(6)),
     "relative-l2xl3-in-sp-l3": lambda: _relative(sp(L3), direct_product([L2, L3])[0]),
+    "canonical-c8": lambda: _canonical(cyclic_unary(8)),
+    "canonical-identity-8": lambda: _canonical(_unary(list(range(8)))),
+    "canonical-constant-8": lambda: _canonical(_unary([5] * 8)),
+    "canonical-random-8a": lambda: _canonical(_unary([3, 6, 3, 0, 7, 2, 2, 5])),
+    "canonical-random-8b": lambda: _canonical(_unary([1, 4, 4, 6, 0, 1, 7, 3])),
+    "canonical-xor-8": lambda: _canonical(XOR8),
+    "canonical-pointed-7": lambda: _canonical(POINTED),
+    "canonical-all-unary-5": lambda: _all_unary_forms(5),
 }
 
 # taken with the brute-force closure loops that preceded the shared engine
@@ -204,6 +233,16 @@ GOLDEN = {
     "si-free-semilattice-3": "7f7cc798db9e0c65ad2f1721cc87b81ddf48aa3920df74d994966b1076e6171d",
     "relative-c6-in-sp-c2-c3": "5885c926dd0bd5564203820a9ceec1b8739ac036e1602e7c2ea64f356e6be899",
     "relative-l2xl3-in-sp-l3": "c6c7ddb6165e4763db7520dd1db41cb9289695d405500bcbb7e9d8f2dfb4c517",
+    # taken with the loop over all n! relabelings that preceded the
+    # labelling search
+    "canonical-c8": "5b1af0bf0401f13ae470e211f585e6213c1c4439aad97b6b6964856c27a0b283",
+    "canonical-identity-8": "ee1cbeb85fe38b9a93ee8dee5261bceae39767a349ed6a088da221146aef2576",
+    "canonical-constant-8": "46fdaea41f3c30648dd90fbf46969cbcc61856e3feee4bee3a0a07b1190203b9",
+    "canonical-random-8a": "9c6bebfc93b891c80c34404d3946cc885be8f55ceb5117c77a49e47f1746f5f5",
+    "canonical-random-8b": "5a50c52e75a12fb2e9ccd8ff760871531d6f9d5f0d8e4503f49e6286e59f36c8",
+    "canonical-xor-8": "afba1b50800daafc7d512b853fe75bf6dd1e8f866b7beb991d06861b08839f9e",
+    "canonical-pointed-7": "418e8680ade71c215df4911fa0c1c43a80d53e85c281d32f515ae93cb28f344c",
+    "canonical-all-unary-5": "02bbee430ffbbc1949ca364e9e82e770603e4e91d84102797592e1c392aa6a80",
 }
 
 
