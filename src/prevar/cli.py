@@ -9,6 +9,7 @@ a machine-readable report; reports are byte-stable for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -18,10 +19,10 @@ from .algcore import (
     AlgebraError,
     BudgetExceededError,
     FiniteAlgebra,
-    _monolith,
     all_congruences,
     are_isomorphic,
     cyclic_unary,
+    is_subdirectly_irreducible,
 )
 from .amalgam import (
     AmalgamCtx,
@@ -151,15 +152,11 @@ def cmd_independent(args) -> int:
 
 def cmd_si(args) -> int:
     alg = FiniteAlgebra.load(args.algebra)
-    if alg.size < 2:
-        raise AlgebraError("subdirect irreducibility needs a nontrivial algebra")
-    congruences = all_congruences(alg)
-    monolith = _monolith(alg, congruences)
-    ok = monolith is not None
+    ok, monolith = is_subdirectly_irreducible(alg)
     report = {
         "subdirectly_irreducible": ok,
         "monolith": list(monolith.blocks) if monolith else None,
-        "congruences": len(congruences),
+        "congruences": len(all_congruences(alg)),
     }
     lines = [f"subdirectly irreducible: {ok}"]
     if monolith:
@@ -498,7 +495,10 @@ def cmd_paperlab(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``prevar`` argument parser, built once per process: parsing
+    leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="prevar",
         description="finite universal algebra workbench",

@@ -24,13 +24,14 @@ from .algcore import (
     App,
     BudgetExceededError,
     Congruence,
+    DEFAULT_CONGRUENCE_SIZE_BOUND,
     FiniteAlgebra,
     Homomorphism,
     Signature,
     Term,
     Var,
     _closure,
-    _monolith,
+    _require_size_bound,
     all_congruences,
     are_isomorphic,
     canonical_form,
@@ -43,6 +44,7 @@ from .homsearch import (
     DEFAULT_BUDGET,
     MembershipError,
     SearchBudget,
+    _Search,
     find_homomorphisms,
     in_sp,
     separating_family,
@@ -379,7 +381,7 @@ def is_comfortable(
 def relative_congruences(
     ctx: PrevarietyCtx,
     alg: FiniteAlgebra,
-    size_bound: int = 12,
+    size_bound: int = DEFAULT_CONGRUENCE_SIZE_BOUND,
     search_budget: SearchBudget = DEFAULT_BUDGET,
 ) -> list[Congruence]:
     """All congruences whose quotient stays inside SP(Y)."""
@@ -395,14 +397,32 @@ def relative_congruences(
 def is_p_subdirectly_irreducible(
     ctx: PrevarietyCtx,
     alg: FiniteAlgebra,
-    size_bound: int = 12,
+    size_bound: int = DEFAULT_CONGRUENCE_SIZE_BOUND,
     search_budget: SearchBudget = DEFAULT_BUDGET,
 ) -> bool:
     """Relative subdirect irreducibility: the meet of the non-diagonal
-    relative congruences is non-diagonal."""
+    relative congruences is non-diagonal.
+
+    The relative congruences are the meets of kernels of homomorphisms
+    into the generators (the full congruence is the empty meet), so that
+    meet is the meet of the kernels of the non-injective homomorphisms
+    A -> Y_i.  They are pulled one at a time, each generator's search
+    under ``search_budget.max_nodes``, and the search stops once the meet
+    is diagonal; the congruence lattice is never built.  Checks run in
+    this order: nontrivial, member of SP(Y), within ``size_bound``.
+    """
     if alg.size < 2:
         raise AlgebraError("relative irreducibility needs a nontrivial algebra")
-    return _monolith(alg, relative_congruences(ctx, alg, size_bound, search_budget)) is not None
+    ctx.require_member(alg, search_budget)
+    _require_size_bound(alg, size_bound)
+    meet = Congruence.full(alg)
+    for g in ctx.generators:
+        for mapping in _Search(alg, g, False, search_budget.max_nodes).iterate({}):
+            if len(set(mapping)) < alg.size:
+                meet = meet.meet(Congruence._unchecked(alg, mapping))
+                if meet.is_diagonal():
+                    return False
+    return True
 
 
 # -- compatible covers ------------------------------------------------------

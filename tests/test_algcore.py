@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prevar
 from prevar.algcore import (
     AlgebraError,
     App,
@@ -314,6 +318,27 @@ class TestCongruenceOracles:
             assert Congruence(alg, c.blocks).blocks == c.blocks
 
 
+# unary, two unary ops and a constant with a unary op up to size 8; binary
+# up to size 4, alone and with a constant
+LATTICE_CASES = [
+    (UNARY_SIGNATURE, 8),
+    (Signature((("a", 1), ("b", 1))), 8),
+    (Signature((("c", 0), ("a", 1))), 8),
+    (Signature((("g", 2),)), 4),
+    (Signature((("c", 0), ("g", 2))), 4),
+]
+
+
+@st.composite
+def lattice_algebras(draw, min_size):
+    sig, max_size = draw(st.sampled_from(LATTICE_CASES))
+    size = draw(st.integers(min_size, max_size))
+    element = st.integers(0, size - 1)
+    tables = {name: draw(st.lists(element, min_size=size**arity, max_size=size**arity))
+              for name, arity in sig.ops}
+    return FiniteAlgebra(sig, size, tables)
+
+
 class TestAllCongruences:
     def test_four_cycle_has_three(self):
         assert len(all_congruences(C4)) == 3
@@ -327,6 +352,50 @@ class TestAllCongruences:
     def test_size_bound_enforced(self):
         with pytest.raises(BudgetExceededError):
             all_congruences(cyclic_unary(13))
+
+    def test_empty_algebra_has_one(self):
+        assert [c.blocks for c in all_congruences(empty_algebra(UNARY_SIGNATURE))] == [()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_algebras(min_size=1))
+    def test_matches_frontier_join_loop(self, alg):
+        assert all_congruences(alg) == _frontier_join_congruences(alg)
+
+
+def _frontier_join_congruences(alg):
+    """The lattice loop the Freese-style one replaced: every congruence
+    found is joined, by a union-find over the carrier, with each of the
+    n(n-1)/2 principal congruences until no new one appears."""
+    found = {}
+    diag = Congruence.diagonal(alg)
+    found[diag.blocks] = diag
+    principal = []
+    for a in range(alg.size):
+        for b in range(a + 1, alg.size):
+            c = congruence_generated(alg, [(a, b)])
+            principal.append(c)
+            found.setdefault(c.blocks, c)
+    frontier = list(found.values())
+    while frontier:
+        fresh = []
+        for c in frontier:
+            for p in principal:
+                j = c.join(p)
+                if j.blocks not in found:
+                    found[j.blocks] = j
+                    fresh.append(j)
+        frontier = fresh
+    return sorted(found.values(), key=lambda c: (c.num_blocks() * -1, c.blocks))
+
+
+def _lattice_si(alg):
+    """The irreducibility route the meet of principal congruences replaced:
+    the meet of every non-diagonal congruence in the whole lattice."""
+    meet = Congruence.full(alg)
+    for c in _frontier_join_congruences(alg):
+        if not c.is_diagonal():
+            meet = meet.meet(c)
+    return (False, None) if meet.is_diagonal() else (True, meet.blocks)
 
 
 def _subdirect_reducibility_oracle(alg):
@@ -380,6 +449,28 @@ class TestSubdirectIrreducibility:
             mapping.append(idx)
         diag = Homomorphism(C6, prod, tuple(mapping))
         assert diag.is_injective()
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_algebras(min_size=2))
+    def test_matches_lattice_route(self, alg):
+        ok, monolith = is_subdirectly_irreducible(alg)
+        assert (ok, monolith.blocks if ok else monolith) == _lattice_si(alg)
+
+    def test_size_bound_enforced(self):
+        with pytest.raises(BudgetExceededError,
+                           match="^congruence enumeration bound 12 exceeded by size 13$"):
+            is_subdirectly_irreducible(cyclic_unary(13))
+
+    def test_identity_on_ten_answers_promptly(self):
+        # Bell(10) = 115,975 congruences: the lattice route took about 97 s
+        code = ("from prevar.algcore import FiniteAlgebra, UNARY_SIGNATURE, "
+                "is_subdirectly_irreducible\n"
+                "alg = FiniteAlgebra(UNARY_SIGNATURE, 10, {'a': list(range(10))})\n"
+                "print(is_subdirectly_irreducible(alg))\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prevar.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=5)
+        assert proc.returncode == 0 and proc.stdout == "(False, None)\n"
 
     def test_oracle_agreement_on_binary_ops(self):
         rng = random.Random(11)

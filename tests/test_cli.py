@@ -7,6 +7,7 @@ import pytest
 
 import prevar
 from prevar.algcore import FiniteAlgebra, Signature, cyclic_unary, disjoint_union
+from prevar import cli
 from prevar.cli import SUITES, main
 
 
@@ -273,3 +274,26 @@ class TestUsage:
     def test_missing_file_reported(self, capsys):
         code, _, err = run(capsys, "si", "/nonexistent/path.alg")
         assert code == 2
+
+    def test_one_parser_serves_every_call(self, capsys, algebra_files, monkeypatch):
+        # a parser shared by every main() call answers as a fresh one does:
+        # repeatable options do not carry over and usage errors still exit 2
+        c2, c3, c6 = algebra_files["c2"], algebra_files["c3"], algebra_files["c6"]
+        calls = [
+            ["--json", "rel-si", "--gen", c2, "--gen", c3, c6],
+            ["member", "--gen", c2, c6],
+            ["si", c2],
+            ["--json", "si", c6],
+            ["si"],
+            ["--help"],
+            ["si", "--help"],
+            ["--json", "free", "--gen", c3, "-n", "1"],
+            ["frobnicate"],
+            ["member", "--gen", c2, "--gen", c3, c6],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        shared = [run(capsys, *argv) for argv in calls]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in calls]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [1, 1, 0, 1, 2, 0, 0, 0, 2, 0]

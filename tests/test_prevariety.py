@@ -1,12 +1,20 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import prevar
 
 from prevar.algcore import (
     AlgebraError,
     App,
     BudgetExceededError,
+    Congruence,
     FiniteAlgebra,
     Homomorphism,
     Signature,
@@ -369,6 +377,43 @@ class TestRelativeCongruences:
         assert sorted(c.num_blocks() for c in rel) == [1, 2]
 
 
+def _relative_lattice_si(ctx, alg):
+    """The route the lazy kernel meet replaced: the meet of the non-diagonal
+    relative congruences, found by testing the quotient of every congruence."""
+    meet = Congruence.full(alg)
+    for c in relative_congruences(ctx, alg):
+        if not c.is_diagonal():
+            meet = meet.meet(c)
+    return not meet.is_diagonal()
+
+
+@st.composite
+def relative_si_cases(draw):
+    """Generators Y, cycles of length 1-4 or 2-element binary tables, and a
+    nontrivial algebra of size at most 8: a subalgebra of a product of
+    members of Y, or a random table that may fall outside SP(Y)."""
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
+        gens = [cyclic_unary(d) for d in lengths]
+    else:
+        bit = st.integers(0, 1)
+        tables = draw(st.lists(st.lists(bit, min_size=4, max_size=4), min_size=1, max_size=2))
+        gens = [FiniteAlgebra(Signature((("g", 2),)), 2, {"g": t}) for t in tables]
+    sig = gens[0].signature
+    if draw(st.integers(0, 3)):  # mostly members: they reach the search
+        prod, _ = direct_product(draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)))
+        seeds = draw(st.lists(st.integers(0, prod.size - 1), min_size=1, max_size=3))
+        alg, _ = generated_subalgebra(prod, seeds)
+    else:
+        size = draw(st.integers(2, 5))
+        element = st.integers(0, size - 1)
+        alg = FiniteAlgebra(sig, size, {
+            name: draw(st.lists(element, min_size=size**arity, max_size=size**arity))
+            for name, arity in sig.ops})
+    assume(2 <= alg.size <= 8)
+    return gens, alg
+
+
 class TestRelativeSI:
     def test_generators_are_relatively_irreducible(self):
         ctx = sp(C2, C3)
@@ -381,6 +426,38 @@ class TestRelativeSI:
     def test_trivial_rejected(self):
         with pytest.raises(AlgebraError):
             is_p_subdirectly_irreducible(sp(C2), TRIV)
+
+    def test_size_bound_after_membership(self):
+        with pytest.raises(MembershipError):
+            is_p_subdirectly_irreducible(sp(C2), C3, size_bound=2)
+        with pytest.raises(BudgetExceededError,
+                           match="^congruence enumeration bound 5 exceeded by size 6$"):
+            is_p_subdirectly_irreducible(sp(C2, C3), C6, size_bound=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(relative_si_cases())
+    def test_matches_relative_congruence_route(self, case):
+        gens, alg = case
+        ctx = sp(*gens)
+
+        def outcome(decide):
+            try:
+                return decide(ctx, alg)
+            except MembershipError as exc:
+                return str(exc), exc.witness
+
+        assert outcome(is_p_subdirectly_irreducible) == outcome(_relative_lattice_si)
+
+    def test_member_of_size_twelve_answers_promptly(self):
+        # six disjoint 2-cycles: the relative congruence route took about 10 s
+        code = ("from prevar.algcore import cyclic_unary, disjoint_union\n"
+                "from prevar.prevariety import is_p_subdirectly_irreducible, sp\n"
+                "alg = disjoint_union([cyclic_unary(2)] * 6)\n"
+                "print(is_p_subdirectly_irreducible(sp(cyclic_unary(2), cyclic_unary(3)), alg))\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prevar.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=5)
+        assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def brute_force_min_cover(ctx, algebras):
