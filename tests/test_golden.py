@@ -11,6 +11,10 @@ Search-order digests pin what depends on the order in which homomorphisms
 are found: the separating family chosen for each pair, the product and
 embedding ``sp_embedding`` builds from it, and the retractions
 ``chain_independence`` reports.  Each is the sha256 of the output's JSON.
+Independence digests pin ``is_independent`` verdicts and whole
+``chain_independence`` reports (retractions included) on shuffled unions of
+3-cycles shaped like the benchmark's separate stream, and on a union with a
+fixed point; an error is pinned by its type, message, witness and step.
 
 Congruence digests pin the lists ``all_congruences`` and
 ``relative_congruences`` return (every block vector, in order) and the
@@ -23,6 +27,7 @@ every unary table of size 5 as one digest over the set of forms.
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +35,7 @@ from hypothesis import strategies as st
 
 from prevar.algcore import (
     UNARY_SIGNATURE,
+    AlgebraError,
     FiniteAlgebra,
     Homomorphism,
     Signature,
@@ -47,6 +53,7 @@ from prevar.prevariety import (
     chain_independence,
     coproduct,
     free_algebra,
+    is_independent,
     is_p_subdirectly_irreducible,
     relative_congruences,
     sp,
@@ -119,6 +126,84 @@ def _chain_report(a0, chain, components):
                  [list(h.mapping) if h else None for h in r.retractions]])
 
 
+def _c3_union(seed, k):
+    """k 3-cycles relabelled by a seeded shuffle, and their carriers."""
+    perm = list(range(3 * k))
+    random.Random(seed).shuffle(perm)
+    table = [0] * (3 * k)
+    for x in range(3 * k):
+        table[perm[x]] = perm[3 * (x // 3) + (x + 1) % 3]
+    comps = [sorted(perm[3 * i + j] for j in range(3)) for i in range(k)]
+    return FiniteAlgebra(UNARY_SIGNATURE, 3 * k, {"a": table}), comps
+
+
+def _outcome(call):
+    try:
+        r = call()
+    except AlgebraError as e:
+        return [type(e).__name__, str(e), getattr(e, "witness", None), getattr(e, "index", None)]
+    if isinstance(r, bool):
+        return r
+    return [r.independent, r.almost_independent,
+            [list(h.mapping) if h else None for h in r.retractions]]
+
+
+def _independent_c3_unions():
+    out = []
+    for seed in range(6):
+        for k in (1, 2, 3):
+            amb, comps = _c3_union(seed, k)
+            for gens in ([C3], [cyclic_unary(1), C3], [cyclic_unary(6)]):
+                out.append(_outcome(lambda: is_independent(sp(*gens), amb, comps)))
+        for subsets in ([[0, 1], [1, 2]], [[0, 1], [2]], [[0], [0]], [[0, 1, 2]]):
+            # unions of the k = 3 components
+            amb, comps = _c3_union(seed, 3)
+            subs = [sorted(x for i in s for x in comps[i]) for s in subsets]
+            out.append(_outcome(lambda: is_independent(sp(C3), amb, subs)))
+        out.append(_outcome(lambda: is_independent(sp(C3), amb, [comps[0][:2]])))
+    return _sha(out)
+
+
+def _chain_c3_unions():
+    out = []
+    for seed in range(6):
+        amb, c = _c3_union(seed, 2)
+        out.append(_outcome(lambda: chain_independence(amb, [c[0]], [c[1]])))
+        amb, c = _c3_union(seed, 3)
+        for chain, comps in (
+            ([sorted(c[0] + c[1]), c[0]], [c[2], c[1]]),
+            ([sorted(c[0] + c[1])], [c[0]]),
+            ([c[0]], [sorted(c[1] + c[2])]),
+        ):
+            out.append(_outcome(lambda: chain_independence(amb, chain, comps)))
+    return _sha(out)
+
+
+# two 3-cycles (0-2, 3-5) and a fixed point 6
+C3C3C1 = disjoint_union([C3, C3, cyclic_unary(1)])
+
+
+def _independent_with_fixed_point():
+    out = []
+    for gens in ([disjoint_union([C3, cyclic_unary(1)])], [C3, cyclic_unary(1)]):
+        for subs in ([[0, 1, 2], [3, 4, 5]], [[6], [0, 1, 2]], [[0, 1, 2, 6], [3, 4, 5, 6]],
+                     [[6], [6]], [[0, 1, 2], [0, 1, 2]], [[0, 1, 2, 3, 4, 5]]):
+            out.append(_outcome(lambda: is_independent(sp(*gens), C3C3C1, subs)))
+    return _sha(out)
+
+
+def _chain_with_fixed_point():
+    return _sha([
+        _outcome(lambda: chain_independence(C3C3C1, chain, comps))
+        for chain, comps in (
+            ([[0, 1, 2, 6]], [[3, 4, 5]]),
+            ([[0, 1, 2]], [[6]]),
+            ([[0, 1, 2, 6], [6]], [[3, 4, 5], [0, 1, 2]]),
+            ([[3, 4, 5, 6]], [[0, 1, 2, 6]]),
+        )
+    ])
+
+
 def _congruences(alg):
     return _sha([list(c.blocks) for c in all_congruences(alg)])
 
@@ -173,6 +258,10 @@ CASES = {
     "chain-u2-two-steps": lambda: _chain_report(
         disjoint_union([C2, C2, C2]), [[0, 1, 2, 3], [0, 1]], [[4, 5], [2, 3]]
     ),
+    "independent-c3-unions": _independent_c3_unions,
+    "independent-fixed-point": _independent_with_fixed_point,
+    "chain-c3-unions": _chain_c3_unions,
+    "chain-fixed-point": _chain_with_fixed_point,
     "congruences-c12": lambda: _congruences(cyclic_unary(12)),
     "congruences-rho": lambda: _congruences(RHO),
     "congruences-l2xl3": lambda: _congruences(direct_product([L2, L3])[0]),
@@ -218,6 +307,12 @@ GOLDEN = {
     "embedding-l3-l2": "1a1400a89d4500ad5ad058fa3f2189ec1613f125266bd49f17dfaf1a122c3e6a",
     "chain-u3-two-steps": "8d66be25a32f35083d0903bcdbaab976e9e63d5b9fa2c2da5e965bcec386bf39",
     "chain-u2-two-steps": "0d777498dcf1cfa963aa75decfafd407704c697e24e1f811eaefa6e367193cb1",
+    # taken with a fresh find_homomorphisms list per source and a fresh
+    # seeded search per family, each ambient re-checked for membership
+    "independent-c3-unions": "3e00cb4254e348e3ccd2e0eff1863ce28244eb1b1ee819f10a3679bee2408399",
+    "independent-fixed-point": "e42a35b4aa5e180f0e73351ab6c54d64e4a97e9a7c197f4348d5425095ac1b1e",
+    "chain-c3-unions": "95c8344e5c42f5222b7d6810fa3f651cf1f0aa95837091e89d044835a07ef0f3",
+    "chain-fixed-point": "b74fb1619ae73ac41690707dddec3e6a691caba5a1202cc9405786254979e7bb",
     # taken with the pairwise congruence check and the slot-by-slot
     # congruence generation that preceded the table-indexed ones
     "congruences-c12": "e45c2aeebbc7f778587f86d021ab6f402218e0aa1941716a7a88f06277fbdc93",
