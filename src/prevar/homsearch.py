@@ -80,7 +80,9 @@ class MembershipError(AlgebraError):
 
 class _Search:
     """``iterate`` yields each homomorphism's mapping only when it is pulled,
-    so a caller that stops pulling stops the search."""
+    so a caller that stops pulling stops the search.  One instance serves
+    any number of seeds, one ``iterate`` at a time; each starts its node
+    count afresh, so ``max_nodes`` bounds every seeded search on its own."""
 
     def __init__(self, source, target, injective, max_nodes):
         self.A = source
@@ -105,6 +107,7 @@ class _Search:
                     self.touching[e].append(constraint)
 
     def iterate(self, seed: dict[int, int]) -> Iterator[tuple[int, ...]]:
+        self.nodes = 0
         assignment: list[Optional[int]] = [None] * self.A.size
         used = [0] * self.B.size
         pending = []

@@ -113,10 +113,6 @@ def _closed_tuple_algebra(
     on tuples, in its discovery order, looking each coordinate up in its
     factor's table.
     """
-    if len(factors) > budget.max_index:
-        raise BudgetExceededError(
-            f"product index of {len(factors)} exceeds budget {budget.max_index}"
-        )
     sizes = [f.size for f in factors]
     columns = {name: [f.tables[name] for f in factors] for name in signature.names}
 
@@ -153,6 +149,9 @@ def free_algebra(
     """
     if n < 0:
         raise AlgebraError("generator count must be a natural number")
+    index = sum(alg.size**n for alg in ctx.generators)
+    if index > budget.max_index:
+        raise BudgetExceededError(f"product index of {index} exceeds budget {budget.max_index}")
     pairs = [
         (a_idx, v)
         for a_idx, alg in enumerate(ctx.generators)
@@ -259,22 +258,36 @@ def coproduct(
     return _indexed_coproduct(ctx, factors, None, budget, search_budget)
 
 
-def _extend(
-    source: FiniteAlgebra,
-    target: FiniteAlgebra,
-    pairs: Iterable[tuple[int, int]],
-    search_budget: SearchBudget,
-) -> Optional[Homomorphism]:
-    """The first homomorphism extending the ``(key, value)`` pairs, or None
-    when two pairs conflict or no homomorphism extends them."""
+def _extend(search: _Search, pairs: Iterable[tuple[int, int]]) -> Optional[tuple[int, ...]]:
+    """The mapping of the first homomorphism ``search`` finds extending the
+    ``(key, value)`` pairs, or None when two pairs conflict or none extends
+    them."""
     seed: dict[int, int] = {}
     for key, val in pairs:
         if seed.setdefault(key, val) != val:
             return None
-    found = find_homomorphisms(
-        source, target, seed=seed, budget=SearchBudget(search_budget.max_nodes, 1)
-    )
-    return found[0] if found else None
+    return next(search.iterate(seed), None)
+
+
+def _every_family_extends(
+    source: FiniteAlgebra,
+    target: FiniteAlgebra,
+    fixed: list[tuple[int, int]],
+    parts: Sequence[tuple[FiniteAlgebra, Sequence[int]]],
+    search_budget: SearchBudget,
+) -> bool:
+    """True iff each family of homs h_i: part_i -> ``target`` extends to a
+    hom ``source -> target`` sending image_i[x] to h_i(x) and agreeing with
+    ``fixed``; ``parts`` holds the pairs (part_i, image_i).  One search of
+    ``source -> target`` serves every family's seed."""
+    runs = (_Search(part, target, False, search_budget.max_nodes).iterate({}) for part, _ in parts)
+    hom_lists = [list(itertools.islice(homs, search_budget.max_solutions)) for homs in runs]
+    search = _Search(source, target, False, search_budget.max_nodes)
+    for family in itertools.product(*hom_lists):
+        pairs = [(image[x], h[x]) for (_, image), h in zip(parts, family) for x in range(len(image))]
+        if _extend(search, fixed + pairs) is None:
+            return False
+    return True
 
 
 def is_coproduct(
@@ -305,17 +318,11 @@ def _generates_and_extends(ctx: PrevarietyCtx, b: FiniteAlgebra, maps, search_bu
     gen, _ = generated_subalgebra(b, union)
     if gen.size != b.size:
         return False
-    for gen_alg in ctx.generators:
-        hom_lists = [
-            find_homomorphisms(m.source, gen_alg, budget=search_budget) for m in maps
-        ]
-        for family in itertools.product(*hom_lists):
-            pairs = [
-                (m(x), g(x)) for m, g in zip(maps, family) for x in range(m.source.size)
-            ]
-            if _extend(b, gen_alg, pairs, search_budget) is None:
-                return False
-    return True
+    parts = [(m.source, m.mapping) for m in maps]
+    return all(
+        _every_family_extends(b, gen_alg, [], parts, search_budget)
+        for gen_alg in ctx.generators
+    )
 
 
 def is_compatible(
@@ -495,6 +502,11 @@ def is_independent(
     the given closed subsets, via the inclusion maps.  Only ``ambient`` is
     tested for membership: SP(Y) is closed under subalgebras."""
     ctx.require_member(ambient, search_budget)
+    return _independent(ctx, ambient, subalgebras, search_budget)
+
+
+def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, search_budget) -> bool:
+    """``is_independent`` once ``ambient`` is a known member of SP(Y)."""
     subsets = [sorted(set(s)) for s in subalgebras]
     union = sorted({x for s in subsets for x in s})
     generated, inclusion = generated_subalgebra(ambient, union)
@@ -564,50 +576,34 @@ def chain_independence(
         to_local = {amb_inc(j): j for j in range(ambient.size)}
         a_local = [to_local[x] for x in levels[i]]
         b_local = [to_local[x] for x in components[i - 1]]
-        if not is_independent(ctx, ambient, [a_local, b_local], search_budget):
+        if not _independent(ctx, ambient, [a_local, b_local], search_budget):
             raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
         a_sub, _ = subalgebra_on(ambient, a_local)
         b_sub, _ = subalgebra_on(ambient, b_local)
         span, span_inc = generated_subalgebra(ambient, a_local + b_local)
         span_pos = {span_inc(j): j for j in range(span.size)}
-        targets = find_homomorphisms(
-            b_sub, a_sub, budget=SearchBudget(search_budget.max_nodes, 1)
-        )
-        if not targets:
+        f_i = next(_Search(b_sub, a_sub, False, search_budget.max_nodes).iterate({}), None)
+        if f_i is None:
             retractions.append(None)
             continue
-        f_i = targets[0]
         pairs = [(span_pos[x], k) for k, x in enumerate(a_local)]
-        pairs += [(span_pos[x], f_i(k)) for k, x in enumerate(b_local)]
-        retraction = _extend(span, a_sub, pairs, search_budget)
+        pairs += [(span_pos[x], f_i[k]) for k, x in enumerate(b_local)]
+        retraction = _extend(_Search(span, a_sub, False, search_budget.max_nodes), pairs)
         if retraction is None:
             raise AlgebraError(
                 "no retraction extends the chosen component map; "
                 "contradicts the verified independence"
             )
-        retractions.append(retraction)
+        retractions.append(Homomorphism(span, a_sub, retraction))
 
-    independent = is_independent(ctx, a0, components, search_budget)
+    independent = _independent(ctx, a0, components, search_budget)
 
     # stronger form: families into the distinguished last level extend
     span_all, span_inc = generated_subalgebra(a0, levels[n] + [x for s in components for x in s])
     span_pos = {span_inc(j): j for j in range(span_all.size)}
-    comp_subs = []
-    for s in components:
-        sub, _ = subalgebra_on(a0, s)
-        comp_subs.append(sub)
-    hom_lists = [
-        find_homomorphisms(sub, last_alg, budget=search_budget) for sub in comp_subs
-    ]
-    almost = True
-    for family in itertools.product(*hom_lists):
-        pairs = [(span_pos[x], k) for k, x in enumerate(levels[n])]
-        pairs += [
-            (span_pos[x], h(k)) for s, h in zip(components, family) for k, x in enumerate(s)
-        ]
-        if _extend(span_all, last_alg, pairs, search_budget) is None:
-            almost = False
-            break
+    fixed = [(span_pos[x], k) for k, x in enumerate(levels[n])]
+    parts = [(subalgebra_on(a0, s)[0], [span_pos[x] for x in s]) for s in components]
+    almost = _every_family_extends(span_all, last_alg, fixed, parts, search_budget)
     return ChainReport(independent, almost, retractions)
 
 
@@ -917,13 +913,13 @@ def check_coproduct_monotone_bounded(
         for i, (a, _, _, f) in enumerate(instances)
         for x in range(a.size)
     ]
-    induced = _extend(qa.algebra, qb.algebra, pairs, search_budget)
+    induced = _extend(_Search(qa.algebra, qb.algebra, False, search_budget.max_nodes), pairs)
     if induced is None:
         raise AlgebraError(
             "no induced map between amalgamated coproducts; "
             "contradicts their universal property"
         )
-    return induced.is_injective()
+    return Homomorphism(qa.algebra, qb.algebra, induced).is_injective()
 
 
 def subfamily_independence_check(
@@ -958,7 +954,7 @@ def subfamily_independence_check(
         initial = coproduct(ctx, [], check_membership=False)
         generated, _ = generated_subalgebra(ambient, [])
         return are_isomorphic(generated, initial.algebra)
-    return is_independent(ctx, ambient, chosen, search_budget)
+    return _independent(ctx, ambient, chosen, search_budget)
 
 
 # -- the zeroary-constants census -------------------------------------------

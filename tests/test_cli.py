@@ -66,6 +66,17 @@ class TestFree:
         report = json.loads(proc.stdout)
         assert report["size"] == 12 and report["cyclic_order"] is None
 
+    def test_oversized_index_refused_promptly(self, algebra_files):
+        # 2**40 index entries: the budget must be checked before they are listed
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prevar.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "prevar.cli", "--json", "free", "--gen",
+             algebra_files["c2"], "-n", "40"],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert proc.returncode == 3
+        assert "product index of 1099511627776 exceeds budget 1000000" in proc.stderr
+
     @pytest.mark.parametrize("gens, n, expected", [
         (["c6"], 1, '{"cyclic_order": 6, "generators": [0], "size": 6}'),
         (["c6"], 2, '{"cyclic_order": null, "generators": [0, 1], "size": 12}'),

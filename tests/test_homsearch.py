@@ -388,3 +388,17 @@ def test_separating_family_stops_once_every_pair_is_separated():
     ok, witness, homs = separating_family(C2, [C2, big], budget)
     assert ok and witness is None
     assert [(h.target, h.mapping) for h in homs] == [(C2, (0, 1))]
+
+
+def test_node_budget_applies_per_seed():
+    # each seed leaves three fixed points free, so its first extension takes
+    # three nodes; one search reused for all of them must not add them up
+    points = FiniteAlgebra(UNARY_SIGNATURE, 6, {"a": list(range(6))})
+    two = FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": [0, 1]})
+    search = _Search(points, two, False, 3)
+    for seed in ({0: 0, 1: 1, 2: 0}, {3: 1, 4: 1, 5: 0}, {0: 1, 2: 1, 4: 0}):
+        found = next(search.iterate(seed))
+        assert all(found[x] == v for x, v in seed.items())
+        assert search.nodes == 3
+    with pytest.raises(BudgetExceededError, match="exceeded 3 nodes"):
+        next(search.iterate({}))
