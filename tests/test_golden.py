@@ -73,6 +73,9 @@ B2 = FiniteAlgebra(
     Signature((("j", 2), ("m", 2), ("n", 1), ("z", 0), ("o", 0))), 2,
     {"j": [0, 1, 1, 1], "m": [0, 0, 0, 1], "n": [1, 0], "z": [0], "o": [1]},
 )
+# two-element binary tables: j(x, y) = x & ~y and NOR
+X_AND_NOT_Y = FiniteAlgebra(S2.signature, 2, {"j": [0, 0, 1, 0]})
+NOR = FiniteAlgebra(S2.signature, 2, {"j": [1, 0, 0, 0]})
 C2, C3 = cyclic_unary(2), cyclic_unary(3)
 # a tail of two elements running into a 4-cycle, next to a 2-cycle
 RHO = FiniteAlgebra(UNARY_SIGNATURE, 8, {"a": [1, 2, 3, 4, 5, 2, 7, 6]})
@@ -242,7 +245,11 @@ CASES = {
     "free-lattice-3": lambda: _free([L2], 3),
     "free-lattice-4": lambda: _free([L2], 4),
     "free-semilattice-4": lambda: _free([S2], 4),
+    "free-semilattice-5": lambda: _free([S2], 5),
     "free-boolean-1": lambda: _free([B2], 1),
+    "free-boolean-2": lambda: _free([B2], 2),
+    "free-x-and-not-y-3": lambda: _free([X_AND_NOT_Y], 3),
+    "free-nor-3": lambda: _free([NOR], 3),
     "free-c2-c3-1": lambda: _free([C2, C3], 1),
     "free-c2-c3-2": lambda: _free([C2, C3], 2),
     "coproduct-u23-c2-c3": _coproduct,
@@ -298,6 +305,11 @@ GOLDEN = {
     "free-c2-c3-2": "a5a5a9a5dd815b24570c4aaea7c9c84550718eba2e58fcf99039a0a9e0ae62bb",
     "coproduct-u23-c2-c3": "c810be1f0cf5824e1893982c4a816635a629354374ef2ea78e9925efb8e43540",
     "amalgamated-l3-l3-over-l2": "e193ed7eba7927ccd7ce384aff4f352b8eecf581df7394b9561436e3bbbcc4e5",
+    # taken with the per-cell closure loop that preceded the row kernel
+    "free-semilattice-5": "c9b5e11b785ac187ffc12c0da797eb6ae97e11c0780eb8fee7f61e3cbc512987",
+    "free-boolean-2": "7cf71b8eeabb562926c802fa3e523a15ccbd0eed518cb096a5165d3f6e631ece",
+    "free-x-and-not-y-3": "cf77f302b55edfd552dec1afd6d3bc0f426e1d776c0e686bbacb06de6e59c609",
+    "free-nor-3": "032848034df3a1b445310f966a61b71c38b51552e878324a244cd8da9f322689",
     # taken with the eager search that listed every homomorphism into every
     # generator before looking at a pair
     "separating-c6-c2-c3": "5d342308a11537c9d41c8302b9959bef1f1566bc8ce9227bf9cd7a7328d8b9b4",
