@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -355,24 +356,25 @@ class _UnionFind:
 
 def _closure(
     signature: Signature,
-    apply,
+    row,
     seeds: Iterable,
     max_carrier: Optional[int] = None,
     max_table_cells: Optional[int] = None,
 ) -> tuple[list, dict[str, list[int]]]:
-    """Close ``seeds`` under ``apply(name, args)``: elements in discovery
-    order and each op table over their indices, recorded as found.
+    """Close ``seeds`` under the ops: elements in discovery order and each op
+    table over their indices, recorded as found.
 
+    ``row(name, prefix, lasts)`` gives the op's values at ``(*prefix, y)``
+    for each ``y`` in ``lasts``; ``row(name, (), None)`` gives a constant.
     Order: zeroary results, the seeds, then rounds of each op over the
     elements known when the round began.  A round skips argument tuples
     whose arguments all predate the previous round (semi-naive): their
-    results are already known, so the order is the naive loop's.  Results
-    go into nested lists, one level per argument; lexicographic rounds
-    only ever append to them.
+    results are already known, so the order is the naive loop's.  Each
+    table row is kept under its prefix's indices and only ever extended.
     """
     elems: list = []
     index: dict = {}
-    found: dict[str, list] = {name: [] for name in signature.names}
+    rows: dict[str, dict] = {name: {} for name in signature.names}
 
     def add(v) -> int:
         i = index.get(v)
@@ -387,7 +389,7 @@ def _closure(
 
     for name, arity in signature.ops:
         if arity == 0:
-            found[name].append(add(apply(name, ())))
+            rows[name][()] = [add(row(name, (), None))]
     for s in seeds:
         add(s)
     old = 0
@@ -397,25 +399,40 @@ def _closure(
             n**arity > max_table_cells for _, arity in signature.ops
         ):
             raise BudgetExceededError("operation table too large for the budget")
+        known, new = elems[:n], elems[old:n]
         for name, arity in signature.ops:
             if arity == 0:
                 continue
-            for args in itertools.product(range(n), repeat=arity):
-                if max(args) >= old:
-                    row = found[name]
-                    for a in args[:-1]:
-                        if a == len(row):
-                            row.append([])
-                        row = row[a]
-                    row.append(add(apply(name, [elems[a] for a in args])))
+            for at in itertools.product(range(n), repeat=arity - 1):
+                lasts = known if at and max(at) >= old else new
+                vals = row(name, map(known.__getitem__, at), lasts)
+                got = list(map(index.get, vals))  # every value already known: no add
+                rows[name].setdefault(at, []).extend(map(add, vals) if None in got else got)
         if len(elems) == n:
             break
         old = n
+    return elems, {
+        name: list(itertools.chain.from_iterable(r for _, r in sorted(table.items())))
+        for name, table in rows.items()
+    }
 
-    def flatten(rows, depth):
-        return rows if depth <= 1 else [v for r in rows for v in flatten(r, depth - 1)]
 
-    return elems, {name: flatten(found[name], arity) for name, arity in signature.ops}
+def _product_rows(factors: Sequence[FiniteAlgebra]):
+    """The ``row`` of ``_closure`` over tuples in the product of ``factors``:
+    a row cuts each factor's table at the offset its prefix coordinates fix,
+    and a cell reads one entry of each cut."""
+    sizes = [f.size for f in factors]
+
+    def row(name, prefix, lasts):
+        base = [0] * len(sizes)
+        for p in prefix:
+            base = list(map(operator.mul, map(operator.add, base, p), sizes))
+        segs = [f.tables[name][b:b + s] for f, b, s in zip(factors, base, sizes)]
+        if lasts is None:
+            return tuple(seg[0] for seg in segs)
+        return [tuple(map(operator.getitem, segs, y)) for y in lasts]
+
+    return row
 
 
 def generated_subalgebra(
@@ -423,20 +440,20 @@ def generated_subalgebra(
 ) -> tuple[FiniteAlgebra, Homomorphism]:
     """Least subset containing ``seed`` closed under all ops, with its inclusion.
 
-    The closure runs in ``_closure``; its tables, recorded over the
-    discovery order, are then permuted to ascending carrier order.  The
-    empty seed yields the closure of the zeroary constants (the empty
-    algebra when there are none).
+    The closure runs in ``_closure`` over one-coordinate tuples; its tables,
+    recorded over the discovery order, are then permuted to ascending carrier
+    order.  The empty seed yields the closure of the zeroary constants (the
+    empty algebra when there are none).
     """
     seed = list(seed)
     for x in seed:
         if not (0 <= x < alg.size):
             raise AlgebraError(f"seed element {x} is off the carrier")
-    members, tables = _closure(alg.signature, lambda name, args: alg.op(name, *args), seed)
-    carrier = sorted(members)
+    elems, tables = _closure(alg.signature, _product_rows([alg]), [(x,) for x in seed])
+    carrier = sorted(x for (x,) in elems)
     position = {x: i for i, x in enumerate(carrier)}
-    found = FiniteAlgebra(alg.signature, len(members), tables)
-    sub = apply_relabeling(found, [position[x] for x in members])
+    found = FiniteAlgebra(alg.signature, len(elems), tables)
+    sub = apply_relabeling(found, [position[x] for (x,) in elems])
     return sub, Homomorphism(sub, alg, tuple(carrier))
 
 

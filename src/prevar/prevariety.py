@@ -14,7 +14,7 @@ debugging and assertions.
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -31,6 +31,7 @@ from .algcore import (
     Term,
     Var,
     _closure,
+    _product_rows,
     _require_size_bound,
     all_congruences,
     are_isomorphic,
@@ -113,20 +114,8 @@ def _closed_tuple_algebra(
     on tuples, in its discovery order, looking each coordinate up in its
     factor's table.
     """
-    sizes = [f.size for f in factors]
-    columns = {name: [f.tables[name] for f in factors] for name in signature.names}
-
-    def apply(name, args):
-        # row-major index into each factor's table, coordinatewise
-        if not args:
-            return tuple(table[0] for table in columns[name])
-        idx = args[0]
-        for a in args[1:]:
-            idx = map(operator.add, map(operator.mul, idx, sizes), a)
-        return tuple(map(operator.getitem, columns[name], idx))
-
     elems, tables = _closure(
-        signature, apply, [tuple(s) for s in seeds], budget.max_carrier,
+        signature, _product_rows(factors), [tuple(s) for s in seeds], budget.max_carrier,
         budget.max_table_cells,
     )
     return FiniteAlgebra(signature, len(elems), tables), elems
@@ -189,21 +178,26 @@ def _hom_family_index(
     sources: Sequence[FiniteAlgebra],
     constraint,
     search_budget: SearchBudget,
+    max_index: int,
 ):
     """All pairs (generator, family of homs source_i -> generator).
 
     ``constraint(family) -> bool`` filters families (used for
     amalgamation over a shared base).  Order: generators as declared,
-    then families lexicographically in per-source hom order.
+    then families lexicographically in per-source hom order.  More than
+    ``max_index`` pairs raise ``BudgetExceededError``; unfiltered, they are
+    counted before they are listed.
     """
+    hom_lists = [[find_homomorphisms(src, gen, budget=search_budget) for src in sources]
+                 for gen in ctx.generators]
+    count = sum(math.prod(map(len, lists)) for lists in hom_lists) if constraint is None else 0
     entries = []
-    for a_idx, gen in enumerate(ctx.generators):
-        hom_lists = [
-            find_homomorphisms(src, gen, budget=search_budget) for src in sources
-        ]
-        for family in itertools.product(*hom_lists):
+    for a_idx, lists in enumerate(hom_lists):
+        for family in itertools.product(*lists):
             if constraint is None or constraint(family):
                 entries.append((a_idx, family))
+            if max(count, len(entries)) > max_index:
+                raise BudgetExceededError("hom-family index exceeds the budget")
     return entries
 
 
@@ -217,9 +211,7 @@ def _indexed_coproduct(
     """The subalgebra generated by the sources' images in the product
     indexed by their hom families (filtered by ``constraint``), with the
     coprojections sending each element to its image."""
-    entries = _hom_family_index(ctx, sources, constraint, search_budget)
-    if len(entries) > budget.max_index:
-        raise BudgetExceededError("hom-family index exceeds the budget")
+    entries = _hom_family_index(ctx, sources, constraint, search_budget, budget.max_index)
     images = [
         [tuple(family[i](x) for _, family in entries) for x in range(src.size)]
         for i, src in enumerate(sources)

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from prevar.algcore import (
     UNARY_SIGNATURE,
     AlgebraError,
+    BudgetExceededError,
     FiniteAlgebra,
     Homomorphism,
     Signature,
@@ -49,6 +50,8 @@ from prevar.algcore import (
 )
 from prevar.homsearch import separating_family, sp_embedding
 from prevar.prevariety import (
+    ConstructionBudget,
+    _closed_tuple_algebra,
     amalgamated_coproduct,
     chain_independence,
     coproduct,
@@ -395,24 +398,149 @@ SIGNATURES = [
     Signature((("g", 2), ("h", 2))),
     Signature((("f", 1), ("g", 2))),
     Signature((("c", 0), ("g", 2))),
+    Signature((("t", 3),)),
+    Signature((("f", 1), ("u", 1))),
 ]
+
+
+def _tables(draw, sig, size):
+    return {
+        name: draw(st.lists(st.integers(0, size - 1), min_size=size**arity, max_size=size**arity))
+        for name, arity in sig.ops
+    }
 
 
 @st.composite
 def algebras_with_seeds(draw):
     sig = draw(st.sampled_from(SIGNATURES))
     size = draw(st.integers(1, 7))
-    tables = {
-        name: draw(st.lists(st.integers(0, size - 1), min_size=size**arity, max_size=size**arity))
-        for name, arity in sig.ops
-    }
     seeds = draw(st.lists(st.integers(0, size - 1), max_size=3))
-    return FiniteAlgebra(sig, size, tables), seeds
+    return FiniteAlgebra(sig, size, _tables(draw, sig, size)), seeds
+
+
+def _op_rows(alg: FiniteAlgebra):
+    """``alg.op`` as a ``_closure`` row, one call per cell."""
+    def row(name, prefix, lasts):
+        prefix = list(prefix)
+        return alg.op(name) if lasts is None else [alg.op(name, *prefix, y) for y in lasts]
+    return row
 
 
 @settings(max_examples=200, deadline=None)
 @given(algebras_with_seeds())
 def test_closure_matches_naive_fixpoint(case):
     alg, seeds = case
-    got = _closure(alg.signature, lambda name, args: alg.op(name, *args), seeds)
+    got = _closure(alg.signature, _op_rows(alg), seeds)
     assert got == _naive_closure(alg, seeds)
+
+
+def _per_cell_closure(signature, apply, seeds, max_carrier=None, max_table_cells=None):
+    """The closure loop the row kernel replaced: one ``apply(name, args)``
+    per argument tuple, results kept in nested lists."""
+    elems, index = [], {}
+    found = {name: [] for name in signature.names}
+
+    def add(v):
+        i = index.get(v)
+        if i is None:
+            if max_carrier is not None and len(elems) >= max_carrier:
+                raise BudgetExceededError(f"carrier exceeded budget {max_carrier} during closure")
+            i = index[v] = len(elems)
+            elems.append(v)
+        return i
+
+    for name, arity in signature.ops:
+        if arity == 0:
+            found[name].append(add(apply(name, ())))
+    for s in seeds:
+        add(s)
+    old = 0
+    while True:
+        n = len(elems)
+        if max_table_cells is not None and any(n**a > max_table_cells for _, a in signature.ops):
+            raise BudgetExceededError("operation table too large for the budget")
+        for name, arity in signature.ops:
+            if arity == 0:
+                continue
+            for args in itertools.product(range(n), repeat=arity):
+                if max(args) >= old:
+                    row = found[name]
+                    for a in args[:-1]:
+                        if a == len(row):
+                            row.append([])
+                        row = row[a]
+                    row.append(add(apply(name, [elems[a] for a in args])))
+        if len(elems) == n:
+            break
+        old = n
+
+    def flatten(rows, depth):
+        return rows if depth <= 1 else [v for r in rows for v in flatten(r, depth - 1)]
+
+    return elems, {name: flatten(found[name], arity) for name, arity in signature.ops}
+
+
+def _per_cell_product(factors):
+    """The coordinatewise ``apply`` over tuples the row kernel replaced."""
+    sizes = [f.size for f in factors]
+
+    def apply(name, args):
+        if not args:
+            return tuple(f.tables[name][0] for f in factors)
+        idx = args[0]
+        for a in args[1:]:
+            idx = [i * s + x for i, s, x in zip(idx, sizes, a)]
+        return tuple(f.tables[name][i] for f, i in zip(factors, idx))
+
+    return apply
+
+
+@st.composite
+def tuple_closures(draw):
+    """Seeds in a product of zero to three factors of mixed sizes."""
+    sig = draw(st.sampled_from(SIGNATURES))
+    sizes = draw(st.lists(st.integers(1, 3), max_size=3))
+    factors = [FiniteAlgebra(sig, size, _tables(draw, sig, size)) for size in sizes]
+    seeds = draw(st.lists(st.tuples(*(st.integers(0, size - 1) for size in sizes)), max_size=3))
+    return sig, factors, seeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuple_closures())
+def test_tuple_closure_matches_per_cell_loop(case):
+    sig, factors, seeds = case
+    alg, elems = _closed_tuple_algebra(sig, factors, seeds, ConstructionBudget())
+    want_elems, want_tables = _per_cell_closure(sig, _per_cell_product(factors), seeds)
+    assert elems == want_elems
+    assert alg.tables == {name: tuple(table) for name, table in want_tables.items()}
+
+
+def _elements_or_error(run):
+    try:
+        return run()
+    except BudgetExceededError as e:
+        return str(e)
+
+
+# NOR's free algebra on 3 generators: 256 elements, the last round starting
+# with all of them (256**2 = 65,536 cells per table)
+@pytest.mark.parametrize("limits, message", [
+    ({"max_carrier": 100}, "carrier exceeded budget 100 during closure"),
+    ({"max_carrier": 255}, "carrier exceeded budget 255 during closure"),
+    ({"max_carrier": 256}, None),
+    ({"max_table_cells": 8}, "operation table too large for the budget"),
+    ({"max_table_cells": 65535}, "operation table too large for the budget"),
+    ({"max_table_cells": 65536}, None),
+])
+def test_budgets_fire_as_in_the_per_cell_loop(limits, message):
+    factors = [NOR] * 8
+    seeds = list(zip(*itertools.product(range(2), repeat=3)))
+    budget = ConstructionBudget(**limits)
+    got = _elements_or_error(lambda: _closed_tuple_algebra(NOR.signature, factors, seeds, budget)[1])
+    want = _elements_or_error(lambda: _per_cell_closure(
+        NOR.signature, _per_cell_product(factors), seeds, budget.max_carrier,
+        budget.max_table_cells,
+    )[0])
+    assert got == want
+    if message is not None:
+        assert got == message

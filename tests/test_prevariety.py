@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,6 +33,7 @@ from prevar.homsearch import MembershipError, find_homomorphisms, in_sp
 from prevar.prevariety import (
     ChainHypothesisError,
     ConstructionBudget,
+    amalgamated_coproduct,
     chain_independence,
     check_amalgamation_bounded,
     check_coproduct_monotone_bounded,
@@ -192,6 +194,35 @@ class TestCoproduct:
         union = {v for c in result.coprojections for v in c.mapping}
         sub, _ = generated_subalgebra(result.algebra, union)
         assert sub.size == result.algebra.size
+
+    def test_oversized_index_refused_before_listing(self):
+        # 6**7 = 279,936 families of homs from seven C6 into C6: the budget
+        # is checked against their number, not against a listed index
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="^hom-family index exceeds the budget$"):
+                coproduct(sp(C6), [C6] * 7, ConstructionBudget(max_index=10**5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
+
+    def test_index_budget_is_exact(self):
+        lattice = FiniteAlgebra(Signature((("j", 2), ("m", 2))), 3, {
+            "j": [max(p) for p in itertools.product(range(3), repeat=2)],
+            "m": [min(p) for p in itertools.product(range(3), repeat=2)],
+        })
+        base = FiniteAlgebra(lattice.signature, 2, {"j": [0, 1, 1, 1], "m": [0, 0, 0, 1]})
+        top = Homomorphism(base, lattice, (0, 2))
+        builds = [  # unfiltered, and filtered by agreement on the base
+            lambda budget: coproduct(sp(base), [lattice, lattice], budget),
+            lambda budget: amalgamated_coproduct(sp(base), base, [(lattice, top)] * 2, budget),
+        ]
+        for build in builds:
+            entries = len(build(ConstructionBudget()).index_metadata)
+            assert build(ConstructionBudget(max_index=entries)).index_metadata
+            with pytest.raises(BudgetExceededError, match="^hom-family index exceeds the budget$"):
+                build(ConstructionBudget(max_index=entries - 1))
 
 
 def brute_unique_extension(b, maps, target, family):
