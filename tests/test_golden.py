@@ -5,7 +5,9 @@ tables, generator indices and coprojections are reproducible byte for byte.
 Each digest below is the sha256 of ``to_json()`` followed by the JSON of the
 generator indices (free algebras) or the coprojection and base mappings
 (coproducts).  A change that renumbers carriers changes a digest.  The
-closure engine is also checked against the naive fixpoint loop it replaced.
+closure engine is also checked against the naive fixpoint loop it replaced,
+and the closure over tuples in a product, budget errors included, against
+the per-cell loop that preceded the row kernel.
 
 Search-order digests pin what depends on the order in which homomorphisms
 are found: the separating family chosen for each pair, the product and
@@ -414,8 +416,9 @@ def _tables(draw, sig, size):
 def algebras_with_seeds(draw):
     sig = draw(st.sampled_from(SIGNATURES))
     size = draw(st.integers(1, 7))
+    tables = _tables(draw, sig, size)
     seeds = draw(st.lists(st.integers(0, size - 1), max_size=3))
-    return FiniteAlgebra(sig, size, _tables(draw, sig, size)), seeds
+    return FiniteAlgebra(sig, size, tables), seeds
 
 
 def _op_rows(alg: FiniteAlgebra):
