@@ -24,6 +24,10 @@ verdicts and monoliths of the (relative) irreducibility checks.
 
 Canonical-form digests pin ``canonical_form`` on fixed algebras, and on
 every unary table of size 5 as one digest over the set of forms.
+
+Member digests pin the list ``enumerate_members`` returns (every table, in
+order) for four prevarieties: two unary, one binary, and one with a
+constant.
 """
 
 import hashlib
@@ -57,6 +61,7 @@ from prevar.prevariety import (
     amalgamated_coproduct,
     chain_independence,
     coproduct,
+    enumerate_members,
     free_algebra,
     is_independent,
     is_p_subdirectly_irreducible,
@@ -89,6 +94,11 @@ Z4 = FiniteAlgebra(Signature((("g", 2),)), 4,
                    {"g": [(x + y) % 4 for x, y in itertools.product(range(4), repeat=2)]})
 XOR8 = FiniteAlgebra(Signature((("g", 2),)), 8,
                      {"g": [x ^ y for x, y in itertools.product(range(8), repeat=2)]})
+TAIL3 = FiniteAlgebra(UNARY_SIGNATURE, 3, {"a": [0, 0, 1]})
+POINTED_SIG = Signature((("c", 0), ("f", 1)))
+# a 2-cycle through the constant, and a tail running into it
+POINTED_GENS = [FiniteAlgebra(POINTED_SIG, 2, {"c": [0], "f": [1, 0]}),
+                FiniteAlgebra(POINTED_SIG, 3, {"c": [0], "f": [0, 0, 1]})]
 POINTED = FiniteAlgebra(Signature((("c", 0), ("f", 1))), 7,
                         {"c": [4], "f": [1, 0, 3, 2, 4, 6, 5]})
 
@@ -239,6 +249,10 @@ def _all_unary_forms(size):
                         for t in itertools.product(range(size), repeat=size)}))
 
 
+def _members(gens, max_size):
+    return _sha([m.to_json() for m in enumerate_members(sp(*gens), max_size)])
+
+
 def _free_semilattice_3():
     return free_algebra(sp(S2), 3)[0]
 
@@ -295,6 +309,10 @@ CASES = {
     "canonical-xor-8": lambda: _canonical(XOR8),
     "canonical-pointed-7": lambda: _canonical(POINTED),
     "canonical-all-unary-5": lambda: _all_unary_forms(5),
+    "members-c2-c3-6": lambda: _members([C2, C3], 6),
+    "members-tail3-5": lambda: _members([TAIL3], 5),
+    "members-s2-3": lambda: _members([S2], 3),
+    "members-pointed-5": lambda: _members(POINTED_GENS, 5),
 }
 
 # taken with the brute-force closure loops that preceded the shared engine
@@ -355,6 +373,12 @@ GOLDEN = {
     "canonical-xor-8": "afba1b50800daafc7d512b853fe75bf6dd1e8f866b7beb991d06861b08839f9e",
     "canonical-pointed-7": "418e8680ade71c215df4911fa0c1c43a80d53e85c281d32f515ae93cb28f344c",
     "canonical-all-unary-5": "02bbee430ffbbc1949ca364e9e82e770603e4e91d84102797592e1c392aa6a80",
+    # taken with the loop that tested every table for membership and then
+    # dropped repeated canonical forms
+    "members-c2-c3-6": "0a554ddbc72946fff5353e8a1028931c143c736c1b58e8888f057538396feeed",
+    "members-tail3-5": "828100fd1dcfad5c9919a2d7cedbdd005a8d21b9592f58aed5b9365a166f2660",
+    "members-s2-3": "e065b7dfd5c47e86a39277dfbbafeb6f10406425bc30c6cf817842acc45c91c9",
+    "members-pointed-5": "0398a3b8bc5c26541c299b0fb0195327a26b8de1b345eb649b0605ad4680b103",
 }
 
 
