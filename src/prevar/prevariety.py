@@ -17,7 +17,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algcore import (
     AlgebraError,
@@ -35,8 +35,8 @@ from .algcore import (
     _require_size_bound,
     all_congruences,
     are_isomorphic,
-    canonical_form,
     eval_term,
+    empty_algebra,
     generated_subalgebra,
     quotient,
     subalgebra_on,
@@ -726,6 +726,44 @@ def quasi_identity_holds(alg: FiniteAlgebra, q: QuasiIdentity) -> bool:
 # -- member enumeration and amalgamation ------------------------------------
 
 
+def _canonical_tables(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
+    """The flat table vectors of size ``n`` (ops as declared, then row-major)
+    that are least among their relabellings, in lex order: orderly
+    generation (Read, 1978; McKay, 1998).  A depth-first walk over the cells,
+    values ascending, drops a prefix once some relabelling makes the cells
+    fixed so far strictly smaller; each relabelling resumes its comparison
+    where the parent left it, and leaves the walk once it compares larger."""
+    cells, offset = [], 0
+    for _, arity in sig.ops:
+        cells += [(offset, args) for args in itertools.product(range(n), repeat=arity)]
+        offset += n**arity
+    perms = []  # (s, read, k): s(T)[c] = s[T[read[c]]], equal to T below cell k
+    for s in itertools.islice(itertools.permutations(range(n)), 1, None):
+        inv = sorted(range(n), key=s.__getitem__)
+        read = [start + sum(inv[a] * n**i for i, a in enumerate(reversed(args)))
+                for start, args in cells]
+        perms.append((s, read, 0))
+    table = [0] * len(cells)
+
+    def walk(p: int, alive: list):
+        if p == len(cells):
+            yield tuple(table)
+            return
+        for table[p] in range(n):
+            kept = []
+            for s, read, k in alive:
+                while k <= p and read[k] <= p and s[table[read[k]]] == table[k]:
+                    k += 1
+                if k > p or read[k] > p:
+                    kept.append((s, read, k))
+                elif s[table[read[k]]] < table[k]:
+                    break
+            else:
+                yield from walk(p + 1, kept)
+
+    return walk(0, perms)
+
+
 def enumerate_members(
     ctx: PrevarietyCtx,
     max_size: int,
@@ -733,45 +771,30 @@ def enumerate_members(
     search_budget: SearchBudget = DEFAULT_BUDGET,
     include_empty: bool = True,
 ) -> list[FiniteAlgebra]:
-    """All members of SP(Y) of size <= max_size, one per isomorphism class.
+    """All members of SP(Y) of size <= max_size, one per isomorphism class:
+    the lex-least table of each class, in lex order, sizes ascending.
 
-    Enumerates every operation-table assignment of each size, filters by
-    membership, and deduplicates by canonical form.  Guarded by the raw
-    enumeration budget; only workable for small sizes and signatures.
+    Only the lex-least tables are generated (``_canonical_tables``), and
+    membership is tested once on each.  Guarded by the raw count of tables,
+    ``size**(size**arity)`` per op; only workable for small sizes and
+    signatures.
     """
     sig = ctx.signature
     out = []
-    seen = set()
     if include_empty and not sig.has_zeroary():
-        from .algcore import empty_algebra
-
         out.append(empty_algebra(sig))
     total = 0
     for size in range(1, max_size + 1):
-        ranges = []
-        for _, arity in sig.ops:
-            ranges.append(size**arity)
-        count = 1
-        for r in ranges:
-            count *= size**r
-        total += count
+        total += size ** sum(size**arity for _, arity in sig.ops)
         if total > budget.max_enumeration:
             raise BudgetExceededError(
                 "raw algebra enumeration exceeds the budget; lower max_size"
             )
-        for tables_flat in itertools.product(
-            *(itertools.product(range(size), repeat=r) for r in ranges)
-        ):
-            tables = {name: tables_flat[i] for i, (name, _) in enumerate(sig.ops)}
-            try:
-                cand = FiniteAlgebra(sig, size, tables)
-            except AlgebraError:
-                continue
-            if not ctx.contains(cand, search_budget):
-                continue
-            key = canonical_form(cand)
-            if key not in seen:
-                seen.add(key)
+        for flat in _canonical_tables(sig, size):
+            values = iter(flat)
+            cand = FiniteAlgebra(sig, size, {name: tuple(itertools.islice(values, size**arity))
+                                             for name, arity in sig.ops})
+            if ctx.contains(cand, search_budget):
                 out.append(cand)
     return out
 

@@ -48,15 +48,18 @@ from prevar.algcore import (
     Signature,
     _closure,
     all_congruences,
+    apply_relabeling,
     canonical_form,
     cyclic_unary,
     direct_product,
     disjoint_union,
+    empty_algebra,
     is_subdirectly_irreducible,
 )
 from prevar.homsearch import separating_family, sp_embedding
 from prevar.prevariety import (
     ConstructionBudget,
+    _canonical_tables,
     _closed_tuple_algebra,
     amalgamated_coproduct,
     chain_independence,
@@ -571,3 +574,76 @@ def test_budgets_fire_as_in_the_per_cell_loop(limits, message):
     assert got == want
     if message is not None:
         assert got == message
+
+
+# unary; two unary; constant plus unary; binary; constant plus binary, each
+# with the largest size the raw loop below walks in well under a second
+MEMBER_SIGNATURES = {
+    Signature((("a", 1),)): 5,
+    Signature((("f", 1), ("u", 1))): 3,
+    Signature((("c", 0), ("f", 1))): 4,
+    Signature((("g", 2),)): 2,
+    Signature((("c", 0), ("g", 2))): 2,
+}
+
+
+def _flat_tables(sig, size):
+    """Every flat table vector of ``size``, in product order."""
+    return itertools.product(range(size), repeat=sum(size**arity for _, arity in sig.ops))
+
+
+def _algebra(sig, size, flat):
+    values = iter(flat)
+    return FiniteAlgebra(sig, size, {name: list(itertools.islice(values, size**arity))
+                                     for name, arity in sig.ops})
+
+
+def _raw_members(ctx, max_size):
+    """The loop that preceded orderly generation: every table is tested for
+    membership, and the first of each canonical form is kept."""
+    sig, out, seen = ctx.signature, [], set()
+    if not sig.has_zeroary():
+        out.append(empty_algebra(sig))
+    for size in range(1, max_size + 1):
+        for flat in _flat_tables(sig, size):
+            cand = _algebra(sig, size, flat)
+            if ctx.contains(cand):
+                key = canonical_form(cand)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(cand)
+    return out
+
+
+@st.composite
+def member_cases(draw):
+    sig = draw(st.sampled_from(sorted(MEMBER_SIGNATURES, key=lambda s: s.ops)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    gens = [FiniteAlgebra(sig, size, _tables(draw, sig, size)) for size in sizes]
+    return sp(*gens), draw(st.integers(0, MEMBER_SIGNATURES[sig]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(member_cases())
+def test_members_match_the_raw_loop(case):
+    ctx, max_size = case
+    assert enumerate_members(ctx, max_size) == _raw_members(ctx, max_size)
+
+
+@pytest.mark.parametrize("sig, max_size", [
+    (Signature((("a", 1),)), 4),
+    (Signature((("f", 1), ("u", 1))), 3),
+    (Signature((("c", 0), ("f", 1))), 3),
+    (Signature((("g", 2),)), 3),
+    (Signature((("c", 0), ("g", 2))), 2),
+    (Signature(()), 2),
+])
+def test_canonical_tables_are_the_least_relabellings(sig, max_size):
+    for n in range(1, max_size + 1):
+        least = []
+        for flat in _flat_tables(sig, n):
+            alg = _algebra(sig, n, flat)
+            relabelled = (apply_relabeling(alg, perm).tables for perm in itertools.permutations(range(n)))
+            if all(sum((t[name] for name in sig.names), ()) >= flat for t in relabelled):
+                least.append(flat)
+        assert list(_canonical_tables(sig, n)) == least

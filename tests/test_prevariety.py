@@ -33,6 +33,7 @@ from prevar.homsearch import MembershipError, find_homomorphisms, in_sp
 from prevar.prevariety import (
     ChainHypothesisError,
     ConstructionBudget,
+    PrevarietyCtx,
     amalgamated_coproduct,
     chain_independence,
     check_amalgamation_bounded,
@@ -634,6 +635,22 @@ class TestEnumerateMembers:
         members = enumerate_members(sp(C2, C3), 4)
         for a, b in itertools.combinations(members, 2):
             assert not are_isomorphic(a, b)
+
+    def test_membership_tested_once_per_class(self, monkeypatch):
+        # 1 + 3 + 7 + 19 unary tables up to relabelling, of 1 + 4 + 27 + 256
+        tested = []
+        contains = PrevarietyCtx.contains
+        monkeypatch.setattr(PrevarietyCtx, "contains",
+                            lambda ctx, alg, budget: tested.append(alg) or contains(ctx, alg, budget))
+        enumerate_members(sp(C2, C3), 4)
+        assert len(tested) == 30
+
+    def test_enumeration_budget_counts_every_table(self):
+        raw = 1 + 2**2 + 3**3 + 4**4
+        assert len(enumerate_members(sp(C2, C3), 4, ConstructionBudget(max_enumeration=raw))) == 5
+        with pytest.raises(BudgetExceededError,
+                           match="^raw algebra enumeration exceeds the budget; lower max_size$"):
+            enumerate_members(sp(C2, C3), 4, ConstructionBudget(max_enumeration=raw - 1))
 
 
 class TestAmalgamation:
