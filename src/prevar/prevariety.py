@@ -176,26 +176,34 @@ class CoproductResult:
 def _hom_family_index(
     ctx: PrevarietyCtx,
     sources: Sequence[FiniteAlgebra],
-    constraint,
+    key,
     search_budget: SearchBudget,
     max_index: int,
 ):
     """All pairs (generator, family of homs source_i -> generator).
 
-    ``constraint(family) -> bool`` filters families (used for
-    amalgamation over a shared base).  Order: generators as declared,
-    then families lexicographically in per-source hom order.  More than
-    ``max_index`` pairs raise ``BudgetExceededError``; unfiltered, they are
-    counted before they are listed.
+    Given ``key(i, h)``, only families whose homs share one key are listed
+    (amalgamation over a shared base): each first-source hom is followed by
+    the product of the later sources' homs with its key.  Order: generators
+    as declared, then families lexicographically in per-source hom order.
+    More than ``max_index`` pairs raise ``BudgetExceededError``; unkeyed,
+    they are counted before they are listed.
     """
     hom_lists = [[find_homomorphisms(src, gen, budget=search_budget) for src in sources]
                  for gen in ctx.generators]
-    count = sum(math.prod(map(len, lists)) for lists in hom_lists) if constraint is None else 0
+    count = sum(math.prod(map(len, lists)) for lists in hom_lists) if key is None else 0
     entries = []
     for a_idx, lists in enumerate(hom_lists):
-        for family in itertools.product(*lists):
-            if constraint is None or constraint(family):
-                entries.append((a_idx, family))
+        families = itertools.product(*lists)
+        if key is not None and lists:
+            groups = [{} for _ in lists[1:]]
+            for i, (group, homs) in enumerate(zip(groups, lists[1:]), 1):
+                for h in homs:
+                    group.setdefault(key(i, h), []).append(h)
+            families = ((h, *rest) for h in lists[0]
+                        for rest in itertools.product(*(g.get(key(0, h), ()) for g in groups)))
+        for family in families:
+            entries.append((a_idx, family))
             if max(count, len(entries)) > max_index:
                 raise BudgetExceededError("hom-family index exceeds the budget")
     return entries
@@ -204,14 +212,14 @@ def _hom_family_index(
 def _indexed_coproduct(
     ctx: PrevarietyCtx,
     sources: Sequence[FiniteAlgebra],
-    constraint,
+    key,
     budget: ConstructionBudget,
     search_budget: SearchBudget,
 ) -> CoproductResult:
     """The subalgebra generated by the sources' images in the product
-    indexed by their hom families (filtered by ``constraint``), with the
-    coprojections sending each element to its image."""
-    entries = _hom_family_index(ctx, sources, constraint, search_budget, budget.max_index)
+    indexed by their hom families (those sharing one ``key``, if given),
+    with the coprojections sending each element to its image."""
+    entries = _hom_family_index(ctx, sources, key, search_budget, budget.max_index)
     images = [
         [tuple(family[i](x) for _, family in entries) for x in range(src.size)]
         for i, src in enumerate(sources)
@@ -830,15 +838,11 @@ def amalgamated_coproduct(
         for alg, _ in arms:
             ctx.require_member(alg, search_budget)
 
-    def agrees(family):
-        for s in range(base.size):
-            values = {family[i](emb(s)) for i, (_, emb) in enumerate(arms)}
-            if len(values) > 1:
-                return False
-        return True
+    def on_base(i, h):
+        return tuple(h(arms[i][1](s)) for s in range(base.size))
 
     sources = [alg for alg, _ in arms]
-    result = _indexed_coproduct(ctx, sources, agrees, budget, search_budget)
+    result = _indexed_coproduct(ctx, sources, on_base, budget, search_budget)
     base_map = None
     if arms:
         first, emb0 = result.coprojections[0], arms[0][1]

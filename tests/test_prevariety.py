@@ -226,6 +226,45 @@ class TestCoproduct:
                 build(ConstructionBudget(max_index=entries - 1))
 
 
+class TestAmalgamatedIndex:
+    def test_index_is_the_families_agreeing_on_the_base(self):
+        chain = lambda n: FiniteAlgebra(Signature((("j", 2), ("m", 2))), n, {
+            "j": [max(p) for p in itertools.product(range(n), repeat=2)],
+            "m": [min(p) for p in itertools.product(range(n), repeat=2)],
+        })
+        base, l3 = chain(2), chain(3)
+        embeddings = [Homomorphism(base, l3, m) for m in [(0, 1), (0, 2), (1, 2)]]
+        for ctx in (sp(base), sp(l3), sp(base, l3)):
+            for arms in itertools.product([(l3, e) for e in embeddings], repeat=3):
+                want = []
+                for a_idx, gen in enumerate(ctx.generators):
+                    lists = [find_homomorphisms(alg, gen) for alg, _ in arms]
+                    for family in itertools.product(*lists):
+                        if len({tuple(h(e(s)) for s in range(base.size))
+                                for h, (_, e) in zip(family, arms)}) == 1:
+                            want.append((a_idx, tuple(h.mapping for h in family)))
+                got = amalgamated_coproduct(ctx, base, list(arms)).index_metadata
+                assert list(got) == want
+
+    def test_no_arms_give_one_empty_family_per_generator(self):
+        result = amalgamated_coproduct(sp(C2, C3), C6, [])
+        assert result.index_metadata == ((0, ()), (1, ()))
+
+    def test_nine_arms_over_a_cycle_answer_promptly(self):
+        # 6**9 families of homs from nine C6 into C6, of which the 6 that agree
+        # on the base are the index: walking every family took about 40 s
+        code = ("from prevar.algcore import Homomorphism, cyclic_unary\n"
+                "from prevar.prevariety import ConstructionBudget, amalgamated_coproduct, sp\n"
+                "c6 = cyclic_unary(6)\n"
+                "arms = [(c6, Homomorphism(c6, c6, tuple(range(6))))] * 9\n"
+                "result = amalgamated_coproduct(sp(c6), c6, arms, ConstructionBudget(max_index=1000))\n"
+                "print(len(result.index_metadata))\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prevar.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert proc.returncode == 0 and proc.stdout == "6\n"
+
+
 def brute_unique_extension(b, maps, target, family):
     """Count all set maps b -> target extending the family along the maps
     and commuting with every operation; no search machinery involved."""
