@@ -35,8 +35,8 @@ from .algcore import (
     _require_size_bound,
     all_congruences,
     are_isomorphic,
-    eval_term,
     empty_algebra,
+    eval_term,
     generated_subalgebra,
     quotient,
     subalgebra_on,
@@ -745,6 +745,11 @@ def _canonical_tables(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
     for _, arity in sig.ops:
         cells += [(offset, args) for args in itertools.product(range(n), repeat=arity)]
         offset += n**arity
+    if all(arity == 0 for _, arity in sig.ops):
+        # n! relabellings could outnumber the n**len(cells) tables; the least
+        # relabelling numbers the constants' values in order of first appearance
+        return (t for t in itertools.product(range(n), repeat=len(cells))
+                if all(v <= max(t[:c], default=-1) + 1 for c, v in enumerate(t)))
     perms = []  # (s, read, k): s(T)[c] = s[T[read[c]]], equal to T below cell k
     for s in itertools.islice(itertools.permutations(range(n)), 1, None):
         inv = sorted(range(n), key=s.__getitem__)

@@ -636,6 +636,7 @@ def test_members_match_the_raw_loop(case):
     (Signature((("c", 0), ("f", 1))), 3),
     (Signature((("g", 2),)), 3),
     (Signature((("c", 0), ("g", 2))), 2),
+    (Signature((("c", 0), ("d", 0), ("e", 0))), 4),
     (Signature(()), 2),
 ])
 def test_canonical_tables_are_the_least_relabellings(sig, max_size):
@@ -647,3 +648,11 @@ def test_canonical_tables_are_the_least_relabellings(sig, max_size):
             if all(sum((t[name] for name in sig.names), ()) >= flat for t in relabelled):
                 least.append(flat)
         assert list(_canonical_tables(sig, n)) == least
+
+
+def test_constants_only_members_match_the_raw_loop():
+    # no op reads an argument, so the 9! relabellings of size 9 far outnumber
+    # its 9**2 tables: the least ones are found without listing relabellings
+    sig = Signature((("c", 0), ("d", 0)))
+    ctx = sp(FiniteAlgebra(sig, 2, {"c": [0], "d": [1]}), FiniteAlgebra(sig, 1, {"c": [0], "d": [0]}))
+    assert enumerate_members(ctx, 9) == _raw_members(ctx, 9)
