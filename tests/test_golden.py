@@ -27,7 +27,10 @@ every unary table of size 5 as one digest over the set of forms.
 
 Member digests pin the list ``enumerate_members`` returns (every table, in
 order) for four prevarieties: two unary, one binary, and one with a
-constant.
+constant.  ``enumerate_members`` is also checked against the loop it
+replaced (every table tested for membership, repeated canonical forms
+dropped), and the orderly generator behind it against the tables that are
+least under all ``n!`` relabellings.
 """
 
 import hashlib
@@ -617,7 +620,7 @@ def _raw_members(ctx, max_size):
 
 @st.composite
 def member_cases(draw):
-    sig = draw(st.sampled_from(sorted(MEMBER_SIGNATURES, key=lambda s: s.ops)))
+    sig = draw(st.sampled_from(list(MEMBER_SIGNATURES)))
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
     gens = [FiniteAlgebra(sig, size, _tables(draw, sig, size)) for size in sizes]
     return sp(*gens), draw(st.integers(0, MEMBER_SIGNATURES[sig]))
