@@ -236,6 +236,13 @@ class Homomorphism:
                     itertools.product(range(src.size), repeat=arity), k, None))
                 raise AlgebraError(f"map does not commute with {name!r} at {args}")
 
+    @classmethod
+    def _unchecked(cls, source: FiniteAlgebra, target: FiniteAlgebra, mapping) -> "Homomorphism":
+        """A homomorphism that is valid by construction: not re-validated."""
+        h = object.__new__(cls)
+        h.__dict__.update(source=source, target=target, mapping=tuple(mapping))
+        return h
+
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
@@ -454,7 +461,7 @@ def generated_subalgebra(
     position = {x: i for i, x in enumerate(carrier)}
     found = FiniteAlgebra(alg.signature, len(elems), tables)
     sub = apply_relabeling(found, [position[x] for (x,) in elems])
-    return sub, Homomorphism(sub, alg, tuple(carrier))
+    return sub, Homomorphism._unchecked(sub, alg, carrier)
 
 
 def subalgebra_on(alg: FiniteAlgebra, carrier: Sequence[int]) -> tuple[FiniteAlgebra, Homomorphism]:
@@ -470,7 +477,7 @@ def subalgebra_on(alg: FiniteAlgebra, carrier: Sequence[int]) -> tuple[FiniteAlg
             raise AlgebraError(f"subset is not closed under {name!r}")
         tables[name] = table
     sub = FiniteAlgebra(alg.signature, len(carrier), tables)
-    return sub, Homomorphism(sub, alg, tuple(carrier))
+    return sub, Homomorphism._unchecked(sub, alg, carrier)
 
 
 def direct_product(
@@ -500,7 +507,7 @@ def direct_product(
         tables[name] = table
     prod = FiniteAlgebra(signature, len(carrier), tables)
     projections = [
-        Homomorphism(prod, algebras[k], tuple(t[k] for t in carrier))
+        Homomorphism._unchecked(prod, algebras[k], (t[k] for t in carrier))
         for k in range(len(algebras))
     ]
     return prod, projections
@@ -537,7 +544,7 @@ def quotient(alg: FiniteAlgebra, c: Congruence) -> tuple[FiniteAlgebra, Homomorp
     reps = [c.blocks.index(b) for b in range(nblocks)]
     tables = {name: [c.blocks[v] for v in alg._cells(name, reps)] for name in alg.tables}
     q = FiniteAlgebra(alg.signature, nblocks, tables)
-    return q, Homomorphism(alg, q, c.blocks)
+    return q, Homomorphism._unchecked(alg, q, c.blocks)
 
 
 def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:

@@ -6,7 +6,8 @@ the smallest candidate set, and values are tried in ascending order.
 Assigning an element propagates forward through every operation whose
 arguments are now all assigned.  Injectivity, when requested, is
 enforced during search by tracking used targets rather than by
-post-filtering.
+post-filtering.  A product of seed choices propagates each prefix once
+(``_Search.every_choice_extends``); results are not re-validated.
 """
 
 from __future__ import annotations
@@ -107,37 +108,54 @@ class _Search:
                     self.touching[e].append(constraint)
 
     def iterate(self, seed: dict[int, int]) -> Iterator[tuple[int, ...]]:
+        state = self._start(sorted(seed.items()))
+        if state is not None:
+            yield from self._extend(*state)
+
+    def first(self, pairs) -> Optional[tuple[int, ...]]:
+        """The first mapping extending the seed ``pairs``, or None when two
+        pairs conflict or nothing extends them."""
+        state = self._start(pairs)
+        return None if state is None else next(self._extend(*state), None)
+
+    def every_choice_extends(self, fixed, stages) -> bool:
+        """True iff ``fixed`` plus each choice of one seed-pair list per stage
+        extends, in product order; each choice prefix is propagated once, and
+        a leaf left with unassigned elements is searched from a fresh node count."""
+        if not all(stages):
+            return True  # an empty stage leaves no choice to test
+        state = self._start(fixed)
+        return state is not None and self._walk(stages, *state)
+
+    def _walk(self, stages, assignment, used) -> bool:
+        if not stages:
+            self.nodes = 0
+            return next(self._extend(assignment, used), None) is not None
+        for pairs in stages[0]:
+            below, below_used = list(assignment), list(used)
+            if not (self._assign_all(below, below_used, pairs)
+                    and self._walk(stages[1:], below, below_used)):
+                return False
+        return True
+
+    def _start(self, seed_pairs):
+        # a fresh state with the seed pairs propagated, or None on a contradiction
         self.nodes = 0
         assignment: list[Optional[int]] = [None] * self.A.size
         used = [0] * self.B.size
-        pending = []
-        for x, v in sorted(seed.items()):
-            if not (0 <= x < self.A.size) or not (0 <= v < self.B.size):
-                raise AlgebraError("seed assignment is off a carrier")
-            pending.append((x, v))
+        pending = list(seed_pairs)
+        if any(not (0 <= x < self.A.size and 0 <= v < self.B.size) for x, v in pending):
+            raise AlgebraError("seed assignment is off a carrier")
         for name, arity in self.A.signature.ops:
             if arity == 0:
                 # constants are hard constraints; conflicts kill the branch
                 pending.append((self.A.tables[name][0], self.B.tables[name][0]))
-        if self._assign_all(assignment, used, pending):
-            yield from self._extend(assignment, used)
+        return (assignment, used) if self._assign_all(assignment, used, pending) else None
 
-    def _forced(self, assignment, x):
-        # (result, its forced value) of each determined constraint touching x
-        size = self.B.size
-        for table, args, result in self.touching[x]:
-            idx = 0
-            for a in args:
-                w = assignment[a]
-                if w is None:
-                    break
-                idx = idx * size + w
-            else:
-                yield result, table[idx]
-
-    # assign the pending pairs plus everything forced by propagation;
-    # False means a contradiction (this branch has no extension)
+    # assign the pending pairs plus everything they force through determined
+    # constraints; False means a contradiction (this branch has no extension)
     def _assign_all(self, assignment, used, pending) -> bool:
+        touching, size, injective = self.touching, self.B.size, self.injective
         queue = list(pending)
         while queue:
             x, v = queue.pop()
@@ -146,34 +164,49 @@ class _Search:
                 if cur != v:
                     return False
                 continue
-            if self.injective and used[v]:
+            if injective and used[v]:
                 return False
             assignment[x] = v
             used[v] += 1
-            for result, forced in self._forced(assignment, x):
-                res = assignment[result]
-                if res is None:
-                    queue.append((result, forced))
-                elif res != forced:
-                    return False
+            for table, args, result in touching[x]:
+                idx = 0
+                for a in args:
+                    w = assignment[a]
+                    if w is None:
+                        break
+                    idx = idx * size + w
+                else:
+                    forced = table[idx]
+                    res = assignment[result]
+                    if res is None:
+                        queue.append((result, forced))
+                    elif res != forced:
+                        return False
         return True
 
     def _candidates(self, assignment, used, x) -> list[int]:
         # x is unassigned; each value is tried by assigning it in place
-        injective = self.injective
+        touching, size, injective = self.touching[x], self.B.size, self.injective
         out = []
-        for v in range(self.B.size):
+        for v in range(size):
             if injective and used[v]:
                 continue
             assignment[x] = v
-            for result, forced in self._forced(assignment, x):
-                res = assignment[result]
-                if res is not None:
-                    if res != forced:
+            for table, args, result in touching:
+                idx = 0
+                for a in args:
+                    w = assignment[a]
+                    if w is None:
                         break
-                elif injective and used[forced]:
-                    # result would be forced onto an already-taken target
-                    break
+                    idx = idx * size + w
+                else:
+                    res = assignment[result]
+                    if res is not None:
+                        if res != table[idx]:
+                            break
+                    elif injective and used[table[idx]]:
+                        # result would be forced onto an already-taken target
+                        break
             else:
                 out.append(v)
         assignment[x] = None
@@ -218,7 +251,8 @@ def find_homomorphisms(
     ``seed`` is a dict or a ``PartialMap``.  The search is lazy: reaching
     ``max_solutions`` stops it before any further node.  Exceeding
     ``max_nodes`` raises ``BudgetExceededError`` so exhaustion is never
-    mistaken for "no solutions".
+    mistaken for "no solutions".  The results are valid by construction
+    and skip the ``Homomorphism`` constructor's re-validation.
     """
     if source.signature != target.signature:
         raise AlgebraError("search between different signatures")
@@ -229,7 +263,7 @@ def find_homomorphisms(
     if target.size == 0:
         return [] if source.size > 0 else [Homomorphism(source, target, ())]
     found = _Search(source, target, injective, budget.max_nodes).iterate(seed or {})
-    return [Homomorphism(source, target, m) for m in itertools.islice(found, budget.max_solutions)]
+    return [Homomorphism._unchecked(source, target, m) for m in itertools.islice(found, budget.max_solutions)]
 
 
 def exists_embedding(
@@ -271,7 +305,7 @@ def separating_family(
         for mapping in itertools.islice(found, budget.max_solutions):
             separated = [(x, y) for x, y in pending if mapping[x] != mapping[y]]
             if separated:
-                chosen.update(dict.fromkeys(separated, Homomorphism(a, g, mapping)))
+                chosen.update(dict.fromkeys(separated, Homomorphism._unchecked(a, g, mapping)))
                 pending = [p for p in pending if p not in chosen]
                 if not pending:
                     return True, None, [chosen[p] for p in pairs]

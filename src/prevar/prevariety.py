@@ -258,17 +258,6 @@ def coproduct(
     return _indexed_coproduct(ctx, factors, None, budget, search_budget)
 
 
-def _extend(search: _Search, pairs: Iterable[tuple[int, int]]) -> Optional[tuple[int, ...]]:
-    """The mapping of the first homomorphism ``search`` finds extending the
-    ``(key, value)`` pairs, or None when two pairs conflict or none extends
-    them."""
-    seed: dict[int, int] = {}
-    for key, val in pairs:
-        if seed.setdefault(key, val) != val:
-            return None
-    return next(search.iterate(seed), None)
-
-
 def _every_family_extends(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
@@ -279,15 +268,14 @@ def _every_family_extends(
     """True iff each family of homs h_i: part_i -> ``target`` extends to a
     hom ``source -> target`` sending image_i[x] to h_i(x) and agreeing with
     ``fixed``; ``parts`` holds the pairs (part_i, image_i).  One search of
-    ``source -> target`` serves every family's seed."""
+    ``source -> target`` walks the families in product order, propagating
+    each family prefix once (``_Search.every_choice_extends``)."""
     runs = (_Search(part, target, False, search_budget.max_nodes).iterate({}) for part, _ in parts)
-    hom_lists = [list(itertools.islice(homs, search_budget.max_solutions)) for homs in runs]
-    search = _Search(source, target, False, search_budget.max_nodes)
-    for family in itertools.product(*hom_lists):
-        pairs = [(image[x], h[x]) for (_, image), h in zip(parts, family) for x in range(len(image))]
-        if _extend(search, fixed + pairs) is None:
-            return False
-    return True
+    stages = [
+        [list(zip(image, h)) for h in itertools.islice(homs, search_budget.max_solutions)]
+        for (_, image), homs in zip(parts, runs)
+    ]
+    return _Search(source, target, False, search_budget.max_nodes).every_choice_extends(fixed, stages)
 
 
 def is_coproduct(
@@ -514,7 +502,7 @@ def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, search
     maps = []
     for s in subsets:
         sub, _ = subalgebra_on(ambient, s)  # raises if not closed
-        maps.append(Homomorphism(sub, generated, tuple(back[x] for x in s)))
+        maps.append(Homomorphism._unchecked(sub, generated, (back[x] for x in s)))
     return _generates_and_extends(ctx, generated, maps, search_budget)
 
 
@@ -588,7 +576,7 @@ def chain_independence(
             continue
         pairs = [(span_pos[x], k) for k, x in enumerate(a_local)]
         pairs += [(span_pos[x], f_i[k]) for k, x in enumerate(b_local)]
-        retraction = _extend(_Search(span, a_sub, False, search_budget.max_nodes), pairs)
+        retraction = _Search(span, a_sub, False, search_budget.max_nodes).first(pairs)
         if retraction is None:
             raise AlgebraError(
                 "no retraction extends the chosen component map; "
@@ -937,7 +925,7 @@ def check_coproduct_monotone_bounded(
         for i, (a, _, _, f) in enumerate(instances)
         for x in range(a.size)
     ]
-    induced = _extend(_Search(qa.algebra, qb.algebra, False, search_budget.max_nodes), pairs)
+    induced = _Search(qa.algebra, qb.algebra, False, search_budget.max_nodes).first(pairs)
     if induced is None:
         raise AlgebraError(
             "no induced map between amalgamated coproducts; "

@@ -3,10 +3,12 @@
 The oracle below lists every hom family through ``find_homomorphisms``
 (validated ``Homomorphism`` objects), runs a fresh one-solution search per
 family, and re-tests every ambient algebra for membership, as the checks
-once did.  The library shares one search per (source, target) pair and
-tests membership once; verdicts, retractions, errors and their order must
-not change.  Inputs: unions of cycles in SP(C2, C3) (some not members) and
-subalgebras of squares of 2-element binary algebras.
+once did.  The library shares one search per (source, target) pair, walks
+the families depth-first on it, and tests membership once; verdicts,
+retractions, errors and their order must not change.  Inputs: unions of
+cycles in SP(C2, C3) (some not members), subalgebras of squares of
+2-element binary algebras, and fixed inputs for an empty hom list and for
+constants.
 """
 
 import itertools
@@ -19,10 +21,12 @@ from prevar.algcore import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
+    UNARY_SIGNATURE,
     cyclic_unary,
     direct_product,
     disjoint_union,
     generated_subalgebra,
+    identity_hom,
     subalgebra_on,
 )
 from prevar.homsearch import DEFAULT_BUDGET, MembershipError, SearchBudget, find_homomorphisms
@@ -266,3 +270,34 @@ def test_subfamily_independence_check_matches_oracle(case, data):
     ctx = sp(gens[-1])
     assert outcome(lambda: subfamily_independence_check(ctx, ambient, family, sub)) == outcome(
         lambda: oracle_subfamily_independence_check(ctx, ambient, family, sub))
+
+
+# -- fixed inputs -------------------------------------------------------------------
+
+# the 2-element tail 1 -> 0 -> 0: into C2 it has no hom, so one hom list of
+# the family product is empty and every family (there are none) extends,
+# although both homs C2 -> C2 contradict the constant map C2 -> T at once
+TAIL = FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": [0, 0]})
+# a constant c and a unary f: the one-element algebra is generated by its
+# constant and has no hom into POINTED, where f moves c, but forgetting the
+# constant would let it land on POINTED's fixed point
+CONST_UNARY = Signature((("c", 0), ("f", 1)))
+POINTED = FiniteAlgebra(CONST_UNARY, 2, {"c": [0], "f": [1, 1]})
+ONE = FiniteAlgebra(CONST_UNARY, 1, {"c": [0], "f": [0]})
+
+
+def fixed_cases():
+    c2 = cyclic_unary(2)
+    yield "empty hom list", sp(c2, TAIL), TAIL, [
+        Homomorphism(c2, TAIL, (0, 0)), Homomorphism(TAIL, TAIL, (0, 1))], True
+    yield "constants, no maps", sp(POINTED), ONE, [], False
+    # POINTED is generated by its constant: the coproduct of no algebras
+    yield "constants, initial", sp(POINTED), POINTED, [], True
+    yield "constants, one map", sp(POINTED), POINTED, [identity_hom(POINTED)], True
+
+
+def test_fixed_inputs_match_oracle():
+    for label, ctx, b, maps, expected in fixed_cases():
+        got = outcome(lambda: is_coproduct(ctx, b, maps))
+        assert got == outcome(lambda: oracle_is_coproduct(ctx, b, maps)), label
+        assert got == expected, label

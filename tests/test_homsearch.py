@@ -12,9 +12,13 @@ from prevar.algcore import (
     Homomorphism,
     Signature,
     UNARY_SIGNATURE,
+    congruence_generated,
     cyclic_unary,
     direct_product,
     disjoint_union,
+    generated_subalgebra,
+    quotient,
+    subalgebra_on,
     trivial_algebra,
 )
 from prevar.homsearch import (
@@ -402,3 +406,57 @@ def test_node_budget_applies_per_seed():
         assert search.nodes == 3
     with pytest.raises(BudgetExceededError, match="exceeded 3 nodes"):
         next(search.iterate({}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_pairs(), st.data())
+def test_unchecked_outputs_pass_the_checked_constructor(pair, data):
+    # every map an internal producer builds without re-validation, rebuilt
+    # through the validating constructor
+    a, b = pair
+    x, y = data.draw(st.integers(0, a.size - 1)), data.draw(st.integers(0, a.size - 1))
+    seeds = data.draw(st.lists(st.integers(0, a.size - 1), max_size=2))
+    _, inclusion = generated_subalgebra(a, seeds)
+    maps = [
+        *find_homomorphisms(a, b),
+        *find_homomorphisms(a, b, injective=True),
+        *separating_family(a, [b, a])[2],
+        inclusion,
+        subalgebra_on(a, inclusion.mapping)[1],
+        *direct_product([a, b])[1],
+        quotient(a, congruence_generated(a, [(x, y)]))[1],
+    ]
+    for h in maps:
+        assert Homomorphism(h.source, h.target, h.mapping) == h
+
+
+def per_choice_extends(a, b, max_nodes, fixed, stages):
+    """The family check before it walked prefixes: one fresh seeded search
+    per choice, in product order."""
+    for choice in itertools.product(*stages):
+        seed = {}
+        for x, v in fixed + [p for pairs in choice for p in pairs]:
+            if seed.setdefault(x, v) != v:
+                return False
+        if next(_Search(a, b, False, max_nodes).iterate(seed), None) is None:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_pairs(), st.integers(1, 4), st.data())
+def test_every_choice_extends_matches_one_search_per_choice(pair, max_nodes, data):
+    a, b = pair
+    pairs = st.lists(st.tuples(st.integers(0, a.size - 1), st.integers(0, b.size - 1)),
+                     max_size=2)
+    fixed = data.draw(pairs)
+    stages = data.draw(st.lists(st.lists(pairs, max_size=3), max_size=3))
+
+    def outcome(check):
+        try:
+            return check()
+        except BudgetExceededError as e:
+            return str(e)
+
+    assert outcome(lambda: _Search(a, b, False, max_nodes).every_choice_extends(fixed, stages)) \
+        == outcome(lambda: per_choice_extends(a, b, max_nodes, fixed, stages))
