@@ -294,12 +294,13 @@ class Congruence:
                 raise AlgebraError(f"partition is not compatible with {name!r}")
 
     @classmethod
-    def _unchecked(cls, alg: FiniteAlgebra, labels: Sequence) -> "Congruence":
+    def _unchecked(cls, alg: FiniteAlgebra, labels: Sequence,
+                   canonical: bool = False) -> "Congruence":
         """A congruence that is valid by construction: the labels are
-        canonicalised but not re-validated."""
+        canonicalised (unless they already are) but not re-validated."""
         c = object.__new__(cls)
         object.__setattr__(c, "algebra", alg)
-        object.__setattr__(c, "blocks", _canonical_blocks(labels))
+        object.__setattr__(c, "blocks", tuple(labels) if canonical else _canonical_blocks(labels))
         return c
 
     @classmethod
@@ -326,36 +327,76 @@ class Congruence:
 
     def join(self, other: "Congruence") -> "Congruence":
         # the transitive closure of the union of two congruences is again
-        # a congruence, so plain union-find merging suffices
+        # a congruence, so merging without translations suffices
         if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraError("congruences on different algebras")
-        uf = _UnionFind(self.algebra.size)
-        for blocks in (self.blocks, other.blocks):
-            first: dict[int, int] = {}
-            for x, lab in enumerate(blocks):
-                uf.union(first.setdefault(lab, x), x)
-        roots = [uf.find(x) for x in range(self.algebra.size)]
-        return Congruence._unchecked(self.algebra, roots)
+        roots = _merge(range(self.algebra.size), (), _witness(self.blocks) + _witness(other.blocks))
+        return Congruence._unchecked(self.algebra, _labels(roots), True)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _witness(labels: Sequence) -> list[tuple[int, int]]:
+    """Pairs of each element with the first of its block: the partition's generators."""
+    first: dict = {}
+    return [(r, x) for x, lab in enumerate(labels) if (r := first.setdefault(lab, x)) != x]
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+def _merge(parent, rows, pairs) -> list[int]:
+    """The congruence kernel (Freese, "Computing congruences efficiently",
+    2008).  Union-find from ``parent`` (``range(n)``: the diagonal) over a
+    worklist of pairs; each merge links the larger root below the smaller
+    and pushes ``zip(rows[x], rows[y])``, the two roots' images under every
+    translation, so every merge is forced and the end is compatible.
+    Returns each element's root, the least element of its block.
+    """
+    parent = list(parent)
+    todo = list(pairs)
+    pop, push = todo.pop, todo.extend
+    while todo:
+        x, y = pop()
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            if y < x:
+                x, y = y, x
+            parent[y] = x
+            if rows:
+                push(zip(rows[x], rows[y]))
+    # parent[v] <= v throughout, so one ascending pass finds every root
+    for v, p in enumerate(parent):
+        parent[v] = parent[p]
+    return parent
+
+
+def _labels(roots: Sequence[int]) -> tuple[int, ...]:
+    """Canonical labels from ``_merge`` roots, which come in first-occurrence order."""
+    rank = {r: i for i, r in enumerate(dict.fromkeys(roots))}
+    return tuple([rank[r] for r in roots])
+
+
+def _translation_rows(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Row x lists t(x) for every distinct basic translation t, that is an
+    op with all arguments but one fixed.  Constant translations and the
+    identity relate nothing new and are left out."""
+    n, columns = alg.size, {}
+    for name, arity in alg.signature.ops:
+        table = alg.tables[name]
+        for i in range(arity):
+            step = n ** (arity - 1 - i)
+            for cell in range(len(table)):
+                if cell // step % n == 0:  # argument i is 0 here
+                    columns[table[cell:cell + n * step:step]] = None
+    columns.pop(tuple(range(n)), None)
+    return list(zip(*[t for t in columns if t.count(t[0]) < n]))
+
+
+def _principals(alg: FiniteAlgebra):
+    """Cg(a, b) as ``_merge`` roots, for each pair a < b in order."""
+    n, rows = alg.size, _translation_rows(alg)
+    for a in range(n):
+        for b in range(a + 1, n):
+            yield a, b, tuple(_merge(range(n), rows, [(a, b)]))
 
 
 # -- constructions --------------------------------------------------------
@@ -550,25 +591,16 @@ def quotient(alg: FiniteAlgebra, c: Congruence) -> tuple[FiniteAlgebra, Homomorp
 def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing the pairs.
 
-    Union-find over the pairs, then passes to a fixpoint: each pass takes
-    the current roots and merges every table cell with the cell at its
-    arguments' roots.  A pass that merges nothing leaves a compatible
-    partition, and every merge is forced, so the result is the least one.
+    The pairs feed ``_merge``'s worklist over the algebra's translation
+    rows: each merge of two blocks relates the images of their roots
+    under every basic translation, until the worklist is empty.
     """
-    uf = _UnionFind(alg.size)
-    for a, b in pairs:
-        for x in (a, b):
-            if not (0 <= x < alg.size):
-                raise AlgebraError(f"pair element {x} is off the carrier")
-        uf.union(a, b)
-    changed = True
-    while changed:
-        roots = [uf.find(x) for x in range(alg.size)]
-        changed = False
-        for name in alg.signature.names:
-            for u, v in zip(alg.tables[name], alg._cells(name, roots)):
-                changed = uf.union(u, v) or changed
-    return Congruence._unchecked(alg, roots)
+    pairs = list(pairs)
+    for x in itertools.chain.from_iterable(pairs):
+        if not (0 <= x < alg.size):
+            raise AlgebraError(f"pair element {x} is off the carrier")
+    roots = _merge(range(alg.size), _translation_rows(alg), pairs)
+    return Congruence._unchecked(alg, _labels(roots), True)
 
 
 def _require_size_bound(alg: FiniteAlgebra, size_bound: int) -> None:
@@ -581,66 +613,32 @@ def _require_size_bound(alg: FiniteAlgebra, size_bound: int) -> None:
 def all_congruences(
     alg: FiniteAlgebra, size_bound: int = DEFAULT_CONGRUENCE_SIZE_BOUND
 ) -> list[Congruence]:
-    """Complete congruence list, coarsest first: the principal congruences
-    closed under join.
+    """Complete congruence list, coarsest first: the joins of the distinct
+    principal congruences Cg(a, b).
 
-    Joins follow Freese, "Computing congruences efficiently" (2008): each
-    congruence found is joined only with the distinct principal Cg(a, b)
-    whose pair it does not already relate, by merging the principal's
-    witness pairs over its block labels.  Guarded by a size bound since
-    the lattice can blow up (the identity map on n elements has Bell(n)).
+    Close-by-one (Kuznetsov 1993) lists each join once: a congruence found
+    by adding principal i is joined, by ``_merge`` of the witness pairs,
+    with each principal j > i outside it, and the join is kept iff no
+    principal before j outside the congruence lies below it.  Guarded by a
+    size bound since the lattice can blow up (the identity on n: Bell(n)).
     """
     _require_size_bound(alg, size_bound)
-    principal: dict[tuple[int, ...], tuple] = {}
-    for a in range(alg.size):
-        for b in range(a + 1, alg.size):
-            blocks = congruence_generated(alg, [(a, b)]).blocks
-            if blocks not in principal:
-                # as an equivalence, Cg(a, b) is generated by pairing each
-                # element with its block's first element
-                first: dict[int, int] = {}
-                witness = [(first.setdefault(lab, x), x) for x, lab in enumerate(blocks)]
-                principal[blocks] = (a, b, [(r, x) for r, x in witness if r != x])
-    found = {tuple(range(alg.size)), *principal}
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for blocks in frontier:
-            nblocks = max(blocks, default=-1) + 1
-            for a, b, witness in principal.values():
-                if blocks[a] == blocks[b]:
-                    continue  # Cg(a, b) lies below blocks
-                # union-find over block labels, each class rooted at its
-                # least label; ranking the roots keeps first-occurrence order
-                root = list(range(nblocks))
-                for x, y in witness:
-                    u, v = blocks[x], blocks[y]
-                    while root[u] != u:
-                        u = root[u]
-                    while root[v] != v:
-                        v = root[v]
-                    if u < v:
-                        root[v] = u
-                    elif v < u:
-                        root[u] = v
-                rank, count = [], 0
-                for lab, r in enumerate(root):
-                    while root[r] != r:
-                        r = root[r]
-                    if r < lab:
-                        rank.append(rank[r])
-                    else:
-                        rank.append(count)
-                        count += 1
-                # built from a list, not an iterator: tuple() of an iterator
-                # over-allocates and shrinks, parking a block per join on the
-                # tuple free lists (about 0.5 MB of peak RSS on classify)
-                joined = tuple([rank[lab] for lab in blocks])
-                if joined not in found:
-                    found.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
-    return [Congruence._unchecked(alg, blocks)
+    principal = {roots: (a, b) for a, b, roots in _principals(alg)}
+    gens = [(a, b, _witness(roots)) for roots, (a, b) in principal.items()]
+    found, todo = [], [(tuple(range(alg.size)), -1)]
+    while todo:
+        roots, last = todo.pop()
+        found.append(_labels(roots))
+        outside = [(j, a, b) for j, (a, b, _) in enumerate(gens) if roots[a] != roots[b]]
+        for i, (j, _, _) in enumerate(outside):
+            if j > last:
+                joined = _merge(roots, (), gens[j][2])
+                for _, a, b in outside[:i]:
+                    if joined[a] == joined[b]:
+                        break
+                else:
+                    todo.append((tuple(joined), j))
+    return [Congruence._unchecked(alg, blocks, True)
             for blocks in sorted(found, key=lambda c: (-len(set(c)), c))]
 
 
@@ -651,20 +649,21 @@ def is_subdirectly_irreducible(
 
     Returns that meet (the monolith) in the positive case.  Every
     non-diagonal congruence contains some principal Cg(a, b), so the
-    monolith is the meet of the n(n-1)/2 principal congruences; the
-    congruence lattice is never built, and the meet stops at the first
-    diagonal one.  The size bound is that of ``all_congruences``.
+    monolith is the meet of the n(n-1)/2 principal congruences, taken on
+    plain label tuples as ``_merge`` returns them; the congruence lattice
+    is never built, and the meet stops at the first diagonal one.  The
+    size bound is that of ``all_congruences``.
     """
     if alg.size < 2:
         raise AlgebraError("subdirect irreducibility needs a nontrivial algebra")
     _require_size_bound(alg, size_bound)
-    monolith = Congruence.full(alg)
-    for a in range(alg.size):
-        for b in range(a + 1, alg.size):
-            monolith = monolith.meet(congruence_generated(alg, [(a, b)]))
-            if monolith.is_diagonal():
-                return False, None
-    return True, monolith
+    meet = (0,) * alg.size
+    for _, _, roots in _principals(alg):
+        seen: dict = {}
+        meet = [seen.setdefault(pair, len(seen)) for pair in zip(meet, roots)]
+        if len(seen) == alg.size:
+            return False, None
+    return True, Congruence._unchecked(alg, meet, True)
 
 
 def cyclic_unary(d: int) -> FiniteAlgebra:

@@ -250,7 +250,8 @@ def _slot_by_slot_generated(alg, pairs):
     return _canonical_blocks([find(x) for x in range(alg.size)])
 
 
-# unary up to size 6, binary up to size 4, and each with a constant
+# unary up to size 6, binary up to size 4, and each with a constant;
+# ternary up to size 3, where each argument position has its own stride
 CONGRUENCE_CASES = [
     (UNARY_SIGNATURE, 6),
     (Signature((("a", 1), ("b", 1))), 6),
@@ -258,6 +259,7 @@ CONGRUENCE_CASES = [
     (Signature((("g", 2),)), 4),
     (Signature((("c", 0), ("g", 2))), 4),
     (Signature((("a", 1), ("g", 2))), 4),
+    (Signature((("t", 3),)), 3),
 ]
 
 
@@ -312,20 +314,23 @@ class TestCongruenceOracles:
         alg, pairs, _ = case
         got = congruence_generated(alg, pairs)
         assert got.blocks == _slot_by_slot_generated(alg, pairs)
-        # results built without re-validation still pass the public check
+        # the join of what two parts of the pairs generate is what all generate
         other = congruence_generated(alg, pairs[:1])
+        assert other.join(congruence_generated(alg, pairs[1:])) == got
+        # results built without re-validation still pass the public check
         for c in (got, got.join(other), got.meet(other)):
             assert Congruence(alg, c.blocks).blocks == c.blocks
 
 
 # unary, two unary ops and a constant with a unary op up to size 8; binary
-# up to size 4, alone and with a constant
+# up to size 4, alone and with a constant; ternary up to size 3
 LATTICE_CASES = [
     (UNARY_SIGNATURE, 8),
     (Signature((("a", 1), ("b", 1))), 8),
     (Signature((("c", 0), ("a", 1))), 8),
     (Signature((("g", 2),)), 4),
     (Signature((("c", 0), ("g", 2))), 4),
+    (Signature((("t", 3),)), 3),
 ]
 
 
@@ -361,31 +366,54 @@ class TestAllCongruences:
     def test_matches_frontier_join_loop(self, alg):
         assert all_congruences(alg) == _frontier_join_congruences(alg)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_identity_has_bell_many(self, n):
+        # every partition is a congruence: a skipped or repeated join shows
+        blocks = [c.blocks for c in all_congruences(
+            FiniteAlgebra(UNARY_SIGNATURE, n, {"a": list(range(n))}))]
+        assert len(blocks) == len(set(blocks)) == [1, 1, 2, 5, 15, 52, 203, 877][n]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cycle_has_one_per_divisor(self, n):
+        blocks = [c.blocks for c in all_congruences(cyclic_unary(n))]
+        assert len(blocks) == len(set(blocks)) == sum(n % d == 0 for d in range(1, n + 1))
+
 
 def _frontier_join_congruences(alg):
-    """The lattice loop the Freese-style one replaced: every congruence
-    found is joined, by a union-find over the carrier, with each of the
-    n(n-1)/2 principal congruences until no new one appears."""
-    found = {}
-    diag = Congruence.diagonal(alg)
-    found[diag.blocks] = diag
-    principal = []
-    for a in range(alg.size):
-        for b in range(a + 1, alg.size):
-            c = congruence_generated(alg, [(a, b)])
-            principal.append(c)
-            found.setdefault(c.blocks, c)
-    frontier = list(found.values())
+    """The lattice loop the Freese-style one replaced, on its own code: the
+    principal congruences come from the slot-by-slot loop, and every
+    partition found is joined, by a local union-find over the carrier,
+    with each of the n(n-1)/2 principals until no new one appears."""
+
+    def join(x, y):
+        parent = list(range(alg.size))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for blocks in (x, y):
+            first = {}
+            for v, lab in enumerate(blocks):
+                parent[find(v)] = find(first.setdefault(lab, v))
+        return _canonical_blocks([find(v) for v in range(alg.size)])
+
+    principal = [_slot_by_slot_generated(alg, [(a, b)])
+                 for a, b in itertools.combinations(range(alg.size), 2)]
+    found = {tuple(range(alg.size)), *principal}
+    frontier = list(found)
     while frontier:
         fresh = []
         for c in frontier:
             for p in principal:
-                j = c.join(p)
-                if j.blocks not in found:
-                    found[j.blocks] = j
+                j = join(c, p)
+                if j not in found:
+                    found.add(j)
                     fresh.append(j)
         frontier = fresh
-    return sorted(found.values(), key=lambda c: (c.num_blocks() * -1, c.blocks))
+    return [Congruence._unchecked(alg, blocks)
+            for blocks in sorted(found, key=lambda c: (-len(set(c)), c))]
 
 
 def _lattice_si(alg):
