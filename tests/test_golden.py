@@ -31,9 +31,15 @@ constant.  ``enumerate_members`` is also checked against the loop it
 replaced (every table tested for membership, repeated canonical forms
 dropped), and the orderly generator behind it against the tables that are
 least under all ``n!`` relabellings.
+
+Freeness digests pin the whole ``verify_free_pair`` certificate (triples
+checked, collisions, and the failures in order) for both collapse rules, and
+the stdout of ``prevar --json paperlab`` on the two suites that run it.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -59,6 +65,8 @@ from prevar.algcore import (
     empty_algebra,
     is_subdirectly_irreducible,
 )
+from prevar.cli import main
+from prevar.freeness import CollapseRule, verify_free_pair
 from prevar.homsearch import separating_family, sp_embedding
 from prevar.prevariety import (
     ConstructionBudget,
@@ -259,6 +267,19 @@ def _members(gens, max_size):
     return _sha([m.to_json() for m in enumerate_members(sp(*gens), max_size)])
 
 
+def _free_pair(rule, depth):
+    cert = verify_free_pair(rule, depth)
+    return _sha([cert.rule.value, cert.depth, cert.word_triples_checked, cert.collisions,
+                 [[[w.letters, w.gen] for w in triple] for triple in cert.failures]])
+
+
+def _paperlab(suite):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--json", "paperlab", suite])
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
 def _free_semilattice_3():
     return free_algebra(sp(S2), 3)[0]
 
@@ -319,6 +340,12 @@ CASES = {
     "members-tail3-5": lambda: _members([TAIL3], 5),
     "members-s2-3": lambda: _members([S2], 3),
     "members-pointed-5": lambda: _members(POINTED_GENS, 5),
+    "free-pair-two-generated-2": lambda: _free_pair(CollapseRule.TWO_GENERATED, 2),
+    "free-pair-two-generated-3": lambda: _free_pair(CollapseRule.TWO_GENERATED, 3),
+    "free-pair-stem-split-2": lambda: _free_pair(CollapseRule.STEM_SPLIT, 2),
+    "free-pair-stem-split-3": lambda: _free_pair(CollapseRule.STEM_SPLIT, 3),
+    "paperlab-prop-2-1": lambda: _paperlab("prop-2-1"),
+    "paperlab-prop-2-2": lambda: _paperlab("prop-2-2"),
 }
 
 # taken with the brute-force closure loops that preceded the shared engine
@@ -385,6 +412,13 @@ GOLDEN = {
     "members-tail3-5": "828100fd1dcfad5c9919a2d7cedbdd005a8d21b9592f58aed5b9365a166f2660",
     "members-s2-3": "e065b7dfd5c47e86a39277dfbbafeb6f10406425bc30c6cf817842acc45c91c9",
     "members-pointed-5": "0398a3b8bc5c26541c299b0fb0195327a26b8de1b345eb649b0605ad4680b103",
+    # taken with the sweep that applied every word of every triple afresh
+    "free-pair-two-generated-2": "9e2387febb94fdefdf37327b3410db6ab6c579d00a91e4ab7b17bd24d24a88ed",
+    "free-pair-two-generated-3": "cdf223d257fc5f389ac26fd315e67712dda1e56833e3a8de4ca055ee95defad1",
+    "free-pair-stem-split-2": "a7879ecfb9a01003bb86da8cb857ea2c2b5ed30d1759829ab179b813ee36c14e",
+    "free-pair-stem-split-3": "597b60c269fcbf396c8459f79d8f42ea9940b3cbf9e3fa108379e68a9eb1b688",
+    "paperlab-prop-2-1": "15119cd111dde0b980ea15ae59c29944482f0a9e0fbb09a629e6c710f3b65842",
+    "paperlab-prop-2-2": "ffbbc310db73887ecd77e8f75c5a91940e1e17c82e81a4607dec80ab1e602510",
 }
 
 
