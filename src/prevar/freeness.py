@@ -54,7 +54,7 @@ class Word:
     gen: int
 
     def __post_init__(self):
-        if any(c not in "pq" for c in self.letters):
+        if not isinstance(self.letters, str) or self.letters.strip("pq"):
             raise AlgebraError(f"bad word letters {self.letters!r}")
 
     def prepend(self, letter: str) -> "Word":
@@ -212,6 +212,8 @@ def survival_oracle_agreement(
     generators; terms with 0 or nested t arguments collapse identically
     on both routes and are covered by the unit tests.
     """
+    if max_word_len < 0 or num_gens < 1:
+        raise AlgebraError("the sweep needs a word length >= 0 and at least one generator")
     words = [
         Word("".join(ls), g)
         for n in range(max_word_len + 1)
@@ -245,8 +247,12 @@ def verify_free_pair(rule: CollapseRule, depth: int) -> FreePairCertificate:
     Every relation of bounded depth that holds between px and qx in the
     one-generator free algebra must already hold between two independent
     generators.  Word relations are ruled out by injectivity of the word
-    translation; tag relations are checked triple by triple.
+    translation; tag relations are checked triple by triple.  Each bounded
+    word's image under x0 -> px, x1 -> qx is computed once, and the triple
+    sweep tags the stored images.
     """
+    if depth < 0:
+        raise AlgebraError("depth must be a natural number")
     one = FreeTermContext(rule, 1)
     two = FreeTermContext(rule, 2)
     px, qx = Word("p", 0), Word("q", 0)
@@ -256,30 +262,21 @@ def verify_free_pair(rule: CollapseRule, depth: int) -> FreePairCertificate:
         for ls in itertools.product("pq", repeat=n)
         for g in range(2)
     ]
+    imaged = [(word, apply_word(word.letters, (px, qx)[word.gen])) for word in pair_words]
     # no two distinct bounded words over (px, qx) may fall together
     seen = {}
     collisions = 0
-    for word in pair_words:
-        image = apply_word(word.letters, (px, qx)[word.gen])
+    for word, image in imaged:
         if image in seen and seen[image] != word:
             collisions += 1
         seen.setdefault(image, word)
 
     failures = []
-    checked = 0
-    for u, v, w in itertools.product(pair_words, repeat=3):
-        checked += 1
-        substituted = make_tag(
-            one,
-            apply_word(u.letters, (px, qx)[u.gen]),
-            apply_word(v.letters, (px, qx)[v.gen]),
-            apply_word(w.letters, (px, qx)[w.gen]),
-        )
-        if isinstance(substituted, Zero):
-            abstract = make_tag(two, u, v, w)
-            if not isinstance(abstract, Zero):
-                failures.append((u, v, w))
-    return FreePairCertificate(rule, depth, checked, collisions, failures)
+    for (u, iu), (v, iv), (w, iw) in itertools.product(imaged, repeat=3):
+        if isinstance(make_tag(one, iu, iv, iw), Zero) \
+                and not isinstance(make_tag(two, u, v, w), Zero):
+            failures.append((u, v, w))
+    return FreePairCertificate(rule, depth, len(imaged) ** 3, collisions, failures)
 
 
 @dataclass

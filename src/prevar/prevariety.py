@@ -410,7 +410,7 @@ def is_p_subdirectly_irreducible(
         raise AlgebraError("relative irreducibility needs a nontrivial algebra")
     ctx.require_member(alg, search_budget)
     _require_size_bound(alg, size_bound)
-    meet = Congruence.full(alg)
+    meet = Congruence._unchecked(alg, (0,) * alg.size, canonical=True)
     for g in ctx.generators:
         for mapping in _Search(alg, g, False, search_budget.max_nodes).iterate({}):
             if len(set(mapping)) < alg.size:

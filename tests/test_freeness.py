@@ -2,10 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from prevar import freeness
 from prevar.algcore import AlgebraError, App, Var
 from prevar.freeness import (
     CollapseRule,
+    FreePairCertificate,
     FreeTermContext,
     Tag,
     Word,
@@ -88,6 +92,22 @@ class TestNormalForm:
                 seen.add(nf)
 
 
+class TestWord:
+    @given(st.text(alphabet="pqx ", max_size=6))
+    def test_rejects_exactly_the_letters_outside_pq(self, letters):
+        bad = any(c not in "pq" for c in letters)
+        try:
+            Word(letters, 0)
+        except AlgebraError:
+            assert bad
+        else:
+            assert not bad
+
+    def test_rejects_letters_that_are_not_a_string(self):
+        with pytest.raises(AlgebraError):
+            Word(["p"], 0)
+
+
 class TestSubstHom:
     def test_identity_images(self):
         ctx = FreeTermContext(STEM, 2)
@@ -139,9 +159,53 @@ class TestSurvivalOracle:
         assert collapses_by_schema_instances(TWO_GEN, u, v, w)
         assert not tag_survives(TWO_GEN, u, v, w)
 
+    def test_rejects_negative_length(self):
+        with pytest.raises(AlgebraError):
+            survival_oracle_agreement(STEM, -1, 2)
+
+    def test_rejects_no_generators(self):
+        with pytest.raises(AlgebraError):
+            survival_oracle_agreement(TWO_GEN, 1, 0)
+
     def test_oracle_split_instances(self):
         assert collapses_by_schema_instances(STEM, Word("", 0), Word("pq", 0), Word("qq", 0))
         assert not collapses_by_schema_instances(STEM, Word("", 0), Word("q", 0), Word("p", 0))
+
+
+def _reference_free_pair(rule, depth):
+    """The sweep that applied all three words of every triple afresh."""
+    one = FreeTermContext(rule, 1)
+    two = FreeTermContext(rule, 2)
+    px, qx = Word("p", 0), Word("q", 0)
+    pair_words = [
+        Word("".join(ls), g)
+        for n in range(depth + 1)
+        for ls in itertools.product("pq", repeat=n)
+        for g in range(2)
+    ]
+    seen = {}
+    collisions = 0
+    for word in pair_words:
+        image = freeness.apply_word(word.letters, (px, qx)[word.gen])
+        if image in seen and seen[image] != word:
+            collisions += 1
+        seen.setdefault(image, word)
+
+    failures = []
+    checked = 0
+    for u, v, w in itertools.product(pair_words, repeat=3):
+        checked += 1
+        substituted = freeness.make_tag(
+            one,
+            freeness.apply_word(u.letters, (px, qx)[u.gen]),
+            freeness.apply_word(v.letters, (px, qx)[v.gen]),
+            freeness.apply_word(w.letters, (px, qx)[w.gen]),
+        )
+        if isinstance(substituted, freeness.Zero):
+            abstract = freeness.make_tag(two, u, v, w)
+            if not isinstance(abstract, freeness.Zero):
+                failures.append((u, v, w))
+    return FreePairCertificate(rule, depth, checked, collisions, failures)
 
 
 class TestFreePair:
@@ -155,6 +219,31 @@ class TestFreePair:
     def test_stem_rule_depth_four(self):
         cert = verify_free_pair(STEM, 4)
         assert cert.failures == [] and cert.collisions == 0
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rule", [TWO_GEN, STEM])
+    def test_matches_the_per_triple_sweep(self, rule, depth):
+        assert verify_free_pair(rule, depth) == _reference_free_pair(rule, depth)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_injected_collapses_reported_alike(self, monkeypatch, depth):
+        # kill the one-generator tags whose first argument has two letters
+        real = freeness.make_tag
+
+        def faulty(ctx, u, v, w):
+            if ctx.num_gens == 1 and isinstance(u, Word) and len(u.letters) == 2:
+                return ZERO
+            return real(ctx, u, v, w)
+
+        monkeypatch.setattr(freeness, "make_tag", faulty)
+        cert = verify_free_pair(STEM, depth)
+        assert cert.failures
+        assert cert == _reference_free_pair(STEM, depth)
+
+    @pytest.mark.parametrize("rule", [TWO_GEN, STEM])
+    def test_rejects_negative_depth(self, rule):
+        with pytest.raises(AlgebraError):
+            verify_free_pair(rule, -1)
 
 
 class TestNoFreeTriple:

@@ -498,6 +498,20 @@ class TestRelativeSI:
         with pytest.raises(AlgebraError):
             is_p_subdirectly_irreducible(sp(C2), TRIV)
 
+    def test_validates_no_congruence(self, monkeypatch):
+        # the meet starts from the full congruence, which needs no check
+        calls = []
+        validate = Congruence.__post_init__
+        monkeypatch.setattr(Congruence, "__post_init__",
+                            lambda self: (calls.append(self), validate(self)))
+        ctx = sp(C2, C3)
+        assert is_p_subdirectly_irreducible(ctx, C3)
+        assert not is_p_subdirectly_irreducible(ctx, C6)
+        assert not is_p_subdirectly_irreducible(ctx, disjoint_union([C2, C2]))
+        assert calls == []
+        Congruence.full(C6)
+        assert len(calls) == 1
+
     def test_size_bound_after_membership(self):
         with pytest.raises(MembershipError):
             is_p_subdirectly_irreducible(sp(C2), C3, size_bound=2)
