@@ -7,6 +7,7 @@ free products of finite groups."""
 from .algcore import (
     AlgebraError,
     App,
+    Budget,
     BudgetExceededError,
     Congruence,
     FiniteAlgebra,
@@ -28,14 +29,12 @@ from .algcore import (
 from .homsearch import (
     MembershipError,
     PartialMap,
-    SearchBudget,
     exists_embedding,
     find_homomorphisms,
     in_sp,
     sp_embedding,
 )
 from .prevariety import (
-    ConstructionBudget,
     CoproductResult,
     PrevarietyCtx,
     QuasiIdentity,

@@ -10,6 +10,7 @@ after construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -30,7 +31,35 @@ class BudgetExceededError(RuntimeError):
     """
 
 
-DEFAULT_CONGRUENCE_SIZE_BOUND = 12
+@dataclass(frozen=True)
+class Budget:
+    """Every limit on a computation that could blow up, in one object.
+
+    Each layer reads the fields it bounds and passes plain ints to its
+    loops.  Every field is a positive int; ``max_solutions`` may also be
+    None (no cap).
+    """
+
+    max_nodes: int = 2_000_000  # homsearch: nodes of each seeded search
+    max_solutions: Optional[int] = None  # homsearch: homomorphisms pulled per search
+    max_index: int = 10**6  # prevariety: hom-family / product index entries
+    max_carrier: int = 10**4  # closure: elements discovered
+    max_table_cells: int = 4 * 10**6  # closure: cells of one op table
+    max_enumeration: int = 10**6  # prevariety: raw tables when enumerating members
+    max_congruence_size: int = 12  # congruences: largest algebra enumerated
+    max_rules: int = 64  # srs: rules during Knuth-Bendix completion
+    max_word_len: int = 64  # srs: longest rule side during completion
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "max_solutions":
+                continue
+            if type(value) is not int or value <= 0:
+                raise AlgebraError(f"budget field {f.name} must be a positive int, not {value!r}")
+
+
+DEFAULT_BUDGET = Budget()
 
 
 @dataclass(frozen=True)
@@ -603,26 +632,25 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -
     return Congruence._unchecked(alg, _labels(roots), True)
 
 
-def _require_size_bound(alg: FiniteAlgebra, size_bound: int) -> None:
-    if alg.size > size_bound:
+def _require_congruence_size(alg: FiniteAlgebra, budget: Budget) -> None:
+    if alg.size > budget.max_congruence_size:
         raise BudgetExceededError(
-            f"congruence enumeration bound {size_bound} exceeded by size {alg.size}"
+            f"congruence enumeration bound {budget.max_congruence_size} exceeded by size {alg.size}"
         )
 
 
-def all_congruences(
-    alg: FiniteAlgebra, size_bound: int = DEFAULT_CONGRUENCE_SIZE_BOUND
-) -> list[Congruence]:
+def all_congruences(alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET) -> list[Congruence]:
     """Complete congruence list, coarsest first: the joins of the distinct
     principal congruences Cg(a, b).
 
     Close-by-one (Kuznetsov 1993) lists each join once: a congruence found
     by adding principal i is joined, by ``_merge`` of the witness pairs,
     with each principal j > i outside it, and the join is kept iff no
-    principal before j outside the congruence lies below it.  Guarded by a
-    size bound since the lattice can blow up (the identity on n: Bell(n)).
+    principal before j outside the congruence lies below it.  Guarded by
+    ``max_congruence_size`` since the lattice can blow up (the identity on
+    n: Bell(n)).
     """
-    _require_size_bound(alg, size_bound)
+    _require_congruence_size(alg, budget)
     principal = {roots: (a, b) for a, b, roots in _principals(alg)}
     gens = [(a, b, _witness(roots)) for roots, (a, b) in principal.items()]
     found, todo = [], [(tuple(range(alg.size)), -1)]
@@ -643,7 +671,7 @@ def all_congruences(
 
 
 def is_subdirectly_irreducible(
-    alg: FiniteAlgebra, size_bound: int = DEFAULT_CONGRUENCE_SIZE_BOUND
+    alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[bool, Optional[Congruence]]:
     """True iff the meet of all non-diagonal congruences is non-diagonal.
 
@@ -656,7 +684,7 @@ def is_subdirectly_irreducible(
     """
     if alg.size < 2:
         raise AlgebraError("subdirect irreducibility needs a nontrivial algebra")
-    _require_size_bound(alg, size_bound)
+    _require_congruence_size(alg, budget)
     meet = (0,) * alg.size
     for _, _, roots in _principals(alg):
         seen: dict = {}
@@ -746,11 +774,11 @@ def canonical_form(alg: FiniteAlgebra) -> tuple:
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphism]:
     """Some isomorphism a -> b, or None: on carriers of equal size an
     injective homomorphism is bijective, hence an isomorphism."""
-    from .homsearch import SearchBudget, find_homomorphisms  # homsearch imports this module
+    from .homsearch import find_homomorphisms  # homsearch imports this module
 
     if a.signature != b.signature or a.size != b.size:
         return None
-    found = find_homomorphisms(a, b, budget=SearchBudget(max_solutions=1), injective=True)
+    found = find_homomorphisms(a, b, budget=Budget(max_solutions=1), injective=True)
     return found[0] if found else None
 
 

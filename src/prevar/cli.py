@@ -4,6 +4,8 @@ Exit codes: 0 = property verified / computation done, 1 = property
 refuted (a witness is reported), 2 = usage error, 3 = a budget was
 exhausted before an answer was known.  ``--json`` switches every verb to
 a machine-readable report; reports are byte-stable for fixed inputs.
+Under ``--json`` a failure also prints ``{"error": "budget" | "membership"
+| "usage", "message": ...}`` to stdout, next to its stderr line.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from typing import Optional, Sequence
 from . import freeness
 from .algcore import (
     AlgebraError,
+    Budget,
     BudgetExceededError,
+    DEFAULT_BUDGET,
     FiniteAlgebra,
     all_congruences,
     are_isomorphic,
@@ -225,7 +229,7 @@ def cmd_amalg_check(args) -> int:
 def cmd_kb(args) -> int:
     with open(args.presentation) as fh:
         pres = parse_presentation(fh.read())
-    result = knuth_bendix(pres, args.max_rules, args.max_word_len)
+    result = knuth_bendix(pres, Budget(max_rules=args.max_rules, max_word_len=args.max_word_len))
     report = {
         "completed": result.completed,
         "rules": [[format_word(l), format_word(r)] for l, r in result.system.rules],
@@ -242,7 +246,7 @@ def cmd_kb(args) -> int:
 def cmd_reduce(args) -> int:
     with open(args.presentation) as fh:
         pres = parse_presentation(fh.read())
-    result = knuth_bendix(pres, args.max_rules, args.max_word_len)
+    result = knuth_bendix(pres, Budget(max_rules=args.max_rules, max_word_len=args.max_word_len))
     if not result.completed:
         _emit(args, {"completed": False, "reason": result.reason},
               [f"completion failed: {result.reason}"])
@@ -569,17 +573,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True, help="member size bound")
     p.set_defaults(func=cmd_amalg_check)
 
+    def with_completion_budget(p):
+        p.add_argument("--max-rules", type=int, default=DEFAULT_BUDGET.max_rules)
+        p.add_argument("--max-word-len", type=int, default=DEFAULT_BUDGET.max_word_len)
+
     p = sub.add_parser("kb", help="Knuth-Bendix completion of a presentation file")
     p.add_argument("presentation")
-    p.add_argument("--max-rules", type=int, default=64)
-    p.add_argument("--max-word-len", type=int, default=64)
+    with_completion_budget(p)
     p.set_defaults(func=cmd_kb)
 
     p = sub.add_parser("reduce", help="normal form of a word after completion")
     p.add_argument("presentation")
     p.add_argument("word")
-    p.add_argument("--max-rules", type=int, default=64)
-    p.add_argument("--max-word-len", type=int, default=64)
+    with_completion_budget(p)
     p.set_defaults(func=cmd_reduce)
 
     def with_amalgam(p):
@@ -607,6 +613,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(args, kind: str, prefix: str, exc: Exception, code: int) -> int:
+    """One stderr line; under ``--json`` also one ``{"error", "message"}``
+    object on stdout."""
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    if args.json:
+        print(json.dumps({"error": kind, "message": str(exc)}, sort_keys=True))
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -616,14 +631,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _fail(args, "budget", "budget exhausted", exc, EXIT_BUDGET)
     except MembershipError as exc:
-        print(f"membership failure: {exc}", file=sys.stderr)
-        return EXIT_REFUTED
+        return _fail(args, "membership", "membership failure", exc, EXIT_REFUTED)
     except (AlgebraError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(args, "usage", "error", exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -56,6 +56,8 @@ class Word:
     def __post_init__(self):
         if not isinstance(self.letters, str) or self.letters.strip("pq"):
             raise AlgebraError(f"bad word letters {self.letters!r}")
+        if type(self.gen) is not int or self.gen < 0:
+            raise AlgebraError(f"bad word generator {self.gen!r}")
 
     def prepend(self, letter: str) -> "Word":
         return Word(letter + self.letters, self.gen)
@@ -162,6 +164,8 @@ def subst_hom(
         if isinstance(el, Zero):
             return ZERO
         if isinstance(el, Word):
+            if el.gen >= ctx.num_gens:
+                raise AlgebraError(f"generator {el.gen} outside the context")
             return apply_word(el.letters, images[el.gen])
         return make_tag(ctx, apply(el.u), apply(el.v), apply(el.w))
 
@@ -200,26 +204,28 @@ def collapses_by_schema_instances(rule: CollapseRule, u: Word, v: Word, w: Word)
     return False
 
 
+def _bounded_words(depth: int, num_gens: int) -> list[Word]:
+    """Every word of length <= ``depth`` on each of ``num_gens`` generators,
+    by length, then letters, then generator."""
+    return [Word("".join(ls), g) for n in range(depth + 1)
+            for ls in itertools.product("pq", repeat=n) for g in range(num_gens)]
+
+
 def survival_oracle_agreement(
     rule: CollapseRule,
-    max_word_len: int,
+    length_bound: int,
     num_gens: int,
 ) -> tuple[int, list[tuple[Word, Word, Word]]]:
     """Exhaustively compare predicate and oracle on bounded word triples.
 
     Returns (number of triples checked, disagreements).  The sweep covers
-    every triple of words of length <= max_word_len over the given
+    every triple of words of length <= length_bound over the given
     generators; terms with 0 or nested t arguments collapse identically
     on both routes and are covered by the unit tests.
     """
-    if max_word_len < 0 or num_gens < 1:
+    if length_bound < 0 or num_gens < 1:
         raise AlgebraError("the sweep needs a word length >= 0 and at least one generator")
-    words = [
-        Word("".join(ls), g)
-        for n in range(max_word_len + 1)
-        for ls in itertools.product("pq", repeat=n)
-        for g in range(num_gens)
-    ]
+    words = _bounded_words(length_bound, num_gens)
     disagreements = []
     checked = 0
     for u, v, w in itertools.product(words, repeat=3):
@@ -256,13 +262,8 @@ def verify_free_pair(rule: CollapseRule, depth: int) -> FreePairCertificate:
     one = FreeTermContext(rule, 1)
     two = FreeTermContext(rule, 2)
     px, qx = Word("p", 0), Word("q", 0)
-    pair_words = [
-        Word("".join(ls), g)
-        for n in range(depth + 1)
-        for ls in itertools.product("pq", repeat=n)
-        for g in range(2)
-    ]
-    imaged = [(word, apply_word(word.letters, (px, qx)[word.gen])) for word in pair_words]
+    imaged = [(word, apply_word(word.letters, (px, qx)[word.gen]))
+              for word in _bounded_words(depth, 2)]
     # no two distinct bounded words over (px, qx) may fall together
     seen = {}
     collisions = 0
@@ -304,11 +305,7 @@ def no_free_triple_bounded(length_bound: int) -> NoFreeTripleCertificate:
         raise AlgebraError("length bound must be at least 1")
     one = FreeTermContext(CollapseRule.TWO_GENERATED, 1)
     three = FreeTermContext(CollapseRule.TWO_GENERATED, 3)
-    words = [
-        Word("".join(ls), 0)
-        for n in range(length_bound + 1)
-        for ls in itertools.product("pq", repeat=n)
-    ]
+    words = _bounded_words(length_bound, 1)
     all_vanish = True
     checked = 0
     for u, v, w in itertools.product(words, repeat=3):
@@ -428,6 +425,8 @@ def format_free_element(el: FreeElement) -> str:
     if isinstance(el, Zero):
         return "0"
     if isinstance(el, Word):
+        if el.gen >= len(_GENERATOR_NAMES):
+            raise AlgebraError(f"generator {el.gen} has no name beyond x, y, z")
         body = " ".join(el.letters) + " " if el.letters else ""
         return f"{body}{_GENERATOR_NAMES[el.gen]}"
     return (

@@ -12,31 +12,19 @@ post-filtering.  A product of seed choices propagates each prefix once
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .algcore import (
     AlgebraError,
+    Budget,
     BudgetExceededError,
+    DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
 )
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 2_000_000
-    max_solutions: Optional[int] = None
-
-    def __post_init__(self):
-        if self.max_nodes <= 0:
-            raise AlgebraError("max_nodes must be positive")
-        if self.max_solutions is not None and self.max_solutions <= 0:
-            raise AlgebraError("max_solutions must be positive")
-
-
-DEFAULT_BUDGET = SearchBudget()
 
 
 @dataclass(frozen=True)
@@ -243,7 +231,7 @@ def find_homomorphisms(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
     seed: Optional[dict[int, int] | PartialMap] = None,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
     injective: bool = False,
 ) -> list[Homomorphism]:
     """All total homomorphisms extending ``seed``, in deterministic order.
@@ -267,13 +255,13 @@ def find_homomorphisms(
 
 
 def exists_embedding(
-    a: FiniteAlgebra, b: FiniteAlgebra, budget: SearchBudget = DEFAULT_BUDGET
+    a: FiniteAlgebra, b: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET
 ) -> bool:
     """True iff an injective homomorphism a -> b exists."""
     if a.size > b.size:
         return False
     found = find_homomorphisms(
-        a, b, budget=SearchBudget(budget.max_nodes, 1), injective=True
+        a, b, budget=dataclasses.replace(budget, max_solutions=1), injective=True
     )
     return bool(found)
 
@@ -281,7 +269,7 @@ def exists_embedding(
 def separating_family(
     a: FiniteAlgebra,
     generators: Sequence[FiniteAlgebra],
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[bool, Optional[tuple[int, int]], list[Homomorphism]]:
     """Point-separation data for membership of ``a`` in SP(generators).
 
@@ -315,7 +303,7 @@ def separating_family(
 def in_sp(
     a: FiniteAlgebra,
     generators: Sequence[FiniteAlgebra],
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Membership in SP(generators) by the point-separation criterion.
 
@@ -330,7 +318,7 @@ def in_sp(
 def sp_embedding(
     a: FiniteAlgebra,
     generators: Sequence[FiniteAlgebra],
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ):
     """An explicit injective map of ``a`` into a product of generators.
 

@@ -22,9 +22,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .algcore import (
     AlgebraError,
     App,
+    Budget,
     BudgetExceededError,
     Congruence,
-    DEFAULT_CONGRUENCE_SIZE_BOUND,
+    DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
     Signature,
@@ -32,7 +33,7 @@ from .algcore import (
     Var,
     _closure,
     _product_rows,
-    _require_size_bound,
+    _require_congruence_size,
     all_congruences,
     are_isomorphic,
     empty_algebra,
@@ -42,9 +43,7 @@ from .algcore import (
     subalgebra_on,
 )
 from .homsearch import (
-    DEFAULT_BUDGET,
     MembershipError,
-    SearchBudget,
     _Search,
     find_homomorphisms,
     in_sp,
@@ -71,10 +70,10 @@ class PrevarietyCtx:
     def signature(self) -> Signature:
         return self.generators[0].signature
 
-    def contains(self, alg: FiniteAlgebra, budget: SearchBudget = DEFAULT_BUDGET) -> bool:
+    def contains(self, alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET) -> bool:
         return in_sp(alg, self.generators, budget)
 
-    def require_member(self, alg: FiniteAlgebra, budget: SearchBudget = DEFAULT_BUDGET):
+    def require_member(self, alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET):
         ok, witness, _ = separating_family(alg, self.generators, budget)
         if not ok:
             raise MembershipError(
@@ -88,17 +87,6 @@ def sp(*generators: FiniteAlgebra) -> PrevarietyCtx:
     return PrevarietyCtx(tuple(generators))
 
 
-@dataclass(frozen=True)
-class ConstructionBudget:
-    max_index: int = 10**6      # hom-family / product index entries
-    max_carrier: int = 10**4    # elements discovered during closure
-    max_table_cells: int = 4 * 10**6
-    max_enumeration: int = 10**6  # raw candidates when enumerating members
-
-
-DEFAULT_CONSTRUCTION_BUDGET = ConstructionBudget()
-
-
 # -- closed subalgebras of indexed products -------------------------------
 
 
@@ -106,7 +94,7 @@ def _closed_tuple_algebra(
     signature: Signature,
     factors: Sequence[FiniteAlgebra],
     seeds: Sequence[tuple[int, ...]],
-    budget: ConstructionBudget,
+    budget: Budget,
 ) -> tuple[FiniteAlgebra, list[tuple[int, ...]]]:
     """Subalgebra of the product of ``factors`` generated by ``seeds``.
 
@@ -127,7 +115,7 @@ def _closed_tuple_algebra(
 def free_algebra(
     ctx: PrevarietyCtx,
     n: int,
-    budget: ConstructionBudget = DEFAULT_CONSTRUCTION_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[FiniteAlgebra, list[int]]:
     """The free algebra of SP(Y) on ``n`` generators, built canonically.
 
@@ -177,8 +165,7 @@ def _hom_family_index(
     ctx: PrevarietyCtx,
     sources: Sequence[FiniteAlgebra],
     key,
-    search_budget: SearchBudget,
-    max_index: int,
+    budget: Budget,
 ):
     """All pairs (generator, family of homs source_i -> generator).
 
@@ -186,10 +173,11 @@ def _hom_family_index(
     (amalgamation over a shared base): each first-source hom is followed by
     the product of the later sources' homs with its key.  Order: generators
     as declared, then families lexicographically in per-source hom order.
-    More than ``max_index`` pairs raise ``BudgetExceededError``; unkeyed,
-    they are counted before they are listed.
+    More than ``budget.max_index`` pairs raise ``BudgetExceededError``;
+    unkeyed, they are counted before they are listed.
     """
-    hom_lists = [[find_homomorphisms(src, gen, budget=search_budget) for src in sources]
+    max_index = budget.max_index
+    hom_lists = [[find_homomorphisms(src, gen, budget=budget) for src in sources]
                  for gen in ctx.generators]
     count = sum(math.prod(map(len, lists)) for lists in hom_lists) if key is None else 0
     entries = []
@@ -213,13 +201,12 @@ def _indexed_coproduct(
     ctx: PrevarietyCtx,
     sources: Sequence[FiniteAlgebra],
     key,
-    budget: ConstructionBudget,
-    search_budget: SearchBudget,
+    budget: Budget,
 ) -> CoproductResult:
     """The subalgebra generated by the sources' images in the product
     indexed by their hom families (those sharing one ``key``, if given),
     with the coprojections sending each element to its image."""
-    entries = _hom_family_index(ctx, sources, key, search_budget, budget.max_index)
+    entries = _hom_family_index(ctx, sources, key, budget)
     images = [
         [tuple(family[i](x) for _, family in entries) for x in range(src.size)]
         for i, src in enumerate(sources)
@@ -242,8 +229,7 @@ def _indexed_coproduct(
 def coproduct(
     ctx: PrevarietyCtx,
     factors: Sequence[FiniteAlgebra],
-    budget: ConstructionBudget = DEFAULT_CONSTRUCTION_BUDGET,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
     check_membership: bool = True,
 ) -> CoproductResult:
     """Coproduct of ``factors`` in SP(Y) as a subalgebra of an indexed product.
@@ -254,8 +240,8 @@ def coproduct(
     factors = list(factors)
     if check_membership:
         for f in factors:
-            ctx.require_member(f, search_budget)
-    return _indexed_coproduct(ctx, factors, None, budget, search_budget)
+            ctx.require_member(f, budget)
+    return _indexed_coproduct(ctx, factors, None, budget)
 
 
 def _every_family_extends(
@@ -263,26 +249,26 @@ def _every_family_extends(
     target: FiniteAlgebra,
     fixed: list[tuple[int, int]],
     parts: Sequence[tuple[FiniteAlgebra, Sequence[int]]],
-    search_budget: SearchBudget,
+    budget: Budget,
 ) -> bool:
     """True iff each family of homs h_i: part_i -> ``target`` extends to a
     hom ``source -> target`` sending image_i[x] to h_i(x) and agreeing with
     ``fixed``; ``parts`` holds the pairs (part_i, image_i).  One search of
     ``source -> target`` walks the families in product order, propagating
     each family prefix once (``_Search.every_choice_extends``)."""
-    runs = (_Search(part, target, False, search_budget.max_nodes).iterate({}) for part, _ in parts)
+    runs = (_Search(part, target, False, budget.max_nodes).iterate({}) for part, _ in parts)
     stages = [
-        [list(zip(image, h)) for h in itertools.islice(homs, search_budget.max_solutions)]
+        [list(zip(image, h)) for h in itertools.islice(homs, budget.max_solutions)]
         for (_, image), homs in zip(parts, runs)
     ]
-    return _Search(source, target, False, search_budget.max_nodes).every_choice_extends(fixed, stages)
+    return _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages)
 
 
 def is_coproduct(
     ctx: PrevarietyCtx,
     b: FiniteAlgebra,
     maps: Sequence[Homomorphism],
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Coproduct test from the generation + extension characterization.
 
@@ -293,14 +279,14 @@ def is_coproduct(
     for m in maps:
         if m.target != b:
             raise AlgebraError("a candidate coprojection does not target b")
-        if not ctx.contains(m.source, search_budget):
+        if not ctx.contains(m.source, budget):
             raise MembershipError("a coproduct factor is not in SP of the generators")
-    if not ctx.contains(b, search_budget):
+    if not ctx.contains(b, budget):
         return False
-    return _generates_and_extends(ctx, b, maps, search_budget)
+    return _generates_and_extends(ctx, b, maps, budget)
 
 
-def _generates_and_extends(ctx: PrevarietyCtx, b: FiniteAlgebra, maps, search_budget) -> bool:
+def _generates_and_extends(ctx: PrevarietyCtx, b: FiniteAlgebra, maps, budget) -> bool:
     """``is_coproduct`` once ``b`` and the maps' sources are known members."""
     union = sorted({v for m in maps for v in m.mapping})
     gen, _ = generated_subalgebra(b, union)
@@ -308,7 +294,7 @@ def _generates_and_extends(ctx: PrevarietyCtx, b: FiniteAlgebra, maps, search_bu
         return False
     parts = [(m.source, m.mapping) for m in maps]
     return all(
-        _every_family_extends(b, gen_alg, [], parts, search_budget)
+        _every_family_extends(b, gen_alg, [], parts, budget)
         for gen_alg in ctx.generators
     )
 
@@ -316,8 +302,7 @@ def _generates_and_extends(ctx: PrevarietyCtx, b: FiniteAlgebra, maps, search_bu
 def is_compatible(
     ctx: PrevarietyCtx,
     algebras: Sequence[FiniteAlgebra],
-    budget: ConstructionBudget = DEFAULT_CONSTRUCTION_BUDGET,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """True iff every coprojection into the canonical coproduct is injective.
 
@@ -325,7 +310,7 @@ def is_compatible(
     the coproduct itself serves as the target in the positive case, and
     any target would force injective coprojections in the negative one.
     """
-    result = coproduct(ctx, algebras, budget, search_budget)
+    result = coproduct(ctx, algebras, budget)
     return result.all_injective()
 
 
@@ -333,7 +318,7 @@ def compatible_common_target(
     ctx: PrevarietyCtx,
     algebras: Sequence[FiniteAlgebra],
     max_total_factors: int = 3,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> Optional[FiniteAlgebra]:
     """Bounded search for one SP(Y) member embedding all the algebras.
 
@@ -350,7 +335,7 @@ def compatible_common_target(
             target, _ = direct_product(
                 [ctx.generators[i] for i in combo], signature=ctx.signature
             )
-            if all(exists_embedding(a, target, search_budget) for a in algebras):
+            if all(exists_embedding(a, target, budget) for a in algebras):
                 return target
     return None
 
@@ -359,14 +344,13 @@ def is_comfortable(
     ctx: PrevarietyCtx,
     a: FiniteAlgebra,
     b: FiniteAlgebra,
-    budget: ConstructionBudget = DEFAULT_CONSTRUCTION_BUDGET,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """True iff the coprojection of ``a`` into the coproduct of [a, b] is 1-1.
 
     Not symmetric in general.
     """
-    result = coproduct(ctx, [a, b], budget, search_budget)
+    result = coproduct(ctx, [a, b], budget)
     return result.coprojections[0].is_injective()
 
 
@@ -376,15 +360,14 @@ def is_comfortable(
 def relative_congruences(
     ctx: PrevarietyCtx,
     alg: FiniteAlgebra,
-    size_bound: int = DEFAULT_CONGRUENCE_SIZE_BOUND,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> list[Congruence]:
     """All congruences whose quotient stays inside SP(Y)."""
-    ctx.require_member(alg, search_budget)
+    ctx.require_member(alg, budget)
     out = []
-    for c in all_congruences(alg, size_bound):
+    for c in all_congruences(alg, budget):
         q, _ = quotient(alg, c)
-        if ctx.contains(q, search_budget):
+        if ctx.contains(q, budget):
             out.append(c)
     return out
 
@@ -392,8 +375,7 @@ def relative_congruences(
 def is_p_subdirectly_irreducible(
     ctx: PrevarietyCtx,
     alg: FiniteAlgebra,
-    size_bound: int = DEFAULT_CONGRUENCE_SIZE_BOUND,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Relative subdirect irreducibility: the meet of the non-diagonal
     relative congruences is non-diagonal.
@@ -402,17 +384,17 @@ def is_p_subdirectly_irreducible(
     into the generators (the full congruence is the empty meet), so that
     meet is the meet of the kernels of the non-injective homomorphisms
     A -> Y_i.  They are pulled one at a time, each generator's search
-    under ``search_budget.max_nodes``, and the search stops once the meet
-    is diagonal; the congruence lattice is never built.  Checks run in
-    this order: nontrivial, member of SP(Y), within ``size_bound``.
+    under ``budget.max_nodes``, and the search stops once the meet is
+    diagonal; the congruence lattice is never built.  Checks run in this
+    order: nontrivial, member of SP(Y), within ``max_congruence_size``.
     """
     if alg.size < 2:
         raise AlgebraError("relative irreducibility needs a nontrivial algebra")
-    ctx.require_member(alg, search_budget)
-    _require_size_bound(alg, size_bound)
+    ctx.require_member(alg, budget)
+    _require_congruence_size(alg, budget)
     meet = Congruence._unchecked(alg, (0,) * alg.size, canonical=True)
     for g in ctx.generators:
-        for mapping in _Search(alg, g, False, search_budget.max_nodes).iterate({}):
+        for mapping in _Search(alg, g, False, budget.max_nodes).iterate({}):
             if len(set(mapping)) < alg.size:
                 meet = meet.meet(Congruence._unchecked(alg, mapping))
                 if meet.is_diagonal():
@@ -426,8 +408,7 @@ def is_p_subdirectly_irreducible(
 def minimum_compatible_cover(
     ctx: PrevarietyCtx,
     algebras: Sequence[FiniteAlgebra],
-    budget: ConstructionBudget = DEFAULT_CONSTRUCTION_BUDGET,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> list[list[int]]:
     """Partition of the index set into the fewest compatible blocks.
 
@@ -444,9 +425,7 @@ def minimum_compatible_cover(
 
     def block_ok(block: frozenset[int]) -> bool:
         if block not in cache:
-            cache[block] = is_compatible(
-                ctx, [algebras[i] for i in sorted(block)], budget, search_budget
-            )
+            cache[block] = is_compatible(ctx, [algebras[i] for i in sorted(block)], budget)
         return cache[block]
 
     for max_blocks in range(1, n + 1):
@@ -484,16 +463,16 @@ def is_independent(
     ctx: PrevarietyCtx,
     ambient: FiniteAlgebra,
     subalgebras: Sequence[Iterable[int]],
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """True iff the subalgebra generated by the union is the coproduct of
     the given closed subsets, via the inclusion maps.  Only ``ambient`` is
     tested for membership: SP(Y) is closed under subalgebras."""
-    ctx.require_member(ambient, search_budget)
-    return _independent(ctx, ambient, subalgebras, search_budget)
+    ctx.require_member(ambient, budget)
+    return _independent(ctx, ambient, subalgebras, budget)
 
 
-def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, search_budget) -> bool:
+def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, budget) -> bool:
     """``is_independent`` once ``ambient`` is a known member of SP(Y)."""
     subsets = [sorted(set(s)) for s in subalgebras]
     union = sorted({x for s in subsets for x in s})
@@ -503,7 +482,7 @@ def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, search
     for s in subsets:
         sub, _ = subalgebra_on(ambient, s)  # raises if not closed
         maps.append(Homomorphism._unchecked(sub, generated, (back[x] for x in s)))
-    return _generates_and_extends(ctx, generated, maps, search_budget)
+    return _generates_and_extends(ctx, generated, maps, budget)
 
 
 class ChainHypothesisError(AlgebraError):
@@ -529,7 +508,7 @@ def chain_independence(
     a0: FiniteAlgebra,
     chain: Sequence[Iterable[int]],
     components: Sequence[Iterable[int]],
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> ChainReport:
     """Verify the nested-coproduct chain argument on concrete subalgebras.
 
@@ -556,7 +535,7 @@ def chain_independence(
             raise ChainHypothesisError(i, "component leaves the previous level")
     last_alg, _ = subalgebra_on(a0, levels[n])
     ctx = PrevarietyCtx((last_alg,))
-    ctx.require_member(a0, search_budget)
+    ctx.require_member(a0, budget)
 
     retractions: list[Optional[Homomorphism]] = []
     for i in range(1, n + 1):
@@ -564,19 +543,19 @@ def chain_independence(
         to_local = {amb_inc(j): j for j in range(ambient.size)}
         a_local = [to_local[x] for x in levels[i]]
         b_local = [to_local[x] for x in components[i - 1]]
-        if not _independent(ctx, ambient, [a_local, b_local], search_budget):
+        if not _independent(ctx, ambient, [a_local, b_local], budget):
             raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
         a_sub, _ = subalgebra_on(ambient, a_local)
         b_sub, _ = subalgebra_on(ambient, b_local)
         span, span_inc = generated_subalgebra(ambient, a_local + b_local)
         span_pos = {span_inc(j): j for j in range(span.size)}
-        f_i = next(_Search(b_sub, a_sub, False, search_budget.max_nodes).iterate({}), None)
+        f_i = next(_Search(b_sub, a_sub, False, budget.max_nodes).iterate({}), None)
         if f_i is None:
             retractions.append(None)
             continue
         pairs = [(span_pos[x], k) for k, x in enumerate(a_local)]
         pairs += [(span_pos[x], f_i[k]) for k, x in enumerate(b_local)]
-        retraction = _Search(span, a_sub, False, search_budget.max_nodes).first(pairs)
+        retraction = _Search(span, a_sub, False, budget.max_nodes).first(pairs)
         if retraction is None:
             raise AlgebraError(
                 "no retraction extends the chosen component map; "
@@ -584,14 +563,14 @@ def chain_independence(
             )
         retractions.append(Homomorphism(span, a_sub, retraction))
 
-    independent = _independent(ctx, a0, components, search_budget)
+    independent = _independent(ctx, a0, components, budget)
 
     # stronger form: families into the distinguished last level extend
     span_all, span_inc = generated_subalgebra(a0, levels[n] + [x for s in components for x in s])
     span_pos = {span_inc(j): j for j in range(span_all.size)}
     fixed = [(span_pos[x], k) for k, x in enumerate(levels[n])]
     parts = [(subalgebra_on(a0, s)[0], [span_pos[x] for x in s]) for s in components]
-    almost = _every_family_extends(span_all, last_alg, fixed, parts, search_budget)
+    almost = _every_family_extends(span_all, last_alg, fixed, parts, budget)
     return ChainReport(independent, almost, retractions)
 
 
@@ -768,8 +747,7 @@ def _canonical_tables(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_members(
     ctx: PrevarietyCtx,
     max_size: int,
-    budget: ConstructionBudget = DEFAULT_CONSTRUCTION_BUDGET,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
     include_empty: bool = True,
 ) -> list[FiniteAlgebra]:
     """All members of SP(Y) of size <= max_size, one per isomorphism class:
@@ -795,7 +773,7 @@ def enumerate_members(
             values = iter(flat)
             cand = FiniteAlgebra(sig, size, {name: tuple(itertools.islice(values, size**arity))
                                              for name, arity in sig.ops})
-            if ctx.contains(cand, search_budget):
+            if ctx.contains(cand, budget):
                 out.append(cand)
     return out
 
@@ -812,8 +790,7 @@ def amalgamated_coproduct(
     ctx: PrevarietyCtx,
     base: FiniteAlgebra,
     arms: Sequence[tuple[FiniteAlgebra, Homomorphism]],
-    budget: ConstructionBudget = DEFAULT_CONSTRUCTION_BUDGET,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
     check_membership: bool = True,
 ) -> AmalgamatedResult:
     """Pushout over a shared base, inside SP(Y).
@@ -829,13 +806,13 @@ def amalgamated_coproduct(
             raise AlgebraError("arm embeddings must run from the base into the arm")
     if check_membership:
         for alg, _ in arms:
-            ctx.require_member(alg, search_budget)
+            ctx.require_member(alg, budget)
 
     def on_base(i, h):
         return tuple(h(arms[i][1](s)) for s in range(base.size))
 
     sources = [alg for alg, _ in arms]
-    result = _indexed_coproduct(ctx, sources, on_base, budget, search_budget)
+    result = _indexed_coproduct(ctx, sources, on_base, budget)
     base_map = None
     if arms:
         first, emb0 = result.coprojections[0], arms[0][1]
@@ -857,8 +834,7 @@ class AmalgamationCounterexample:
 def check_amalgamation_bounded(
     ctx: PrevarietyCtx,
     max_size: int,
-    budget: ConstructionBudget = DEFAULT_CONSTRUCTION_BUDGET,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
     include_empty_base: bool = False,
 ) -> tuple[bool, Optional[AmalgamationCounterexample]]:
     """Exhaustive amalgamation check over SP(Y)-members of size <= max_size.
@@ -870,26 +846,23 @@ def check_amalgamation_bounded(
     than bounded by a target size.  Empty bases turn the check into a
     joint-embedding question and are excluded by default.
     """
-    members = enumerate_members(ctx, max_size, budget, search_budget)
+    members = enumerate_members(ctx, max_size, budget)
     bases = [m for m in members if m.size >= 1 or include_empty_base]
     for a in bases:
         for b in members:
             if b.size < a.size:
                 continue
-            embeddings_ab = find_homomorphisms(a, b, budget=search_budget, injective=True)
+            embeddings_ab = find_homomorphisms(a, b, budget=budget, injective=True)
             if not embeddings_ab:
                 continue
             for c in members:
                 if c.size < a.size:
                     continue
-                embeddings_ac = find_homomorphisms(
-                    a, c, budget=search_budget, injective=True
-                )
+                embeddings_ac = find_homomorphisms(a, c, budget=budget, injective=True)
                 for f in embeddings_ab:
                     for g in embeddings_ac:
                         pushout = amalgamated_coproduct(
-                            ctx, a, [(b, f), (c, g)], budget, search_budget,
-                            check_membership=False,
+                            ctx, a, [(b, f), (c, g)], budget, check_membership=False,
                         )
                         if not all(h.is_injective() for h in pushout.coprojections):
                             return False, AmalgamationCounterexample(a, b, c, f, g)
@@ -900,8 +873,7 @@ def check_coproduct_monotone_bounded(
     ctx: PrevarietyCtx,
     base: FiniteAlgebra,
     instances: Sequence[tuple[FiniteAlgebra, FiniteAlgebra, Homomorphism, Homomorphism]],
-    budget: ConstructionBudget = DEFAULT_CONSTRUCTION_BUDGET,
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Whether embeddings A_i >-> B_i induce an embedding of amalgamated coproducts.
 
@@ -914,18 +886,14 @@ def check_coproduct_monotone_bounded(
             raise AlgebraError("instance maps are inconsistent")
         if not e.is_injective() or not f.is_injective():
             raise AlgebraError("instance maps must be one-to-one")
-    qa = amalgamated_coproduct(
-        ctx, base, [(a, e) for a, _, e, _ in instances], budget, search_budget
-    )
-    qb = amalgamated_coproduct(
-        ctx, base, [(b, f.compose(e)) for _, b, e, f in instances], budget, search_budget
-    )
+    qa = amalgamated_coproduct(ctx, base, [(a, e) for a, _, e, _ in instances], budget)
+    qb = amalgamated_coproduct(ctx, base, [(b, f.compose(e)) for _, b, e, f in instances], budget)
     pairs = [
         (qa.coprojections[i](x), qb.coprojections[i](f(x)))
         for i, (a, _, _, f) in enumerate(instances)
         for x in range(a.size)
     ]
-    induced = _Search(qa.algebra, qb.algebra, False, search_budget.max_nodes).first(pairs)
+    induced = _Search(qa.algebra, qb.algebra, False, budget.max_nodes).first(pairs)
     if induced is None:
         raise AlgebraError(
             "no induced map between amalgamated coproducts; "
@@ -939,7 +907,7 @@ def subfamily_independence_check(
     ambient: FiniteAlgebra,
     family: Sequence[Iterable[int]],
     subfamily: Sequence[int],
-    search_budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Subfamilies of independent families stay independent when the
     prevariety has a single generator.
@@ -952,7 +920,7 @@ def subfamily_independence_check(
     if len(ctx.generators) != 1:
         raise AlgebraError("this check needs a single-generator prevariety")
     family = [sorted(set(s)) for s in family]
-    if not is_independent(ctx, ambient, family, search_budget):
+    if not is_independent(ctx, ambient, family, budget):
         raise AlgebraError("the full family is not independent")
     trivial_members = [s for s in family if len(s) == 1]
     if trivial_members:
@@ -966,7 +934,7 @@ def subfamily_independence_check(
         initial = coproduct(ctx, [], check_membership=False)
         generated, _ = generated_subalgebra(ambient, [])
         return are_isomorphic(generated, initial.algebra)
-    return _independent(ctx, ambient, chosen, search_budget)
+    return _independent(ctx, ambient, chosen, budget)
 
 
 # -- the zeroary-constants census -------------------------------------------

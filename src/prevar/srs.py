@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .algcore import AlgebraError
+from .algcore import AlgebraError, Budget, DEFAULT_BUDGET
 
 Word = tuple[str, ...]
 
@@ -113,17 +113,13 @@ class CompletionResult:
     reason: Optional[str] = None
 
 
-def knuth_bendix(
-    presentation: Presentation, max_rules: int = 64, max_word_len: int = 64
-) -> CompletionResult:
+def knuth_bendix(presentation: Presentation, budget: Budget = DEFAULT_BUDGET) -> CompletionResult:
     """Orient by shortlex and resolve critical pairs to a fixpoint.
 
-    Budget exhaustion returns the partial system with a reason instead of
-    a completed one.  The alphabet order of the presentation fixes the
-    orientation, so results are reproducible.
+    Exhausting ``max_rules`` or ``max_word_len`` returns the partial system
+    with a reason instead of a completed one.  The alphabet order of the
+    presentation fixes the orientation, so results are reproducible.
     """
-    if max_rules <= 0 or max_word_len <= 0:
-        raise AlgebraError("completion budgets must be positive")
     alphabet = presentation.alphabet
     key = lambda w: shortlex_key(alphabet, w)
     rules: list[tuple[Word, Word]] = []
@@ -139,7 +135,7 @@ def knuth_bendix(
         if s == t:
             continue
         lhs, rhs = (s, t) if key(s) > key(t) else (t, s)
-        if len(lhs) > max_word_len:
+        if len(lhs) > budget.max_word_len:
             return CompletionResult(
                 current_system(), False, f"word length budget hit by {lhs}"
             )
@@ -155,7 +151,7 @@ def knuth_bendix(
                 survivors.append((old_l, old_r))
         survivors.append((lhs, rhs))
         rules[:] = survivors
-        if len(rules) > max_rules:
+        if len(rules) > budget.max_rules:
             return CompletionResult(current_system(), False, "rule budget exhausted")
         rs = current_system()
         for u, v in critical_pairs(rs):

@@ -1,5 +1,9 @@
+import dataclasses
+import importlib
+import inspect
 import itertools
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -13,6 +17,7 @@ import prevar
 from prevar.algcore import (
     AlgebraError,
     App,
+    Budget,
     BudgetExceededError,
     Congruence,
     FiniteAlgebra,
@@ -703,3 +708,46 @@ class TestCanonicalForm:
         table, perm = case
         alg = FiniteAlgebra(UNARY_SIGNATURE, len(table), {"a": table})
         assert canonical_form(apply_relabeling(alg, perm)) == canonical_form(alg)
+
+
+class TestBudget:
+    INT_FIELDS = [f.name for f in dataclasses.fields(Budget)]
+
+    def test_defaults(self):
+        assert dataclasses.astuple(Budget()) == (
+            2_000_000, None, 10**6, 10**4, 4 * 10**6, 10**6, 12, 64, 64)
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True, "3"])
+    def test_rejects_a_limit_that_is_not_a_positive_int(self, field, value):
+        with pytest.raises(AlgebraError, match=f"^budget field {field} must be a positive int"):
+            Budget(**{field: value})
+
+    def test_no_solution_cap_is_allowed(self):
+        assert Budget(max_solutions=None).max_solutions is None
+
+    def test_congruence_size_is_read(self):
+        assert len(all_congruences(cyclic_unary(13), Budget(max_congruence_size=13))) == 2
+        with pytest.raises(BudgetExceededError,
+                           match="^congruence enumeration bound 3 exceeded by size 4$"):
+            is_subdirectly_irreducible(C4, Budget(max_congruence_size=3))
+
+    def test_no_public_function_takes_a_separate_limit(self):
+        # these limits are fields of the one Budget parameter, never parameters
+        retired = {"search_budget", "size_bound", "max_rules", "max_word_len"}
+        modules = [importlib.import_module(f"prevar.{m.name}")
+                   for m in pkgutil.iter_modules(prevar.__path__)]
+        found = []
+        for module in [prevar, *modules]:
+            for name, obj in vars(module).items():
+                if name.startswith("_"):
+                    continue
+                members = [(name, obj)]
+                if inspect.isclass(obj):
+                    members = [(f"{name}.{k}", v) for k, v in vars(obj).items()
+                               if not k.startswith("_")]
+                for qual, fn in members:
+                    if inspect.isfunction(fn):
+                        found += [(module.__name__, qual, p)
+                                  for p in inspect.signature(fn).parameters if p in retired]
+        assert found == []

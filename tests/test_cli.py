@@ -77,6 +77,14 @@ class TestFree:
         assert proc.returncode == 3
         assert "product index of 1099511627776 exceeds budget 1000000" in proc.stderr
 
+    def test_json_budget_error_is_one_object_on_stdout(self, capsys, algebra_files):
+        code, out, err = run(capsys, "--json", "free", "--gen", algebra_files["c2"], "-n", "40")
+        assert code == 3
+        assert json.loads(out) == {
+            "error": "budget", "message": "product index of 1099511627776 exceeds budget 1000000"}
+        assert out.count("\n") == 1
+        assert err == "budget exhausted: product index of 1099511627776 exceeds budget 1000000\n"
+
     @pytest.mark.parametrize("gens, n, expected", [
         (["c6"], 1, '{"cyclic_order": 6, "generators": [0], "size": 6}'),
         (["c6"], 2, '{"cyclic_order": null, "generators": [0, 1], "size": 12}'),
@@ -237,6 +245,35 @@ class TestRewriting:
         code, out, _ = run(capsys, "--json", "reduce", str(pres), "z x")
         assert code == 0
         assert json.loads(out)["normal_form"] == "1"
+
+    def test_json_usage_error_for_a_missing_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.alg")
+        code, out, err = run(capsys, "--json", "si", missing)
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "usage" and missing in report["message"]
+        assert err.startswith("error: ") and missing in err
+
+    def test_json_membership_error(self, capsys, algebra_files):
+        code, out, err = run(capsys, "--json", "rel-si", "--gen", algebra_files["c2"],
+                             algebra_files["c3"])
+        assert code == 1
+        assert json.loads(out)["error"] == "membership"
+        assert err.startswith("membership failure: ")
+
+    def test_errors_without_json_leave_stdout_empty(self, capsys, algebra_files):
+        code, out, err = run(capsys, "free", "--gen", algebra_files["c2"], "-n", "40")
+        assert code == 3 and out == "" and err.startswith("budget exhausted: ")
+
+    @pytest.mark.parametrize("flag", ["--max-rules", "--max-word-len"])
+    def test_kb_rejects_a_limit_below_one(self, capsys, tmp_path, flag):
+        pres = tmp_path / "inv.txt"
+        pres.write_text("x y z\nx y = 1\n")
+        code, out, err = run(capsys, "--json", "kb", str(pres), flag, "0")
+        assert code == 2
+        assert json.loads(out)["error"] == "usage"
+        field = flag[2:].replace("-", "_")
+        assert err.startswith(f"error: budget field {field} must be a positive int")
 
     def test_kb_budget_exhaustion_exit_code(self, capsys, tmp_path):
         pres = tmp_path / "inv.txt"

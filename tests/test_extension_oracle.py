@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from prevar.algcore import (
     AlgebraError,
+    Budget,
+    DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
     Signature,
@@ -29,7 +31,7 @@ from prevar.algcore import (
     identity_hom,
     subalgebra_on,
 )
-from prevar.homsearch import DEFAULT_BUDGET, MembershipError, SearchBudget, find_homomorphisms
+from prevar.homsearch import MembershipError, find_homomorphisms
 from prevar.prevariety import (
     ChainHypothesisError,
     ChainReport,
@@ -45,44 +47,44 @@ from prevar.prevariety import (
 # -- the oracle ---------------------------------------------------------------------
 
 
-def oracle_extend(source, target, pairs, search_budget):
+def oracle_extend(source, target, pairs, budget):
     seed = {}
     for key, val in pairs:
         if seed.setdefault(key, val) != val:
             return None
     found = find_homomorphisms(
-        source, target, seed=seed, budget=SearchBudget(search_budget.max_nodes, 1)
+        source, target, seed=seed, budget=Budget(max_nodes=budget.max_nodes, max_solutions=1)
     )
     return found[0] if found else None
 
 
-def oracle_generates_and_extends(ctx, b, maps, search_budget):
+def oracle_generates_and_extends(ctx, b, maps, budget):
     union = sorted({v for m in maps for v in m.mapping})
     gen, _ = generated_subalgebra(b, union)
     if gen.size != b.size:
         return False
     for gen_alg in ctx.generators:
-        hom_lists = [find_homomorphisms(m.source, gen_alg, budget=search_budget) for m in maps]
+        hom_lists = [find_homomorphisms(m.source, gen_alg, budget=budget) for m in maps]
         for family in itertools.product(*hom_lists):
             pairs = [(m(x), g(x)) for m, g in zip(maps, family) for x in range(m.source.size)]
-            if oracle_extend(b, gen_alg, pairs, search_budget) is None:
+            if oracle_extend(b, gen_alg, pairs, budget) is None:
                 return False
     return True
 
 
-def oracle_is_coproduct(ctx, b, maps, search_budget=DEFAULT_BUDGET):
+def oracle_is_coproduct(ctx, b, maps, budget=DEFAULT_BUDGET):
     for m in maps:
         if m.target != b:
             raise AlgebraError("a candidate coprojection does not target b")
-        if not ctx.contains(m.source, search_budget):
+        if not ctx.contains(m.source, budget):
             raise MembershipError("a coproduct factor is not in SP of the generators")
-    if not ctx.contains(b, search_budget):
+    if not ctx.contains(b, budget):
         return False
-    return oracle_generates_and_extends(ctx, b, maps, search_budget)
+    return oracle_generates_and_extends(ctx, b, maps, budget)
 
 
-def oracle_is_independent(ctx, ambient, subalgebras, search_budget=DEFAULT_BUDGET):
-    ctx.require_member(ambient, search_budget)
+def oracle_is_independent(ctx, ambient, subalgebras, budget=DEFAULT_BUDGET):
+    ctx.require_member(ambient, budget)
     subsets = [sorted(set(s)) for s in subalgebras]
     union = sorted({x for s in subsets for x in s})
     generated, inclusion = generated_subalgebra(ambient, union)
@@ -91,10 +93,10 @@ def oracle_is_independent(ctx, ambient, subalgebras, search_budget=DEFAULT_BUDGE
     for s in subsets:
         sub, _ = subalgebra_on(ambient, s)
         maps.append(Homomorphism(sub, generated, tuple(back[x] for x in s)))
-    return oracle_generates_and_extends(ctx, generated, maps, search_budget)
+    return oracle_generates_and_extends(ctx, generated, maps, budget)
 
 
-def oracle_chain_independence(a0, chain, components, search_budget=DEFAULT_BUDGET):
+def oracle_chain_independence(a0, chain, components, budget=DEFAULT_BUDGET):
     chain = [sorted(set(s)) for s in chain]
     components = [sorted(set(s)) for s in components]
     n = len(chain)
@@ -108,39 +110,39 @@ def oracle_chain_independence(a0, chain, components, search_budget=DEFAULT_BUDGE
             raise ChainHypothesisError(i, "component leaves the previous level")
     last_alg, _ = subalgebra_on(a0, levels[n])
     ctx = PrevarietyCtx((last_alg,))
-    ctx.require_member(a0, search_budget)
+    ctx.require_member(a0, budget)
     retractions = []
     for i in range(1, n + 1):
         ambient, amb_inc = subalgebra_on(a0, levels[i - 1])
         to_local = {amb_inc(j): j for j in range(ambient.size)}
         a_local = [to_local[x] for x in levels[i]]
         b_local = [to_local[x] for x in components[i - 1]]
-        if not oracle_is_independent(ctx, ambient, [a_local, b_local], search_budget):
+        if not oracle_is_independent(ctx, ambient, [a_local, b_local], budget):
             raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
         a_sub, _ = subalgebra_on(ambient, a_local)
         b_sub, _ = subalgebra_on(ambient, b_local)
         span, span_inc = generated_subalgebra(ambient, a_local + b_local)
         span_pos = {span_inc(j): j for j in range(span.size)}
-        targets = find_homomorphisms(b_sub, a_sub, budget=SearchBudget(search_budget.max_nodes, 1))
+        targets = find_homomorphisms(b_sub, a_sub, budget=Budget(max_nodes=budget.max_nodes, max_solutions=1))
         if not targets:
             retractions.append(None)
             continue
         f_i = targets[0]
         pairs = [(span_pos[x], k) for k, x in enumerate(a_local)]
         pairs += [(span_pos[x], f_i(k)) for k, x in enumerate(b_local)]
-        retraction = oracle_extend(span, a_sub, pairs, search_budget)
+        retraction = oracle_extend(span, a_sub, pairs, budget)
         assert retraction is not None
         retractions.append(retraction)
-    independent = oracle_is_independent(ctx, a0, components, search_budget)
+    independent = oracle_is_independent(ctx, a0, components, budget)
     span_all, span_inc = generated_subalgebra(a0, levels[n] + [x for s in components for x in s])
     span_pos = {span_inc(j): j for j in range(span_all.size)}
     comp_subs = [subalgebra_on(a0, s)[0] for s in components]
-    hom_lists = [find_homomorphisms(sub, last_alg, budget=search_budget) for sub in comp_subs]
+    hom_lists = [find_homomorphisms(sub, last_alg, budget=budget) for sub in comp_subs]
     almost = True
     for family in itertools.product(*hom_lists):
         pairs = [(span_pos[x], k) for k, x in enumerate(levels[n])]
         pairs += [(span_pos[x], h(k)) for s, h in zip(components, family) for k, x in enumerate(s)]
-        if oracle_extend(span_all, last_alg, pairs, search_budget) is None:
+        if oracle_extend(span_all, last_alg, pairs, budget) is None:
             almost = False
             break
     return ChainReport(independent, almost, retractions)

@@ -107,6 +107,15 @@ class TestWord:
         with pytest.raises(AlgebraError):
             Word(["p"], 0)
 
+    @pytest.mark.parametrize("gen", [-1, -2, 1.0, "0", None, True])
+    def test_rejects_a_generator_that_is_not_a_natural_number(self, gen):
+        with pytest.raises(AlgebraError, match="^bad word generator"):
+            Word("p", gen)
+
+    def test_bounded_words_by_length_then_letters_then_generator(self):
+        assert freeness._bounded_words(1, 2) == [
+            Word("", 0), Word("", 1), Word("p", 0), Word("p", 1), Word("q", 0), Word("q", 1)]
+
 
 class TestSubstHom:
     def test_identity_images(self):
@@ -131,6 +140,13 @@ class TestSubstHom:
         assert isinstance(survivor, Tag)
         collapse = subst_hom(ctx2, [Word("", 0), Word("p", 0)])
         assert collapse(survivor) == ZERO
+
+    def test_rejects_a_generator_outside_the_context(self):
+        h = subst_hom(FreeTermContext(STEM, 2), [Word("", 0), Word("p", 1)])
+        with pytest.raises(AlgebraError, match="^generator 3 outside the context$"):
+            h(Word("p", 3))
+        with pytest.raises(AlgebraError, match="^generator 2 outside the context$"):
+            h(Tag(Word("", 0), Word("", 1), Word("q", 2)))
 
     def test_commutes_with_operations(self):
         ctx = FreeTermContext(STEM, 2)
@@ -304,6 +320,11 @@ class TestTermSyntax:
             el = normal_form(ctx, parse_free_term(text))
             again = normal_form(ctx, parse_free_term(format_free_element(el)))
             assert again == el
+
+    def test_format_rejects_a_generator_beyond_z(self):
+        assert format_free_element(Word("p", 2)) == "p z"
+        with pytest.raises(AlgebraError, match="^generator 3 has no name beyond x, y, z$"):
+            format_free_element(Word("", 3))
 
     def test_bad_tokens_rejected(self):
         with pytest.raises(AlgebraError):

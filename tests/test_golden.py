@@ -51,6 +51,7 @@ from hypothesis import strategies as st
 from prevar.algcore import (
     UNARY_SIGNATURE,
     AlgebraError,
+    Budget,
     BudgetExceededError,
     FiniteAlgebra,
     Homomorphism,
@@ -69,7 +70,6 @@ from prevar.cli import main
 from prevar.freeness import CollapseRule, verify_free_pair
 from prevar.homsearch import separating_family, sp_embedding
 from prevar.prevariety import (
-    ConstructionBudget,
     _canonical_tables,
     _closed_tuple_algebra,
     amalgamated_coproduct,
@@ -576,7 +576,7 @@ def tuple_closures(draw):
 @given(tuple_closures())
 def test_tuple_closure_matches_per_cell_loop(case):
     sig, factors, seeds = case
-    alg, elems = _closed_tuple_algebra(sig, factors, seeds, ConstructionBudget())
+    alg, elems = _closed_tuple_algebra(sig, factors, seeds, Budget())
     want_elems, want_tables = _per_cell_closure(sig, _per_cell_product(factors), seeds)
     assert elems == want_elems
     assert alg.tables == {name: tuple(table) for name, table in want_tables.items()}
@@ -602,7 +602,7 @@ def _elements_or_error(run):
 def test_budgets_fire_as_in_the_per_cell_loop(limits, message):
     factors = [NOR] * 8
     seeds = list(zip(*itertools.product(range(2), repeat=3)))
-    budget = ConstructionBudget(**limits)
+    budget = Budget(**limits)
     got = _elements_or_error(lambda: _closed_tuple_algebra(NOR.signature, factors, seeds, budget)[1])
     want = _elements_or_error(lambda: _per_cell_closure(
         NOR.signature, _per_cell_product(factors), seeds, budget.max_carrier,

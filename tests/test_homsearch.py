@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from prevar.algcore import (
     AlgebraError,
+    Budget,
     BudgetExceededError,
     FiniteAlgebra,
     Homomorphism,
@@ -23,7 +24,6 @@ from prevar.algcore import (
 )
 from prevar.homsearch import (
     MembershipError,
-    SearchBudget,
     _Search,
     exists_embedding,
     find_homomorphisms,
@@ -106,15 +106,15 @@ class TestFindHomomorphisms:
         assert first == second and len(first) == 6
 
     def test_max_solutions_stops_early(self):
-        homs = find_homomorphisms(C2, C2, budget=SearchBudget(max_solutions=1))
+        homs = find_homomorphisms(C2, C2, budget=Budget(max_solutions=1))
         assert [h.mapping for h in homs] == [(0, 1)]
 
     def test_budget_exhaustion_is_distinct_from_no_solutions(self):
         big = disjoint_union([C2] * 4)
         with pytest.raises(BudgetExceededError):
-            find_homomorphisms(big, big, budget=SearchBudget(max_nodes=3))
+            find_homomorphisms(big, big, budget=Budget(max_nodes=3))
         # genuinely empty result does not raise
-        assert find_homomorphisms(C2, C3, budget=SearchBudget(max_nodes=3)) == []
+        assert find_homomorphisms(C2, C3, budget=Budget(max_nodes=3)) == []
 
     def test_empty_source_has_exactly_the_empty_map(self):
         empty = FiniteAlgebra(UNARY_SIGNATURE, 0, {"a": []})
@@ -386,7 +386,7 @@ def test_separating_family_stops_once_every_pair_is_separated():
     # the search into the second generator needs more than two nodes, but
     # the first homomorphism into C2 already separates C2's only pair
     big = disjoint_union([C2] * 4)
-    budget = SearchBudget(max_nodes=2)
+    budget = Budget(max_nodes=2)
     with pytest.raises(BudgetExceededError):
         find_homomorphisms(C2, big, budget=budget)
     ok, witness, homs = separating_family(C2, [C2, big], budget)

@@ -14,6 +14,7 @@ import prevar
 from prevar.algcore import (
     AlgebraError,
     App,
+    Budget,
     BudgetExceededError,
     Congruence,
     FiniteAlgebra,
@@ -32,7 +33,6 @@ from prevar.algcore import (
 from prevar.homsearch import MembershipError, find_homomorphisms, in_sp
 from prevar.prevariety import (
     ChainHypothesisError,
-    ConstructionBudget,
     PrevarietyCtx,
     amalgamated_coproduct,
     chain_independence,
@@ -144,11 +144,11 @@ class TestFreeAlgebra:
         lattice = FiniteAlgebra(Signature((("j", 2), ("m", 2))), 2,
                                 {"j": [0, 1, 1, 1], "m": [0, 0, 0, 1]})
         with pytest.raises(BudgetExceededError):
-            free_algebra(sp(lattice), 3, ConstructionBudget(max_table_cells=100))
+            free_algebra(sp(lattice), 3, Budget(max_table_cells=100))
         # checked as the closure runs: the table bound trips before the
         # 166-element carrier reaches the carrier bound
         with pytest.raises(BudgetExceededError, match="table"):
-            free_algebra(sp(lattice), 4, ConstructionBudget(max_carrier=100, max_table_cells=100))
+            free_algebra(sp(lattice), 4, Budget(max_carrier=100, max_table_cells=100))
 
     def test_universal_property_exactly_one_hom_per_tuple(self):
         ctx = sp(C2, C3)
@@ -202,7 +202,7 @@ class TestCoproduct:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError, match="^hom-family index exceeds the budget$"):
-                coproduct(sp(C6), [C6] * 7, ConstructionBudget(max_index=10**5))
+                coproduct(sp(C6), [C6] * 7, Budget(max_index=10**5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -220,10 +220,10 @@ class TestCoproduct:
             lambda budget: amalgamated_coproduct(sp(base), base, [(lattice, top)] * 2, budget),
         ]
         for build in builds:
-            entries = len(build(ConstructionBudget()).index_metadata)
-            assert build(ConstructionBudget(max_index=entries)).index_metadata
+            entries = len(build(Budget()).index_metadata)
+            assert build(Budget(max_index=entries)).index_metadata
             with pytest.raises(BudgetExceededError, match="^hom-family index exceeds the budget$"):
-                build(ConstructionBudget(max_index=entries - 1))
+                build(Budget(max_index=entries - 1))
 
 
 class TestAmalgamatedIndex:
@@ -253,11 +253,11 @@ class TestAmalgamatedIndex:
     def test_nine_arms_over_a_cycle_answer_promptly(self):
         # 6**9 families of homs from nine C6 into C6, of which the 6 that agree
         # on the base are the index: walking every family took about 40 s
-        code = ("from prevar.algcore import Homomorphism, cyclic_unary\n"
-                "from prevar.prevariety import ConstructionBudget, amalgamated_coproduct, sp\n"
+        code = ("from prevar.algcore import Budget, Homomorphism, cyclic_unary\n"
+                "from prevar.prevariety import amalgamated_coproduct, sp\n"
                 "c6 = cyclic_unary(6)\n"
                 "arms = [(c6, Homomorphism(c6, c6, tuple(range(6))))] * 9\n"
-                "result = amalgamated_coproduct(sp(c6), c6, arms, ConstructionBudget(max_index=1000))\n"
+                "result = amalgamated_coproduct(sp(c6), c6, arms, Budget(max_index=1000))\n"
                 "print(len(result.index_metadata))\n")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prevar.__file__))}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -514,10 +514,10 @@ class TestRelativeSI:
 
     def test_size_bound_after_membership(self):
         with pytest.raises(MembershipError):
-            is_p_subdirectly_irreducible(sp(C2), C3, size_bound=2)
+            is_p_subdirectly_irreducible(sp(C2), C3, Budget(max_congruence_size=2))
         with pytest.raises(BudgetExceededError,
                            match="^congruence enumeration bound 5 exceeded by size 6$"):
-            is_p_subdirectly_irreducible(sp(C2, C3), C6, size_bound=5)
+            is_p_subdirectly_irreducible(sp(C2, C3), C6, Budget(max_congruence_size=5))
 
     @settings(max_examples=200, deadline=None)
     @given(relative_si_cases())
@@ -700,10 +700,10 @@ class TestEnumerateMembers:
 
     def test_enumeration_budget_counts_every_table(self):
         raw = 1 + 2**2 + 3**3 + 4**4
-        assert len(enumerate_members(sp(C2, C3), 4, ConstructionBudget(max_enumeration=raw))) == 5
+        assert len(enumerate_members(sp(C2, C3), 4, Budget(max_enumeration=raw))) == 5
         with pytest.raises(BudgetExceededError,
                            match="^raw algebra enumeration exceeds the budget; lower max_size$"):
-            enumerate_members(sp(C2, C3), 4, ConstructionBudget(max_enumeration=raw - 1))
+            enumerate_members(sp(C2, C3), 4, Budget(max_enumeration=raw - 1))
 
 
 class TestAmalgamation:

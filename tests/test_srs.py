@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from prevar.algcore import AlgebraError
+from prevar.algcore import AlgebraError, Budget
 from prevar.srs import (
     EPSILON,
     Presentation,
@@ -127,7 +127,7 @@ class TestKnuthBendix:
         assert words_equal(result.system, ("x", "u1"), ("x", "u2"))
 
     def test_budget_exhaustion_returns_partial_system(self):
-        result = knuth_bendix(INVERSES, max_rules=1)
+        result = knuth_bendix(INVERSES, Budget(max_rules=1))
         assert not result.completed
         assert result.reason is not None
         assert result.system.rules  # partial progress is reported
@@ -161,7 +161,7 @@ class TestFiniteQuotient:
             ("a", "b"),
             ((("a", "a"), ()), (("b", "b", "b"), ()), (("a", "b", "a", "b"), ())),
         )
-        result = knuth_bendix(pres, max_rules=40, max_word_len=20)
+        result = knuth_bendix(pres, Budget(max_rules=40, max_word_len=20))
         assert result.completed
         forms = {
             reduce(result.system, w)
