@@ -35,6 +35,13 @@ least under all ``n!`` relabellings.
 Freeness digests pin the whole ``verify_free_pair`` certificate (triples
 checked, collisions, and the failures in order) for both collapse rules, and
 the stdout of ``prevar --json paperlab`` on the two suites that run it.
+
+Completion digests pin ``knuth_bendix`` (rules in order, ``completed`` and
+``reason``) on every presentation the srs and acceptance tests complete,
+under the default budget and two small ones that stop it early.  Amalgam
+digests pin ``normal_form``, ``multiply``, ``is_torsion`` and
+``coset_torsion_scan`` on ``sym_stab_amalgam(3)`` and ``(4)`` over a fixed
+word list.
 """
 
 import contextlib
@@ -66,6 +73,14 @@ from prevar.algcore import (
     empty_algebra,
     is_subdirectly_irreducible,
 )
+from prevar.amalgam import (
+    alternating_strings,
+    coset_torsion_scan,
+    is_torsion,
+    multiply,
+    normal_form,
+    sym_stab_amalgam,
+)
 from prevar.cli import main
 from prevar.freeness import CollapseRule, verify_free_pair
 from prevar.homsearch import separating_family, sp_embedding
@@ -82,6 +97,7 @@ from prevar.prevariety import (
     relative_congruences,
     sp,
 )
+from prevar.srs import Presentation, coproduct_presentation, knuth_bendix, parse_presentation
 
 
 def _chain(size: int, sig: Signature) -> FiniteAlgebra:
@@ -284,6 +300,52 @@ def _free_semilattice_3():
     return free_algebra(sp(S2), 3)[0]
 
 
+_B1 = Presentation(("u1", "x", "y"), ((("y",), ("x", "u1")),))
+_B2 = Presentation(("u2", "x", "y"), ((("y",), ("x", "u2")),))
+_B3 = Presentation(("x", "y", "w"), ((("x", "w"), ()), (("w", "x"), ())))
+# every presentation tests/test_srs.py and tests/test_acceptance.py complete
+KB_PRESENTATIONS = [
+    Presentation(("x", "y", "z"), ((("x", "y"), ()), (("z", "x"), ()))),
+    Presentation(("a",), ((("a", "a"), ()),)),
+    Presentation(("a",), ((("a", "a", "a"), ()),)),
+    Presentation(("u1", "u2", "x"), ((("x", "u1"), ("x", "u2")),)),
+    Presentation(("a", "b"), ((("a", "a"), ()), (("b", "b", "b"), ()), (("a", "b", "a", "b"), ()))),
+    Presentation(("a", "b"), ((("a", "a"), ()), (("b", "b", "b"), ()))),
+    coproduct_presentation([_B1, _B2], ["x", "y"]),
+    coproduct_presentation([_B1, _B2, _B3], ["x", "y"]),
+    Presentation(("u1", "x"), ((("x", "u1", "u1"), ("x",)),)),
+    parse_presentation("x y\nxy = 1"),
+]
+
+
+def _completions(budget):
+    out = []
+    for pres in KB_PRESENTATIONS:
+        r = knuth_bendix(pres, budget)
+        out.append([[[list(l), list(r_)] for l, r_ in r.system.rules], r.completed, r.reason])
+    return _sha(out)
+
+
+def _amalgam_words(ctx, seed, count, max_len):
+    letters = [(k, g) for k in (0, 1) for g in range(ctx.factor(k).size)]
+    rng = random.Random(seed)
+    return [[rng.choice(letters) for _ in range(rng.randint(0, max_len))] for _ in range(count)]
+
+
+def _element(el):
+    return [[list(r) for r in el.reps], el.tail]
+
+
+def _amalgam(n):
+    ctx = sym_stab_amalgam(n)
+    forms = [normal_form(ctx, w) for w in _amalgam_words(ctx, n, 60, 6)]
+    products = [multiply(ctx, a, b) for a, b in zip(forms, forms[1:] + forms[:1])]
+    strings = [s for length in range(4) for s in alternating_strings(ctx, length)]
+    return _sha([[_element(el) for el in forms], [_element(el) for el in products],
+                 [is_torsion(ctx, el) for el in forms + products],
+                 [coset_torsion_scan(ctx, s) for s in strings]])
+
+
 CASES = {
     "free-lattice-0": lambda: _free([L2], 0),
     "free-lattice-1": lambda: _free([L2], 1),
@@ -346,6 +408,11 @@ CASES = {
     "free-pair-stem-split-3": lambda: _free_pair(CollapseRule.STEM_SPLIT, 3),
     "paperlab-prop-2-1": lambda: _paperlab("prop-2-1"),
     "paperlab-prop-2-2": lambda: _paperlab("prop-2-2"),
+    "kb-default": lambda: _completions(Budget()),
+    "kb-max-rules-3": lambda: _completions(Budget(max_rules=3)),
+    "kb-max-word-len-2": lambda: _completions(Budget(max_word_len=2)),
+    "amalgam-sym-3": lambda: _amalgam(3),
+    "amalgam-sym-4": lambda: _amalgam(4),
 }
 
 # taken with the brute-force closure loops that preceded the shared engine
@@ -419,6 +486,13 @@ GOLDEN = {
     "free-pair-stem-split-3": "597b60c269fcbf396c8459f79d8f42ea9940b3cbf9e3fa108379e68a9eb1b688",
     "paperlab-prop-2-1": "15119cd111dde0b980ea15ae59c29944482f0a9e0fbb09a629e6c710f3b65842",
     "paperlab-prop-2-2": "ffbbc310db73887ecd77e8f75c5a91940e1e17c82e81a4607dec80ab1e602510",
+    # taken with the completion loop that built a validated RewriteSystem at
+    # every step, and the list-based prepend of the amalgam normal forms
+    "kb-default": "5675e96b2d0852ff28a51ab41cb87dd667b7a43a0293e0def7684f128c96f57f",
+    "kb-max-rules-3": "527644cd5865e3036606493f1802d926247c3ff9f10c8e6445aa73733b910c01",
+    "kb-max-word-len-2": "81f99ecf51799223ef815950704a15ce080b38bdea6fbb39c05013f82657b5d6",
+    "amalgam-sym-3": "c4b8c298340fcc0d81f68502bb635a4c56023e2f2de0d2c7803e329894c5d750",
+    "amalgam-sym-4": "de8833397ad1f2c9c12224fb22409dc33d46f588cb12ac1e43d1b3b1b0719441",
 }
 
 
