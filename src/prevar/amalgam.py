@@ -244,23 +244,29 @@ def identity_element(ctx: AmalgamCtx) -> AmalgamElement:
 
 
 def _prepend(ctx: AmalgamCtx, k: int, g: int, el: AmalgamElement) -> AmalgamElement:
-    """Normal form of (g in factor k) * el."""
-    reps = list(el.reps)
-    while reps and reps[0][0] == k:
-        g = ctx.factor(k).mul(g, reps[0][1])
-        reps.pop(0)
-    rep, beta = ctx.split(k, g)
-    out = []
-    for fi, ri in reps:
-        group = ctx.factor(fi)
-        h = group.mul(ctx.embed(fi, beta), ri)
-        rep_i, beta = ctx.split(fi, h)
-        # pushing a subgroup element through never lands in the subgroup
-        out.append((fi, rep_i))
-    tail = ctx.base.mul(beta, el.tail)
-    if rep != ctx.factor(k).identity:
-        out.insert(0, (k, rep))
-    return AmalgamElement(tuple(out), tail)
+    """Normal form of (g in factor k) * el, read from the flat tables."""
+    factors, base = ctx.factors, ctx.base
+    muls = (factors[0]._mul, factors[1]._mul)
+    sizes = (factors[0].size, factors[1].size)
+    splits, embs = ctx._split_tables, ctx.embeddings
+    reps = el.reps
+    n, i = len(reps), 0
+    mul, size = muls[k], sizes[k]
+    while i < n and reps[i][0] == k:
+        g = mul[g * size + reps[i][1]]
+        i += 1
+    try:
+        rep, beta = splits[k][g]
+        out = [] if rep == factors[k].identity else [(k, rep)]
+        while i < n:
+            fi, ri = reps[i]
+            # pushing a subgroup element through never lands in the subgroup
+            rep_i, beta = splits[fi][muls[fi][embs[fi][beta] * sizes[fi] + ri]]
+            out.append((fi, rep_i))
+            i += 1
+    except KeyError:
+        raise AlgebraError("transversal does not split the factor") from None
+    return AmalgamElement(tuple(out), base._mul[beta * base.size + el.tail])
 
 
 def normal_form(ctx: AmalgamCtx, word: Sequence[tuple[int, int]]) -> AmalgamElement:
@@ -293,6 +299,8 @@ def inverse(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
 
 
 def power(ctx: AmalgamCtx, el: AmalgamElement, k: int) -> AmalgamElement:
+    if k < 0:
+        raise AlgebraError("power needs a non-negative exponent")
     acc = identity_element(ctx)
     for _ in range(k):
         acc = multiply(ctx, acc, el)
@@ -312,13 +320,33 @@ def cyclically_reduce(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
     return el
 
 
+def _check_string(ctx: AmalgamCtx, reps: Sequence[tuple[int, int]]) -> None:
+    """Alternating non-identity transversal representatives."""
+    for k, r in reps:
+        if k not in (0, 1):
+            raise AlgebraError("factor tags are 0 and 1")
+        if r == ctx.factor(k).identity or r not in ctx.transversals[k]:
+            raise AlgebraError("coset strings use non-identity transversal reps")
+    for i in range(len(reps) - 1):
+        if reps[i][0] == reps[i + 1][0]:
+            raise AlgebraError("coset strings must alternate factors")
+
+
 def is_torsion(ctx: AmalgamCtx, el: AmalgamElement) -> bool:
     """Finite order iff the cyclically reduced string has length <= 1.
 
     The structural verdict is cross-validated by the powers oracle: a
     positive answer must exhibit the order, a negative one strict string
     growth of the powers.  A disagreement would mean a bug, and raises.
+    An element that is not in normal form raises ``AlgebraError``.
     """
+    _check_string(ctx, el.reps)
+    if not 0 <= el.tail < ctx.base.size:
+        raise AlgebraError("tail outside the subgroup")
+    return _is_torsion(ctx, el)
+
+
+def _is_torsion(ctx: AmalgamCtx, el: AmalgamElement) -> bool:
     reduced = cyclically_reduce(ctx, el)
     structural = reduced.length() <= 1
     if structural:
@@ -346,14 +374,9 @@ def coset_torsion_scan(ctx: AmalgamCtx, string: Sequence[tuple[int, int]]) -> bo
     Enumerates all |base| members of the coset.
     """
     reps = tuple(string)
-    for k, r in reps:
-        if r == ctx.factor(k).identity or r not in ctx.transversals[k]:
-            raise AlgebraError("coset strings use non-identity transversal reps")
-    for i in range(len(reps) - 1):
-        if reps[i][0] == reps[i + 1][0]:
-            raise AlgebraError("coset strings must alternate factors")
+    _check_string(ctx, reps)
     for b in range(ctx.base.size):
-        if is_torsion(ctx, AmalgamElement(reps, b)):
+        if _is_torsion(ctx, AmalgamElement(reps, b)):
             return True
     return False
 

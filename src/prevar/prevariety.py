@@ -13,6 +13,7 @@ debugging and assertions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -166,6 +167,7 @@ def _hom_family_index(
     sources: Sequence[FiniteAlgebra],
     key,
     budget: Budget,
+    hom_lists=None,
 ):
     """All pairs (generator, family of homs source_i -> generator).
 
@@ -174,11 +176,14 @@ def _hom_family_index(
     the product of the later sources' homs with its key.  Order: generators
     as declared, then families lexicographically in per-source hom order.
     More than ``budget.max_index`` pairs raise ``BudgetExceededError``;
-    unkeyed, they are counted before they are listed.
+    unkeyed, they are counted before they are listed.  ``hom_lists``, per
+    generator the homs from each source, is listed here unless a caller
+    that memoises it passes it in.
     """
     max_index = budget.max_index
-    hom_lists = [[find_homomorphisms(src, gen, budget=budget) for src in sources]
-                 for gen in ctx.generators]
+    if hom_lists is None:
+        hom_lists = [[find_homomorphisms(src, gen, budget=budget) for src in sources]
+                     for gen in ctx.generators]
     count = sum(math.prod(map(len, lists)) for lists in hom_lists) if key is None else 0
     entries = []
     for a_idx, lists in enumerate(hom_lists):
@@ -202,11 +207,12 @@ def _indexed_coproduct(
     sources: Sequence[FiniteAlgebra],
     key,
     budget: Budget,
+    hom_lists=None,
 ) -> CoproductResult:
     """The subalgebra generated by the sources' images in the product
     indexed by their hom families (those sharing one ``key``, if given),
     with the coprojections sending each element to its image."""
-    entries = _hom_family_index(ctx, sources, key, budget)
+    entries = _hom_family_index(ctx, sources, key, budget, hom_lists)
     images = [
         [tuple(family[i](x) for _, family in entries) for x in range(src.size)]
         for i, src in enumerate(sources)
@@ -807,12 +813,17 @@ def amalgamated_coproduct(
     if check_membership:
         for alg, _ in arms:
             ctx.require_member(alg, budget)
+    return _pushout(ctx, base, arms, budget)
+
+
+def _pushout(ctx, base, arms, budget, hom_lists=None) -> AmalgamatedResult:
+    """``amalgamated_coproduct`` once the arms are checked."""
 
     def on_base(i, h):
         return tuple(h(arms[i][1](s)) for s in range(base.size))
 
     sources = [alg for alg, _ in arms]
-    result = _indexed_coproduct(ctx, sources, on_base, budget)
+    result = _indexed_coproduct(ctx, sources, on_base, budget, hom_lists)
     base_map = None
     if arms:
         first, emb0 = result.coprojections[0], arms[0][1]
@@ -847,23 +858,29 @@ def check_amalgamation_bounded(
     joint-embedding question and are excluded by default.
     """
     members = enumerate_members(ctx, max_size, budget)
-    bases = [m for m in members if m.size >= 1 or include_empty_base]
-    for a in bases:
-        for b in members:
-            if b.size < a.size:
+    # each hom list is made once per check, keyed by members' positions
+
+    @functools.cache
+    def embeddings(i, j):
+        return find_homomorphisms(members[i], members[j], budget=budget, injective=True)
+
+    @functools.cache
+    def into_generators(j):
+        return [find_homomorphisms(members[j], gen, budget=budget) for gen in ctx.generators]
+
+    for i, a in enumerate(members):
+        if a.size < 1 and not include_empty_base:
+            continue
+        for j, b in enumerate(members):
+            if b.size < a.size or not embeddings(i, j):
                 continue
-            embeddings_ab = find_homomorphisms(a, b, budget=budget, injective=True)
-            if not embeddings_ab:
-                continue
-            for c in members:
-                if c.size < a.size:
+            for k, c in enumerate(members):
+                if c.size < a.size or not embeddings(i, k):
                     continue
-                embeddings_ac = find_homomorphisms(a, c, budget=budget, injective=True)
-                for f in embeddings_ab:
-                    for g in embeddings_ac:
-                        pushout = amalgamated_coproduct(
-                            ctx, a, [(b, f), (c, g)], budget, check_membership=False,
-                        )
+                hom_lists = list(zip(into_generators(j), into_generators(k)))
+                for f in embeddings(i, j):
+                    for g in embeddings(i, k):
+                        pushout = _pushout(ctx, a, [(b, f), (c, g)], budget, hom_lists)
                         if not all(h.is_injective() for h in pushout.coprojections):
                             return False, AmalgamationCounterexample(a, b, c, f, g)
     return True, None

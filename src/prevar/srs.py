@@ -21,9 +21,26 @@ Word = tuple[str, ...]
 EPSILON: Word = ()
 
 
-def shortlex_key(alphabet: Sequence[str], w: Word):
+def _shortlex(alphabet: Sequence[str]):
+    """The shortlex key over ``alphabet``, with the letter order built once."""
     order = {letter: i for i, letter in enumerate(alphabet)}
-    return (len(w), tuple(order[c] for c in w))
+    return lambda w: (len(w), tuple(order[c] for c in w))
+
+
+def shortlex_key(alphabet: Sequence[str], w: Word):
+    return _shortlex(alphabet)(w)
+
+
+def _check_letters(alphabet: Sequence[str], words: Iterable[Word]) -> None:
+    for w in words:
+        for c in w:
+            if c not in alphabet:
+                raise AlgebraError(f"letter {c!r} outside the alphabet")
+
+
+def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    if len(set(alphabet)) != len(alphabet):
+        raise AlgebraError("alphabet letters must be distinct")
 
 
 @dataclass(frozen=True)
@@ -36,17 +53,23 @@ class RewriteSystem:
         object.__setattr__(
             self, "rules", tuple((tuple(l), tuple(r)) for l, r in self.rules)
         )
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise AlgebraError("alphabet letters must be distinct")
+        _check_alphabet(self.alphabet)
+        key = _shortlex(self.alphabet)
         for lhs, rhs in self.rules:
-            for w in (lhs, rhs):
-                for c in w:
-                    if c not in self.alphabet:
-                        raise AlgebraError(f"letter {c!r} outside the alphabet")
+            _check_letters(self.alphabet, (lhs, rhs))
             if not lhs:
                 raise AlgebraError("a rule may not rewrite the empty word")
-            if not shortlex_key(self.alphabet, lhs) > shortlex_key(self.alphabet, rhs):
+            if not key(lhs) > key(rhs):
                 raise AlgebraError(f"rule {lhs} -> {rhs} does not decrease shortlex")
+
+    @classmethod
+    def _unchecked(cls, alphabet: tuple[str, ...], rules) -> "RewriteSystem":
+        """A system that is valid by construction (shortlex-oriented rules
+        over a checked alphabet): not re-validated."""
+        rs = object.__new__(cls)
+        object.__setattr__(rs, "alphabet", alphabet)
+        object.__setattr__(rs, "rules", tuple(rules))
+        return rs
 
 
 @dataclass(frozen=True)
@@ -59,11 +82,29 @@ class Presentation:
         object.__setattr__(
             self, "relations", tuple((tuple(l), tuple(r)) for l, r in self.relations)
         )
-        for lhs, rhs in self.relations:
-            for w in (lhs, rhs):
-                for c in w:
-                    if c not in self.alphabet:
-                        raise AlgebraError(f"letter {c!r} outside the alphabet")
+        _check_alphabet(self.alphabet)
+        for rel in self.relations:
+            _check_letters(self.alphabet, rel)
+
+
+def _find(w: Word, lhs: Word) -> int:
+    """The leftmost position of ``lhs`` (nonempty) in ``w``, or -1."""
+    n, first = len(lhs), lhs[0]
+    for pos in range(len(w) - n + 1):
+        if w[pos] == first and w[pos : pos + n] == lhs:
+            return pos
+    return -1
+
+
+def _reduce(rules: Sequence[tuple[Word, Word]], w: Word) -> Word:
+    while True:
+        for lhs, rhs in rules:
+            pos = _find(w, lhs)
+            if pos >= 0:
+                w = w[:pos] + rhs + w[pos + len(lhs) :]
+                break
+        else:
+            return w
 
 
 def reduce(rs: RewriteSystem, word: Iterable[str]) -> Word:
@@ -71,22 +112,12 @@ def reduce(rs: RewriteSystem, word: Iterable[str]) -> Word:
     matches anywhere is applied at its leftmost match, repeatedly.
 
     The strategy only matters for non-confluent systems; shortlex decrease
-    guarantees termination either way.
+    guarantees termination either way.  A letter outside the system's
+    alphabet raises ``AlgebraError``.
     """
     w = tuple(word)
-    while True:
-        best = None
-        for lhs, rhs in rs.rules:
-            for pos in range(len(w) - len(lhs) + 1):
-                if w[pos : pos + len(lhs)] == lhs:
-                    best = (pos, lhs, rhs)
-                    break
-            if best:
-                break
-        if not best:
-            return w
-        pos, lhs, rhs = best
-        w = w[:pos] + rhs + w[pos + len(lhs) :]
+    _check_letters(rs.alphabet, (w,))
+    return _reduce(rs.rules, w)
 
 
 def critical_pairs(rs: RewriteSystem) -> list[tuple[Word, Word]]:
@@ -121,17 +152,16 @@ def knuth_bendix(presentation: Presentation, budget: Budget = DEFAULT_BUDGET) ->
     presentation fixes the orientation, so results are reproducible.
     """
     alphabet = presentation.alphabet
-    key = lambda w: shortlex_key(alphabet, w)
+    key = _shortlex(alphabet)
     rules: list[tuple[Word, Word]] = []
     queue = deque(presentation.relations)
 
     def current_system() -> RewriteSystem:
-        return RewriteSystem(alphabet, tuple(rules))
+        return RewriteSystem._unchecked(alphabet, rules)
 
     while queue:
         s, t = queue.popleft()
-        rs = current_system()
-        s, t = reduce(rs, s), reduce(rs, t)
+        s, t = _reduce(rules, s), _reduce(rules, t)
         if s == t:
             continue
         lhs, rhs = (s, t) if key(s) > key(t) else (t, s)
@@ -141,21 +171,17 @@ def knuth_bendix(presentation: Presentation, budget: Budget = DEFAULT_BUDGET) ->
             )
         # interreduce: requeue rules whose sides the new rule touches
         survivors = []
-        probe = RewriteSystem(alphabet, ((lhs, rhs),))
-        for old_l, old_r in rules:
-            if reduce(probe, old_l) != old_l:
-                queue.append((old_l, old_r))
-            elif reduce(probe, old_r) != old_r:
-                queue.append((old_l, old_r))
+        for old in rules:
+            if _find(old[0], lhs) >= 0 or _find(old[1], lhs) >= 0:
+                queue.append(old)
             else:
-                survivors.append((old_l, old_r))
+                survivors.append(old)
         survivors.append((lhs, rhs))
-        rules[:] = survivors
+        rules = survivors
         if len(rules) > budget.max_rules:
             return CompletionResult(current_system(), False, "rule budget exhausted")
-        rs = current_system()
-        for u, v in critical_pairs(rs):
-            if reduce(rs, u) != reduce(rs, v):
+        for u, v in critical_pairs(current_system()):
+            if _reduce(rules, u) != _reduce(rules, v):
                 queue.append((u, v))
     return CompletionResult(current_system(), True)
 

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prevar.algcore import AlgebraError
 from prevar.amalgam import (
+    AmalgamCtx,
     AmalgamElement,
     alternating_strings,
     coset_torsion_scan,
@@ -243,3 +246,78 @@ class TestRoundTrip:
         for w in words_up_to(ctx, 3):
             el = normal_form(ctx, list(w))
             assert normal_form(ctx, to_word(ctx, el)) == el
+
+
+class TestRefusals:
+    def test_negative_power_rejected(self, ctx):
+        el = normal_form(ctx, [(0, ctx.transversals[0][1])])
+        assert power(ctx, el, 0) == identity_element(ctx)
+        with pytest.raises(AlgebraError, match="non-negative"):
+            power(ctx, el, -1)
+
+    def test_torsion_refuses_a_string_out_of_normal_form(self, ctx):
+        with pytest.raises(AlgebraError, match="^coset strings must alternate factors$"):
+            is_torsion(ctx, AmalgamElement(((0, 1), (0, 1)), 0))
+        with pytest.raises(AlgebraError, match="^coset strings use non-identity transversal reps$"):
+            is_torsion(ctx, AmalgamElement(((0, 0),), 0))
+        with pytest.raises(AlgebraError, match="^tail outside the subgroup$"):
+            is_torsion(ctx, AmalgamElement((), ctx.base.size))
+
+    def test_missing_split_entry_raises_algebra_error(self, ctx):
+        broken = AmalgamCtx(ctx.factors, ctx.base, ctx.embeddings, ctx.transversals)
+        tables = [dict(t) for t in broken._split_tables]
+        del tables[1][ctx.transversals[1][1]]
+        object.__setattr__(broken, "_split_tables", tuple(tables))
+        with pytest.raises(AlgebraError, match="^transversal does not split the factor$"):
+            normal_form(broken, [(1, ctx.transversals[1][1])])
+        with pytest.raises(AlgebraError, match="^transversal does not split the factor$"):
+            normal_form(broken, [(1, ctx.transversals[1][1]), (0, ctx.transversals[0][1])])
+
+
+# -- the list-based prepend the flat-table one replaced ---------------------------
+
+
+def _reference_prepend(ctx, k, g, el):
+    reps = list(el.reps)
+    while reps and reps[0][0] == k:
+        g = ctx.factor(k).mul(g, reps[0][1])
+        reps.pop(0)
+    rep, beta = ctx.split(k, g)
+    out = []
+    for fi, ri in reps:
+        h = ctx.factor(fi).mul(ctx.embed(fi, beta), ri)
+        rep_i, beta = ctx.split(fi, h)
+        out.append((fi, rep_i))
+    tail = ctx.base.mul(beta, el.tail)
+    if rep != ctx.factor(k).identity:
+        out.insert(0, (k, rep))
+    return AmalgamElement(tuple(out), tail)
+
+
+def _reference_normal_form(ctx, word):
+    el = identity_element(ctx)
+    for k, g in reversed(list(word)):
+        el = _reference_prepend(ctx, k, g, el)
+    return el
+
+
+AMALGAMS = {n: sym_stab_amalgam(n) for n in (3, 4)}
+
+
+@st.composite
+def amalgam_words(draw):
+    ctx = AMALGAMS[draw(st.sampled_from(sorted(AMALGAMS)))]
+    letter = st.sampled_from(all_letters(ctx))
+    return ctx, draw(st.lists(letter, max_size=8)), draw(st.lists(letter, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(amalgam_words())
+def test_normal_forms_match_the_list_based_prepend(case):
+    ctx, w1, w2 = case
+    e1, e2 = normal_form(ctx, w1), normal_form(ctx, w2)
+    assert e1 == _reference_normal_form(ctx, w1)
+    expected = e2
+    for k, g in reversed(to_word(ctx, e1)):
+        expected = _reference_prepend(ctx, k, g, expected)
+    assert multiply(ctx, e1, e2) == expected

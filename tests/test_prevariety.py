@@ -32,6 +32,7 @@ from prevar.algcore import (
 )
 from prevar.homsearch import MembershipError, find_homomorphisms, in_sp
 from prevar.prevariety import (
+    AmalgamationCounterexample,
     ChainHypothesisError,
     PrevarietyCtx,
     amalgamated_coproduct,
@@ -730,6 +731,55 @@ class TestAmalgamation:
         assert counterexample.base.size == 0
         sizes = sorted((counterexample.left.size, counterexample.right.size))
         assert sizes == [1, 2]
+
+    @staticmethod
+    def _listing_every_pushout(ctx, max_size, include_empty_base=False):
+        """The check before its hom lists were memoised: the a -> c
+        embeddings listed once per b, every arm's homs into every generator
+        once per pushout."""
+        members = enumerate_members(ctx, max_size)
+        for a in [m for m in members if m.size >= 1 or include_empty_base]:
+            for b in members:
+                if b.size < a.size:
+                    continue
+                embeddings_ab = prevar.prevariety.find_homomorphisms(a, b, injective=True)
+                if not embeddings_ab:
+                    continue
+                for c in members:
+                    if c.size < a.size:
+                        continue
+                    embeddings_ac = prevar.prevariety.find_homomorphisms(a, c, injective=True)
+                    for f in embeddings_ab:
+                        for g in embeddings_ac:
+                            pushout = amalgamated_coproduct(
+                                ctx, a, [(b, f), (c, g)], check_membership=False)
+                            if not all(h.is_injective() for h in pushout.coprojections):
+                                return False, AmalgamationCounterexample(a, b, c, f, g)
+        return True, None
+
+    @pytest.mark.parametrize("gens, max_size, empty", [
+        ([C2], 4, False),
+        ([C2], 2, True),
+        ([C2, C3], 4, False),
+        ([FiniteAlgebra(UNARY_SIGNATURE, 3, {"a": [0, 0, 1]})], 4, False),
+    ])
+    def test_each_hom_list_is_listed_once(self, monkeypatch, gens, max_size, empty):
+        calls = []
+        real = prevar.prevariety.find_homomorphisms
+
+        def counting(source, target, **kwargs):
+            calls.append((id(source), id(target), kwargs.get("injective", False)))
+            return real(source, target, **kwargs)
+
+        monkeypatch.setattr(prevar.prevariety, "find_homomorphisms", counting)
+        ctx = sp(*gens)
+        got = check_amalgamation_bounded(ctx, max_size, include_empty_base=empty)
+        memoised = len(calls)
+        assert len(set(calls)) == memoised
+        calls.clear()
+        # the first counterexample, in the old loop order, is unchanged
+        assert got == self._listing_every_pushout(ctx, max_size, empty)
+        assert memoised < len(calls)
 
 
 class TestCoproductMonotone:

@@ -1,6 +1,9 @@
 import itertools
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prevar.algcore import AlgebraError, Budget
 from prevar.srs import (
@@ -15,6 +18,7 @@ from prevar.srs import (
     parse_presentation,
     parse_word,
     reduce,
+    shortlex_key,
     words_equal,
 )
 
@@ -251,3 +255,95 @@ class TestTextFormat:
         assert parse_word("x u1", ("u1", "x")) == ("x", "u1")
         assert parse_word("1", ("u1", "x")) == ()
         assert format_word(()) == "1"
+
+
+class TestAlphabetChecks:
+    def test_duplicate_letters_rejected_by_the_presentation(self):
+        with pytest.raises(AlgebraError, match="^alphabet letters must be distinct$"):
+            parse_presentation("a a\na a = a")
+
+    def test_foreign_letters_rejected_by_reduce(self):
+        rs = RewriteSystem(("x", "y"), ((("x", "y"), ()),))
+        with pytest.raises(AlgebraError, match="^letter 'z' outside the alphabet$"):
+            reduce(rs, ("x", "z"))
+        with pytest.raises(AlgebraError, match="^letter 'z' outside the alphabet$"):
+            words_equal(rs, ("z",), ("q",))
+
+
+# -- the completion loop before its systems were built unchecked ------------------
+
+
+def _reference_reduce(rs, word):
+    w = tuple(word)
+    while True:
+        best = None
+        for lhs, rhs in rs.rules:
+            for pos in range(len(w) - len(lhs) + 1):
+                if w[pos : pos + len(lhs)] == lhs:
+                    best = (pos, lhs, rhs)
+                    break
+            if best:
+                break
+        if not best:
+            return w
+        pos, lhs, rhs = best
+        w = w[:pos] + rhs + w[pos + len(lhs) :]
+
+
+def _reference_knuth_bendix(presentation, budget):
+    """A validated ``RewriteSystem`` at every step, and a one-rule probe
+    system for the interreduction."""
+    alphabet = presentation.alphabet
+    key = lambda w: shortlex_key(alphabet, w)
+    rules = []
+    queue = deque(presentation.relations)
+
+    def current_system():
+        return RewriteSystem(alphabet, tuple(rules))
+
+    while queue:
+        s, t = queue.popleft()
+        rs = current_system()
+        s, t = _reference_reduce(rs, s), _reference_reduce(rs, t)
+        if s == t:
+            continue
+        lhs, rhs = (s, t) if key(s) > key(t) else (t, s)
+        if len(lhs) > budget.max_word_len:
+            return current_system(), False, f"word length budget hit by {lhs}"
+        survivors = []
+        probe = RewriteSystem(alphabet, ((lhs, rhs),))
+        for old_l, old_r in rules:
+            if _reference_reduce(probe, old_l) != old_l:
+                queue.append((old_l, old_r))
+            elif _reference_reduce(probe, old_r) != old_r:
+                queue.append((old_l, old_r))
+            else:
+                survivors.append((old_l, old_r))
+        survivors.append((lhs, rhs))
+        rules[:] = survivors
+        if len(rules) > budget.max_rules:
+            return current_system(), False, "rule budget exhausted"
+        rs = current_system()
+        for u, v in critical_pairs(rs):
+            if _reference_reduce(rs, u) != _reference_reduce(rs, v):
+                queue.append((u, v))
+    return current_system(), True, None
+
+
+@st.composite
+def presentations(draw):
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    word = st.lists(st.sampled_from(alphabet), max_size=4).map(tuple)
+    relations = draw(st.lists(st.tuples(word, word), max_size=4))
+    budget = Budget(max_rules=draw(st.integers(1, 8)), max_word_len=draw(st.integers(1, 6)))
+    return Presentation(alphabet, tuple(relations)), budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+def test_completion_matches_the_validated_loop(case):
+    pres, budget = case
+    result = knuth_bendix(pres, budget)
+    assert (result.system, result.completed, result.reason) == _reference_knuth_bendix(pres, budget)
+    # valid by construction: the public constructor accepts the system
+    assert RewriteSystem(result.system.alphabet, result.system.rules) == result.system
