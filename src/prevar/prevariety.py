@@ -816,7 +816,13 @@ def amalgamated_coproduct(
     return _pushout(ctx, base, arms, budget)
 
 
-def _pushout(ctx, base, arms, budget, hom_lists=None) -> AmalgamatedResult:
+def _pushout(
+    ctx: PrevarietyCtx,
+    base: FiniteAlgebra,
+    arms: Sequence[tuple[FiniteAlgebra, Homomorphism]],
+    budget: Budget,
+    hom_lists=None,
+) -> AmalgamatedResult:
     """``amalgamated_coproduct`` once the arms are checked."""
 
     def on_base(i, h):
