@@ -7,7 +7,8 @@ generator indices (free algebras) or the coprojection and base mappings
 (coproducts).  A change that renumbers carriers changes a digest.  The
 closure engine is also checked against the naive fixpoint loop it replaced,
 and the closure over tuples in a product, budget errors included, against
-the per-cell loop that preceded the row kernel.
+the per-cell loop that preceded the row kernel; a second property draws
+only two-element factors, whose products close on bitmasks.
 
 Search-order digests pin what depends on the order in which homomorphisms
 are found: the separating family chosen for each pair, the product and
@@ -71,6 +72,7 @@ from prevar.algcore import (
     direct_product,
     disjoint_union,
     empty_algebra,
+    generated_subalgebra,
     is_subdirectly_irreducible,
 )
 from prevar.amalgam import (
@@ -144,6 +146,15 @@ def _free(gens, n):
 
 def _coproduct():
     result = coproduct(sp(disjoint_union([C2, C3])), [C2, C3])
+    return _digest(result.algebra, [list(c.mapping) for c in result.coprojections])
+
+
+def _semilattice_coproduct():
+    """Two subalgebras of S2 x S2 (the three elements above the bottom, and the
+    two-element chain through the corners) in SP(S2)."""
+    square, _ = direct_product([S2, S2])
+    parts = [generated_subalgebra(square, seed)[0] for seed in ([1, 2], [0, 3])]
+    result = coproduct(sp(S2), parts)
     return _digest(result.algebra, [list(c.mapping) for c in result.coprojections])
 
 
@@ -358,9 +369,11 @@ CASES = {
     "free-boolean-2": lambda: _free([B2], 2),
     "free-x-and-not-y-3": lambda: _free([X_AND_NOT_Y], 3),
     "free-nor-3": lambda: _free([NOR], 3),
+    "free-x-and-not-y-4": lambda: _free([X_AND_NOT_Y], 4),
     "free-c2-c3-1": lambda: _free([C2, C3], 1),
     "free-c2-c3-2": lambda: _free([C2, C3], 2),
     "coproduct-u23-c2-c3": _coproduct,
+    "coproduct-s2-square-parts": _semilattice_coproduct,
     "amalgamated-l3-l3-over-l2": _amalgamated,
     "separating-c6-c2-c3": lambda: _separating(cyclic_unary(6), [C2, C3]),
     "separating-c2c3-witness": lambda: _separating(disjoint_union([C2, C3]), [C2, C3]),
@@ -433,6 +446,10 @@ GOLDEN = {
     "free-boolean-2": "7cf71b8eeabb562926c802fa3e523a15ccbd0eed518cb096a5165d3f6e631ece",
     "free-x-and-not-y-3": "cf77f302b55edfd552dec1afd6d3bc0f426e1d776c0e686bbacb06de6e59c609",
     "free-nor-3": "032848034df3a1b445310f966a61b71c38b51552e878324a244cd8da9f322689",
+    # taken with the tuple row kernel, before the two-element product closure
+    # ran on bitmasks
+    "free-x-and-not-y-4": "014c85fca3d30cb678e2f5d9ef4beb56a47ee364c2bd303af685d9f9f3dc5774",
+    "coproduct-s2-square-parts": "eef516b0e6f2e398491f9f348a8a053f33bb35a66b0a2648f40eb7fbd0a30b74",
     # taken with the eager search that listed every homomorphism into every
     # generator before looking at a pair
     "separating-c6-c2-c3": "5d342308a11537c9d41c8302b9959bef1f1566bc8ce9227bf9cd7a7328d8b9b4",
@@ -661,6 +678,33 @@ def _elements_or_error(run):
         return run()
     except BudgetExceededError as e:
         return str(e)
+
+
+@st.composite
+def two_element_closures(draw):
+    """Seeds in a product of one to eight two-element factors, each with its
+    own tables: the products closed on bitmasks."""
+    sig = draw(st.sampled_from(SIGNATURES))
+    k = draw(st.integers(1, 8))
+    factors = [FiniteAlgebra(sig, 2, _tables(draw, sig, 2)) for _ in range(k)]
+    seeds = draw(st.lists(st.tuples(*[st.integers(0, 1)] * k), max_size=4))
+    return sig, factors, seeds
+
+
+# the cell bound keeps the per-cell loop short on ternary ops, and lets some
+# examples stop on it
+@settings(max_examples=300, deadline=None)
+@given(two_element_closures())
+def test_two_element_closure_matches_per_cell_loop(case):
+    sig, factors, seeds = case
+    budget = Budget(max_table_cells=2**14)
+
+    def ours():
+        alg, elems = _closed_tuple_algebra(sig, factors, seeds, budget)
+        return elems, {name: list(table) for name, table in alg.tables.items()}
+
+    assert _elements_or_error(ours) == _elements_or_error(lambda: _per_cell_closure(
+        sig, _per_cell_product(factors), seeds, budget.max_carrier, budget.max_table_cells))
 
 
 # NOR's free algebra on 3 generators: 256 elements, the last round starting
