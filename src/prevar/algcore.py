@@ -73,8 +73,8 @@ class Signature:
         if len(set(names)) != len(names):
             raise AlgebraError(f"duplicate operation symbols in {names}")
         for name, arity in self.ops:
-            if arity < 0:
-                raise AlgebraError(f"negative arity for {name!r}")
+            if type(arity) is not int or arity < 0:
+                raise AlgebraError(f"arity for {name!r} must be a natural number, not {arity!r}")
 
     def arity(self, name: str) -> int:
         for op, ar in self.ops:
@@ -139,12 +139,6 @@ class FiniteAlgebra:
             idxs = [i * self.size + v for i in idxs for v in values]
         return map(self.tables[name].__getitem__, idxs)
 
-    def elements(self) -> range:
-        return range(self.size)
-
-    def is_trivial(self) -> bool:
-        return self.size == 1
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteAlgebra)
@@ -176,9 +170,13 @@ class FiniteAlgebra:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteAlgebra":
-        doc = json.loads(text)
-        sig = Signature(tuple((e["name"], e["arity"]) for e in doc["signature"]))
-        return cls(sig, doc["size"], {n: doc["ops"][n] for n in sig.names})
+        """Parse ``to_json`` output; a malformed document raises ``AlgebraError``."""
+        try:
+            doc = json.loads(text)
+            sig = Signature(tuple((e["name"], e["arity"]) for e in doc["signature"]))
+            return cls(sig, doc["size"], {n: doc["ops"][n] for n in sig.names})
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise AlgebraError(f"malformed algebra document: {type(exc).__name__}: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -284,10 +282,6 @@ class Homomorphism:
             raise AlgebraError("composition mismatch")
         return Homomorphism(inner.source, self.target,
                             tuple(self.mapping[v] for v in inner.mapping))
-
-
-def identity_hom(alg: FiniteAlgebra) -> Homomorphism:
-    return Homomorphism(alg, alg, tuple(range(alg.size)))
 
 
 def _canonical_blocks(labels: Sequence[int]) -> tuple[int, ...]:
@@ -508,6 +502,28 @@ def _product_rows(factors: Sequence[FiniteAlgebra]):
         if lasts is None:
             return tuple(seg[0] for seg in segs)
         return [tuple(map(operator.getitem, segs, y)) for y in lasts]
+
+    return row
+
+
+def _mask_rows(factors: Sequence[FiniteAlgebra]):
+    """The ``row`` of ``_closure`` over a product of two-element ``factors``:
+    an element is one int whose bit c is coordinate c.  Per op, bit c of
+    ``masks[t]`` is factor c's entry at flat cell t; each prefix argument,
+    most significant first, selects per bit one half of the masks, down to
+    the values p at y = 0 and q at y = 1."""
+    masks = {name: [sum(f.tables[name][t] << c for c, f in enumerate(factors))
+                    for t in range(2**arity)] for name, arity in factors[0].signature.ops}
+
+    def row(name, prefix, lasts):
+        m = masks[name]
+        for x in prefix:
+            half = len(m) // 2
+            m = [a ^ ((a ^ b) & x) for a, b in zip(m[:half], m[half:])]
+        if lasts is None:
+            return m[0]
+        p, d = m[0], m[0] ^ m[1]
+        return [p ^ (d & y) for y in lasts]
 
     return row
 

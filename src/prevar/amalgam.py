@@ -220,13 +220,6 @@ class AmalgamCtx:
     def embed(self, k: int, b: int) -> int:
         return self.embeddings[k][b]
 
-    def split(self, k: int, g: int) -> tuple[int, int]:
-        """g = rep * embed(b) with rep in the transversal; returns (rep, b)."""
-        try:
-            return self._split_tables[k][g]
-        except KeyError:
-            raise AlgebraError("transversal does not split the factor") from None
-
 
 @dataclass(frozen=True)
 class AmalgamElement:
@@ -286,6 +279,14 @@ def to_word(ctx: AmalgamCtx, el: AmalgamElement) -> list[tuple[int, int]]:
 
 
 def multiply(ctx: AmalgamCtx, e1: AmalgamElement, e2: AmalgamElement) -> AmalgamElement:
+    """The normal form of e1 * e2; an argument not in normal form raises
+    ``AlgebraError``."""
+    _check_element(ctx, e1)
+    _check_element(ctx, e2)
+    return _multiply(ctx, e1, e2)
+
+
+def _multiply(ctx: AmalgamCtx, e1: AmalgamElement, e2: AmalgamElement) -> AmalgamElement:
     el = e2
     for k, g in reversed(to_word(ctx, e1)):
         el = _prepend(ctx, k, g, el)
@@ -293,6 +294,7 @@ def multiply(ctx: AmalgamCtx, e1: AmalgamElement, e2: AmalgamElement) -> Amalgam
 
 
 def inverse(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
+    _check_element(ctx, el)
     word = to_word(ctx, el)
     inverted = [(k, ctx.factor(k).inv(g)) for k, g in reversed(word)]
     return normal_form(ctx, inverted)
@@ -301,18 +303,20 @@ def inverse(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
 def power(ctx: AmalgamCtx, el: AmalgamElement, k: int) -> AmalgamElement:
     if k < 0:
         raise AlgebraError("power needs a non-negative exponent")
+    _check_element(ctx, el)
     acc = identity_element(ctx)
     for _ in range(k):
-        acc = multiply(ctx, acc, el)
+        acc = _multiply(ctx, acc, el)
     return acc
 
 
 def cyclically_reduce(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
     """Conjugate away matching ends until the string length stabilizes."""
+    _check_element(ctx, el)
     while el.length() >= 2:
         k, r = el.reps[0]
         letter = normal_form(ctx, [(k, r)])
-        conj = multiply(ctx, multiply(ctx, inverse(ctx, letter), el), letter)
+        conj = _multiply(ctx, _multiply(ctx, inverse(ctx, letter), el), letter)
         if conj.length() < el.length():
             el = conj
         else:
@@ -332,6 +336,13 @@ def _check_string(ctx: AmalgamCtx, reps: Sequence[tuple[int, int]]) -> None:
             raise AlgebraError("coset strings must alternate factors")
 
 
+def _check_element(ctx: AmalgamCtx, el: AmalgamElement) -> None:
+    """A normal form: a coset string, then a tail in the subgroup."""
+    _check_string(ctx, el.reps)
+    if not 0 <= el.tail < ctx.base.size:
+        raise AlgebraError("tail outside the subgroup")
+
+
 def is_torsion(ctx: AmalgamCtx, el: AmalgamElement) -> bool:
     """Finite order iff the cyclically reduced string has length <= 1.
 
@@ -340,9 +351,7 @@ def is_torsion(ctx: AmalgamCtx, el: AmalgamElement) -> bool:
     growth of the powers.  A disagreement would mean a bug, and raises.
     An element that is not in normal form raises ``AlgebraError``.
     """
-    _check_string(ctx, el.reps)
-    if not 0 <= el.tail < ctx.base.size:
-        raise AlgebraError("tail outside the subgroup")
+    _check_element(ctx, el)
     return _is_torsion(ctx, el)
 
 
@@ -357,7 +366,7 @@ def _is_torsion(ctx: AmalgamCtx, el: AmalgamElement) -> bool:
             if acc == identity_element(ctx):
                 order = k
                 break
-            acc = multiply(ctx, acc, el)
+            acc = _multiply(ctx, acc, el)
         if order is None:
             raise AlgebraError("structural torsion verdict failed the powers oracle")
         return True

@@ -148,7 +148,10 @@ def cmd_comfortable(args) -> int:
 def cmd_independent(args) -> int:
     ctx = _ctx(args)
     ambient = FiniteAlgebra.load(args.ambient)
-    subsets = [[int(x) for x in s.split(",") if x] for s in args.subset]
+    try:
+        subsets = [[int(x) for x in s.split(",") if x] for s in args.subset]
+    except ValueError as exc:
+        raise AlgebraError(f"--subset takes comma-separated carrier indices: {exc}") from None
     ok = is_independent(ctx, ambient, subsets)
     _emit(args, {"independent": ok}, [f"independent: {ok}"])
     return EXIT_OK if ok else EXIT_REFUTED
@@ -288,26 +291,23 @@ def cmd_amalgam_nf(args) -> int:
     return EXIT_OK
 
 
+def _parity_scan(ctx: AmalgamCtx, max_len: int):
+    """Each alternating coset string up to ``max_len`` with its torsion verdict,
+    and whether all follow the rule: even cosets torsion-free, odd and empty
+    cosets torsion."""
+    if max_len < 0:
+        raise AlgebraError("--max-len must be a natural number")
+    rows = [(length, string, coset_torsion_scan(ctx, string)) for length in range(max_len + 1)
+            for string in alternating_strings(ctx, length)]
+    return rows, all(t == (length % 2 == 1 or length == 0) for length, _, t in rows)
+
+
 def cmd_amalgam_scan(args) -> int:
-    ctx = _amalgam_ctx_from_args(args)
-    rows = []
-    ok = True
-    for length in range(args.max_len + 1):
-        for string in alternating_strings(ctx, length):
-            has_torsion = coset_torsion_scan(ctx, string)
-            expected = length % 2 == 1 or length == 0
-            rows.append({
-                "length": length,
-                "string": [list(s) for s in string],
-                "has_torsion": has_torsion,
-            })
-            if has_torsion != expected:
-                ok = False
-    report = {"cosets": rows, "matches_parity_rule": ok}
-    lines = [
-        f"len={r['length']} torsion={r['has_torsion']} string={r['string']}"
-        for r in rows
-    ]
+    rows, ok = _parity_scan(_amalgam_ctx_from_args(args), args.max_len)
+    report = {"cosets": [{"length": length, "string": [list(s) for s in string], "has_torsion": t}
+                         for length, string, t in rows], "matches_parity_rule": ok}
+    lines = [f"len={r['length']} torsion={r['has_torsion']} string={r['string']}"
+             for r in report["cosets"]]
     lines.append(f"even cosets torsion-free, odd and empty cosets torsion: {ok}")
     _emit(args, report, lines)
     return EXIT_OK if ok else EXIT_REFUTED
@@ -423,15 +423,7 @@ def _suite_monoid_amalgam():
 
 
 def _suite_amalgam_torsion():
-    checks = []
-    ctx = sym_stab_amalgam(3)
-    ok = True
-    for length in range(0, 5):
-        expected = length % 2 == 1 or length == 0
-        for string in alternating_strings(ctx, length):
-            if coset_torsion_scan(ctx, string) != expected:
-                ok = False
-    checks.append(("amalgam:coset-torsion-parity-up-to-4", ok))
+    checks = [("amalgam:coset-torsion-parity-up-to-4", _parity_scan(sym_stab_amalgam(3), 4)[1])]
     for n in (3, 4, 5):
         survey = stabilizer_coset_survey(n)
         checks.append((f"amalgam:stabilizer-cosets-have-involutions-n{n}",

@@ -33,6 +33,7 @@ from .algcore import (
     Term,
     Var,
     _closure,
+    _mask_rows,
     _product_rows,
     _require_congruence_size,
     all_congruences,
@@ -101,12 +102,18 @@ def _closed_tuple_algebra(
 
     The ambient product is never materialized: ``_closure`` works directly
     on tuples, in its discovery order, looking each coordinate up in its
-    factor's table.
+    factor's table.  When every factor has two elements, it works on
+    bitmasks instead (``_mask_rows``), and the elements are decoded back to
+    tuples in the same order.
     """
-    elems, tables = _closure(
-        signature, _product_rows(factors), [tuple(s) for s in seeds], budget.max_carrier,
-        budget.max_table_cells,
-    )
+    bits = len(factors) > 0 and all(f.size == 2 for f in factors)
+    if bits:
+        row, seeds = _mask_rows(factors), [sum(v << c for c, v in enumerate(s)) for s in seeds]
+    else:
+        row, seeds = _product_rows(factors), [tuple(s) for s in seeds]
+    elems, tables = _closure(signature, row, seeds, budget.max_carrier, budget.max_table_cells)
+    if bits:
+        elems = [tuple((e >> c) & 1 for c in range(len(factors))) for e in elems]
     return FiniteAlgebra(signature, len(elems), tables), elems
 
 
@@ -318,32 +325,6 @@ def is_compatible(
     """
     result = coproduct(ctx, algebras, budget)
     return result.all_injective()
-
-
-def compatible_common_target(
-    ctx: PrevarietyCtx,
-    algebras: Sequence[FiniteAlgebra],
-    max_total_factors: int = 3,
-    budget: Budget = DEFAULT_BUDGET,
-) -> Optional[FiniteAlgebra]:
-    """Bounded search for one SP(Y) member embedding all the algebras.
-
-    Tries products of generators with at most ``max_total_factors``
-    factors; returns the first target found, None if none in range.  Used
-    to cross-check ``is_compatible`` against the direct formulation.
-    """
-    from .algcore import direct_product
-    from .homsearch import exists_embedding
-
-    k = len(ctx.generators)
-    for total in range(1, max_total_factors + 1):
-        for combo in itertools.combinations_with_replacement(range(k), total):
-            target, _ = direct_product(
-                [ctx.generators[i] for i in combo], signature=ctx.signature
-            )
-            if all(exists_embedding(a, target, budget) for a in algebras):
-                return target
-    return None
 
 
 def is_comfortable(
@@ -632,16 +613,16 @@ def _parse_term(tokens: list[str], pos: int, variables: list[str], signature):
     if pos < len(tokens) and tokens[pos] == "(":
         pos += 1
         args = []
-        if tokens[pos] == ")":
+        if tokens[pos:pos + 1] == [")"]:
             pos += 1
         else:
             while True:
                 arg, pos = _parse_term(tokens, pos, variables, signature)
                 args.append(arg)
-                if tokens[pos] == ",":
+                if tokens[pos:pos + 1] == [","]:
                     pos += 1
                     continue
-                if tokens[pos] == ")":
+                if tokens[pos:pos + 1] == [")"]:
                     pos += 1
                     break
                 raise AlgebraError("expected ',' or ')' in a term")
@@ -764,6 +745,8 @@ def enumerate_members(
     ``size**(size**arity)`` per op; only workable for small sizes and
     signatures.
     """
+    if max_size < 0:
+        raise AlgebraError("the size bound must be a natural number")
     sig = ctx.signature
     out = []
     if include_empty and not sig.has_zeroary():

@@ -263,6 +263,20 @@ class TestRefusals:
         with pytest.raises(AlgebraError, match="^tail outside the subgroup$"):
             is_torsion(ctx, AmalgamElement((), ctx.base.size))
 
+    def test_entry_points_refuse_an_element_out_of_normal_form(self, ctx):
+        # multiply(identity, e) used to return e unchanged, and
+        # multiply(e, identity) its normal form ((0, 1),)
+        e = AmalgamElement(((0, 1), (1, 1), (1, 1)), 0)
+        one = identity_element(ctx)
+        calls = [lambda: multiply(ctx, one, e), lambda: multiply(ctx, e, one),
+                 lambda: inverse(ctx, e), lambda: cyclically_reduce(ctx, e),
+                 lambda: power(ctx, e, 2)]
+        for call in calls:
+            with pytest.raises(AlgebraError, match="^coset strings must alternate factors$"):
+                call()
+        with pytest.raises(AlgebraError, match="^tail outside the subgroup$"):
+            multiply(ctx, one, AmalgamElement((), -1))
+
     def test_missing_split_entry_raises_algebra_error(self, ctx):
         broken = AmalgamCtx(ctx.factors, ctx.base, ctx.embeddings, ctx.transversals)
         tables = [dict(t) for t in broken._split_tables]
@@ -282,11 +296,11 @@ def _reference_prepend(ctx, k, g, el):
     while reps and reps[0][0] == k:
         g = ctx.factor(k).mul(g, reps[0][1])
         reps.pop(0)
-    rep, beta = ctx.split(k, g)
+    rep, beta = ctx._split_tables[k][g]
     out = []
     for fi, ri in reps:
         h = ctx.factor(fi).mul(ctx.embed(fi, beta), ri)
-        rep_i, beta = ctx.split(fi, h)
+        rep_i, beta = ctx._split_tables[fi][h]
         out.append((fi, rep_i))
     tail = ctx.base.mul(beta, el.tail)
     if rep != ctx.factor(k).identity:

@@ -345,3 +345,52 @@ class TestUsage:
         fresh = [run(capsys, *argv) for argv in calls]
         assert shared == fresh
         assert [code for code, _, _ in shared] == [1, 1, 0, 1, 2, 0, 0, 0, 2, 0]
+
+
+def _prevar(*argv):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prevar.__file__))}
+    return subprocess.run([sys.executable, "-m", "prevar.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
+class TestMalformedInput:
+    """Malformed files and arguments are usage errors (exit 2), never a
+    traceback read as "refuted"; under ``--json`` stdout is one error object."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "JSONDecodeError"),
+        ('{"signature": [{"name": "a", "arity": 1}], "size": 2}', "KeyError: 'ops'"),
+        ('{"signature": [{"name": "a", "arity": "1"}], "size": 2, "ops": {"a": [1, 0]}}',
+         "arity for 'a' must be a natural number, not '1'"),
+    ], ids=["not-json", "missing-ops", "string-arity"])
+    def test_malformed_algebra_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        proc = _prevar("--json", "si", str(path))
+        assert proc.returncode == 2
+        report = json.loads(proc.stdout)
+        assert report["error"] == "usage" and message in report["message"]
+        assert proc.stdout.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_unclosed_term_in_a_quasi_identity(self, algebra_files):
+        proc = _prevar("--json", "qid", algebra_files["c2"], "=> a(x = x")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == "usage"
+
+    def test_subset_that_is_not_indices(self, algebra_files):
+        proc = _prevar("independent", "--gen", algebra_files["u23"], algebra_files["u23"],
+                       "--subset", "x")
+        assert proc.returncode == 2
+        assert "--subset takes comma-separated carrier indices" in proc.stderr
+
+    def test_negative_member_size_bound(self, algebra_files):
+        proc = _prevar("--json", "amalg-check", "--gen", algebra_files["c2"], "-k", "-1")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {
+            "error": "usage", "message": "the size bound must be a natural number"}
+
+    def test_negative_scan_length(self):
+        proc = _prevar("--json", "amalgam-scan", "--sym", "3", "--max-len", "-1")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {
+            "error": "usage", "message": "--max-len must be a natural number"}

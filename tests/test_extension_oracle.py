@@ -28,7 +28,6 @@ from prevar.algcore import (
     direct_product,
     disjoint_union,
     generated_subalgebra,
-    identity_hom,
     subalgebra_on,
 )
 from prevar.homsearch import MembershipError, find_homomorphisms
@@ -45,6 +44,10 @@ from prevar.prevariety import (
 )
 
 # -- the oracle ---------------------------------------------------------------------
+
+
+def identity_hom(alg):
+    return Homomorphism(alg, alg, tuple(range(alg.size)))
 
 
 def oracle_extend(source, target, pairs, budget):

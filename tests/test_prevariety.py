@@ -30,7 +30,7 @@ from prevar.algcore import (
     subalgebra_on,
     trivial_algebra,
 )
-from prevar.homsearch import MembershipError, find_homomorphisms, in_sp
+from prevar.homsearch import MembershipError, exists_embedding, find_homomorphisms, in_sp
 from prevar.prevariety import (
     AmalgamationCounterexample,
     ChainHypothesisError,
@@ -39,7 +39,6 @@ from prevar.prevariety import (
     chain_independence,
     check_amalgamation_bounded,
     check_coproduct_monotone_bounded,
-    compatible_common_target,
     constants_si_census,
     coproduct,
     enumerate_members,
@@ -386,6 +385,21 @@ class TestIsCoproduct:
                     )
                     == 1
                 )
+
+
+def compatible_common_target(ctx, algebras, max_total_factors):
+    """The oracle for ``is_compatible``: a bounded search for one SP(Y)
+    member embedding all the algebras, among products of generators with at
+    most ``max_total_factors`` factors.  The first target found, or None."""
+    k = len(ctx.generators)
+    for total in range(1, max_total_factors + 1):
+        for combo in itertools.combinations_with_replacement(range(k), total):
+            target, _ = direct_product(
+                [ctx.generators[i] for i in combo], signature=ctx.signature
+            )
+            if all(exists_embedding(a, target) for a in algebras):
+                return target
+    return None
 
 
 class TestCompatibility:
