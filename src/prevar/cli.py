@@ -304,12 +304,11 @@ def _parity_scan(ctx: AmalgamCtx, max_len: int):
 
 def cmd_amalgam_scan(args) -> int:
     rows, ok = _parity_scan(_amalgam_ctx_from_args(args), args.max_len)
-    report = {"cosets": [{"length": length, "string": [list(s) for s in string], "has_torsion": t}
-                         for length, string, t in rows], "matches_parity_rule": ok}
-    lines = [f"len={r['length']} torsion={r['has_torsion']} string={r['string']}"
-             for r in report["cosets"]]
+    cosets = [{"length": length, "string": [list(s) for s in string], "has_torsion": t}
+              for length, string, t in rows]
+    lines = [f"len={c['length']} torsion={c['has_torsion']} string={c['string']}" for c in cosets]
     lines.append(f"even cosets torsion-free, odd and empty cosets torsion: {ok}")
-    _emit(args, report, lines)
+    _emit(args, {"cosets": cosets, "matches_parity_rule": ok}, lines)
     return EXIT_OK if ok else EXIT_REFUTED
 
 

@@ -150,8 +150,8 @@ def _coproduct():
 
 
 def _semilattice_coproduct():
-    """Two subalgebras of S2 x S2 (the three elements above the bottom, and the
-    two-element chain through the corners) in SP(S2)."""
+    """Two subalgebras of S2 x S2 in SP(S2): the three elements above the
+    bottom, and the diagonal {(0, 0), (1, 1)}."""
     square, _ = direct_product([S2, S2])
     parts = [generated_subalgebra(square, seed)[0] for seed in ([1, 2], [0, 3])]
     result = coproduct(sp(S2), parts)
