@@ -28,7 +28,6 @@ from .algcore import (
 )
 from .homsearch import (
     MembershipError,
-    PartialMap,
     exists_embedding,
     find_homomorphisms,
     in_sp,

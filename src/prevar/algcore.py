@@ -115,7 +115,7 @@ class FiniteAlgebra:
                 raise AlgebraError(
                     f"table for {name!r} has {len(table)} entries, expected {size**arity}"
                 )
-            if any(not (0 <= v < size) for v in table):
+            if table and (min(table) < 0 or max(table) >= size):
                 raise AlgebraError(f"table for {name!r} has entries outside the carrier")
             frozen[name] = table
         self.signature = signature
@@ -208,15 +208,6 @@ class App:
 Term = Var | App
 
 
-def term_variables(t: Term) -> set[int]:
-    if isinstance(t, Var):
-        return {t.index}
-    out: set[int] = set()
-    for a in t.args:
-        out |= term_variables(a)
-    return out
-
-
 def eval_term(alg: FiniteAlgebra, t: Term, assignment: dict[int, int]) -> int:
     """Evaluate a term by recursive table lookup under a variable assignment."""
     if isinstance(t, Var):
@@ -284,17 +275,6 @@ class Homomorphism:
                             tuple(self.mapping[v] for v in inner.mapping))
 
 
-def _canonical_blocks(labels: Sequence[int]) -> tuple[int, ...]:
-    # renumber block labels in order of first occurrence
-    seen: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Congruence:
     """An op-compatible partition, stored as a block index per element."""
@@ -305,7 +285,7 @@ class Congruence:
     def __post_init__(self):
         if len(self.blocks) != self.algebra.size:
             raise AlgebraError("partition length differs from the carrier")
-        object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
+        object.__setattr__(self, "blocks", _labels(self.blocks))
         # compatible iff each cell shares a block with the cell at its
         # arguments' block representatives (the first element of each block)
         alg, blocks = self.algebra, self.blocks
@@ -323,7 +303,7 @@ class Congruence:
         canonicalised (unless they already are) but not re-validated."""
         c = object.__new__(cls)
         object.__setattr__(c, "algebra", alg)
-        object.__setattr__(c, "blocks", tuple(labels) if canonical else _canonical_blocks(labels))
+        object.__setattr__(c, "blocks", tuple(labels) if canonical else _labels(labels))
         return c
 
     @classmethod
@@ -392,10 +372,23 @@ def _merge(parent, rows, pairs) -> list[int]:
     return parent
 
 
-def _labels(roots: Sequence[int]) -> tuple[int, ...]:
-    """Canonical labels from ``_merge`` roots, which come in first-occurrence order."""
-    rank = {r: i for i, r in enumerate(dict.fromkeys(roots))}
-    return tuple([rank[r] for r in roots])
+def _labels(labels: Sequence) -> tuple[int, ...]:
+    """Canonical labels: blocks renumbered 0, 1, ... in order of first occurrence."""
+    rank = {r: i for i, r in enumerate(dict.fromkeys(labels))}
+    return tuple([rank[r] for r in labels])
+
+
+def _meet(n: int, labellings: Iterable[Sequence]) -> Optional[tuple[int, ...]]:
+    """The canonical labels of the meet of partitions of ``0..n-1``, n >= 2,
+    taken one labelling at a time (the empty meet is the full partition), or
+    None as soon as the meet is diagonal; later labellings are not pulled."""
+    meet = (0,) * n
+    for labels in labellings:
+        seen: dict = {}
+        meet = [seen.setdefault(pair, len(seen)) for pair in zip(meet, labels)]
+        if len(seen) == n:
+            return None
+    return tuple(meet)
 
 
 def _translation_rows(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
@@ -533,21 +526,17 @@ def generated_subalgebra(
 ) -> tuple[FiniteAlgebra, Homomorphism]:
     """Least subset containing ``seed`` closed under all ops, with its inclusion.
 
-    The closure runs in ``_closure`` over one-coordinate tuples; its tables,
-    recorded over the discovery order, are then permuted to ascending carrier
-    order.  The empty seed yields the closure of the zeroary constants (the
-    empty algebra when there are none).
+    The closure runs in ``_closure`` over one-coordinate tuples and the
+    result is ``subalgebra_on`` its ascending carrier.  The empty seed yields
+    the closure of the zeroary constants (the empty algebra when there are
+    none).
     """
     seed = list(seed)
     for x in seed:
         if not (0 <= x < alg.size):
             raise AlgebraError(f"seed element {x} is off the carrier")
-    elems, tables = _closure(alg.signature, _product_rows([alg]), [(x,) for x in seed])
-    carrier = sorted(x for (x,) in elems)
-    position = {x: i for i, x in enumerate(carrier)}
-    found = FiniteAlgebra(alg.signature, len(elems), tables)
-    sub = apply_relabeling(found, [position[x] for (x,) in elems])
-    return sub, Homomorphism._unchecked(sub, alg, carrier)
+    elems, _ = _closure(alg.signature, _product_rows([alg]), [(x,) for x in seed])
+    return subalgebra_on(alg, sorted(x for (x,) in elems))
 
 
 def subalgebra_on(alg: FiniteAlgebra, carrier: Sequence[int]) -> tuple[FiniteAlgebra, Homomorphism]:
@@ -694,19 +683,16 @@ def is_subdirectly_irreducible(
     Returns that meet (the monolith) in the positive case.  Every
     non-diagonal congruence contains some principal Cg(a, b), so the
     monolith is the meet of the n(n-1)/2 principal congruences, taken on
-    plain label tuples as ``_merge`` returns them; the congruence lattice
-    is never built, and the meet stops at the first diagonal one.  The
-    size bound is that of ``all_congruences``.
+    plain label tuples as ``_merge`` returns them (``_meet``); the
+    congruence lattice is never built, and the meet stops at the first
+    diagonal one.  The size bound is that of ``all_congruences``.
     """
     if alg.size < 2:
         raise AlgebraError("subdirect irreducibility needs a nontrivial algebra")
     _require_congruence_size(alg, budget)
-    meet = (0,) * alg.size
-    for _, _, roots in _principals(alg):
-        seen: dict = {}
-        meet = [seen.setdefault(pair, len(seen)) for pair in zip(meet, roots)]
-        if len(seen) == alg.size:
-            return False, None
+    meet = _meet(alg.size, (roots for _, _, roots in _principals(alg)))
+    if meet is None:
+        return False, None
     return True, Congruence._unchecked(alg, meet, True)
 
 

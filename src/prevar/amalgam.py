@@ -2,9 +2,8 @@
 
 Elements are kept in the standard normal form: an alternating string of
 non-identity left-coset representatives from the two factors, followed by
-an element of the amalgamated subgroup.  Normal forms depend on the
-chosen transversals; by default each coset is represented by its least
-carrier index, except the subgroup's own coset, represented by the
+an element of the amalgamated subgroup.  Each coset is represented by its
+least carrier index, except the subgroup's own coset, represented by the
 identity.
 
 Torsion detection uses the structural criterion (an element is conjugate
@@ -16,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .algcore import AlgebraError, FiniteAlgebra, Signature
+from .algcore import AlgebraError, FiniteAlgebra, Homomorphism, Signature, subalgebra_on
 
 GROUP_SIGNATURE = Signature((("mul", 2), ("inv", 1), ("e", 0)))
 
@@ -115,17 +114,7 @@ def symmetric_group(n: int) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
 def subgroup(group: FiniteGroup, members: Iterable[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
     """The subgroup on the given closed subset, with its inclusion indices."""
     carrier = sorted(set(members))
-    pos = {g: i for i, g in enumerate(carrier)}
-    table = []
-    for x in carrier:
-        row = []
-        for y in carrier:
-            v = group.mul(x, y)
-            if v not in pos:
-                raise AlgebraError("subset is not closed under multiplication")
-            row.append(pos[v])
-        table.append(row)
-    return group_from_table(table), tuple(carrier)
+    return FiniteGroup(subalgebra_on(group.alg, carrier)[0]), tuple(carrier)
 
 
 def point_stabilizer(group: FiniteGroup, perms: Sequence[tuple[int, ...]], point: int):
@@ -166,26 +155,15 @@ class AmalgamCtx:
         base: FiniteGroup,
         emb1: Sequence[int],
         emb2: Sequence[int],
-        transversals: Optional[Sequence[Sequence[int]]] = None,
     ) -> "AmalgamCtx":
-        embeddings = (tuple(emb1), tuple(emb2))
-        for k, group in enumerate((g1, g2)):
-            emb = embeddings[k]
-            if len(emb) != base.size or len(set(emb)) != base.size:
+        """The context with each factor's least transversal; an embedding
+        that is not an injective homomorphism raises ``AlgebraError``."""
+        factors, embeddings = (g1, g2), (tuple(emb1), tuple(emb2))
+        for group, emb in zip(factors, embeddings):
+            if not Homomorphism(base.alg, group.alg, emb).is_injective():
                 raise AlgebraError("embedding is not one-to-one on the subgroup")
-            for x in range(base.size):
-                for y in range(base.size):
-                    if emb[base.mul(x, y)] != group.mul(emb[x], emb[y]):
-                        raise AlgebraError("embedding does not preserve products")
-        if transversals is None:
-            transversals = tuple(
-                cls._least_transversal(group, embeddings[k])
-                for k, group in enumerate((g1, g2))
-            )
-        transversals = tuple(tuple(t) for t in transversals)
-        ctx = cls((g1, g2), base, embeddings, transversals)
-        ctx._check_transversals()
-        return ctx
+        transversals = tuple(map(cls._least_transversal, factors, embeddings))
+        return cls(factors, base, embeddings, transversals)
 
     @staticmethod
     def _least_transversal(group: FiniteGroup, emb: Sequence[int]) -> tuple[int, ...]:
@@ -201,18 +179,6 @@ class AmalgamCtx:
             assigned |= coset
         reps.sort(key=lambda r: (r != group.identity, r))
         return tuple(reps)
-
-    def _check_transversals(self):
-        for k, group in enumerate(self.factors):
-            image = set(self.embeddings[k])
-            reps = self.transversals[k]
-            if group.identity not in reps:
-                raise AlgebraError("the identity must represent the subgroup's coset")
-            cosets = [frozenset(group.mul(r, h) for h in image) for r in reps]
-            if len(set(cosets)) != len(reps):
-                raise AlgebraError("transversal elements share a coset")
-            if set().union(*cosets) != set(range(group.size)):
-                raise AlgebraError("transversal misses a coset")
 
     def factor(self, k: int) -> FiniteGroup:
         return self.factors[k]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .algcore import (
@@ -25,38 +24,6 @@ from .algcore import (
     FiniteAlgebra,
     Homomorphism,
 )
-
-
-@dataclass(frozen=True)
-class PartialMap:
-    """A partial assignment between carriers, consistent where determined.
-
-    Construction rejects assignments that already violate an operation
-    whose arguments are all assigned.
-    """
-
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    assignment: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(sorted(dict(self.assignment).items())))
-        mapping = dict(self.assignment)
-        for x, v in mapping.items():
-            if not (0 <= x < self.source.size) or not (0 <= v < self.target.size):
-                raise AlgebraError("partial map leaves a carrier")
-        for name, arity in self.source.signature.ops:
-            for args in itertools.product(sorted(mapping), repeat=arity):
-                result = self.source.op(name, *args)
-                if result in mapping:
-                    forced = self.target.op(name, *(mapping[a] for a in args))
-                    if mapping[result] != forced:
-                        raise AlgebraError(
-                            f"partial map already violates {name!r} at {args}"
-                        )
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.assignment)
 
 
 class MembershipError(AlgebraError):
@@ -230,24 +197,21 @@ class _Search:
 def find_homomorphisms(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
-    seed: Optional[dict[int, int] | PartialMap] = None,
+    seed: Optional[dict[int, int]] = None,
     budget: Budget = DEFAULT_BUDGET,
     injective: bool = False,
 ) -> list[Homomorphism]:
     """All total homomorphisms extending ``seed``, in deterministic order.
 
-    ``seed`` is a dict or a ``PartialMap``.  The search is lazy: reaching
-    ``max_solutions`` stops it before any further node.  Exceeding
-    ``max_nodes`` raises ``BudgetExceededError`` so exhaustion is never
-    mistaken for "no solutions".  The results are valid by construction
-    and skip the ``Homomorphism`` constructor's re-validation.
+    A seed pair off a carrier raises ``AlgebraError``; a contradictory seed
+    has no extension.  The search is lazy: reaching ``max_solutions`` stops
+    it before any further node.  Exceeding ``max_nodes`` raises
+    ``BudgetExceededError`` so exhaustion is never mistaken for "no
+    solutions".  The results are valid by construction and skip the
+    ``Homomorphism`` constructor's re-validation.
     """
     if source.signature != target.signature:
         raise AlgebraError("search between different signatures")
-    if isinstance(seed, PartialMap):
-        if seed.source != source or seed.target != target:
-            raise AlgebraError("partial map belongs to different algebras")
-        seed = seed.as_dict()
     if target.size == 0:
         return [] if source.size > 0 else [Homomorphism(source, target, ())]
     found = _Search(source, target, injective, budget.max_nodes).iterate(seed or {})

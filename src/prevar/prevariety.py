@@ -34,6 +34,7 @@ from .algcore import (
     Var,
     _closure,
     _mask_rows,
+    _meet,
     _product_rows,
     _require_congruence_size,
     all_congruences,
@@ -243,7 +244,6 @@ def coproduct(
     ctx: PrevarietyCtx,
     factors: Sequence[FiniteAlgebra],
     budget: Budget = DEFAULT_BUDGET,
-    check_membership: bool = True,
 ) -> CoproductResult:
     """Coproduct of ``factors`` in SP(Y) as a subalgebra of an indexed product.
 
@@ -251,9 +251,8 @@ def coproduct(
     algebra, or the empty algebra when every factor is empty.
     """
     factors = list(factors)
-    if check_membership:
-        for f in factors:
-            ctx.require_member(f, budget)
+    for f in factors:
+        ctx.require_member(f, budget)
     return _indexed_coproduct(ctx, factors, None, budget)
 
 
@@ -379,14 +378,10 @@ def is_p_subdirectly_irreducible(
         raise AlgebraError("relative irreducibility needs a nontrivial algebra")
     ctx.require_member(alg, budget)
     _require_congruence_size(alg, budget)
-    meet = Congruence._unchecked(alg, (0,) * alg.size, canonical=True)
-    for g in ctx.generators:
-        for mapping in _Search(alg, g, False, budget.max_nodes).iterate({}):
-            if len(set(mapping)) < alg.size:
-                meet = meet.meet(Congruence._unchecked(alg, mapping))
-                if meet.is_diagonal():
-                    return False
-    return True
+    kernels = (mapping for g in ctx.generators
+               for mapping in _Search(alg, g, False, budget.max_nodes).iterate({})
+               if len(set(mapping)) < alg.size)
+    return _meet(alg.size, kernels) is not None
 
 
 # -- compatible covers ------------------------------------------------------
@@ -735,7 +730,6 @@ def enumerate_members(
     ctx: PrevarietyCtx,
     max_size: int,
     budget: Budget = DEFAULT_BUDGET,
-    include_empty: bool = True,
 ) -> list[FiniteAlgebra]:
     """All members of SP(Y) of size <= max_size, one per isomorphism class:
     the lex-least table of each class, in lex order, sizes ascending.
@@ -749,7 +743,7 @@ def enumerate_members(
         raise AlgebraError("the size bound must be a natural number")
     sig = ctx.signature
     out = []
-    if include_empty and not sig.has_zeroary():
+    if not sig.has_zeroary():
         out.append(empty_algebra(sig))
     total = 0
     for size in range(1, max_size + 1):
@@ -780,7 +774,6 @@ def amalgamated_coproduct(
     base: FiniteAlgebra,
     arms: Sequence[tuple[FiniteAlgebra, Homomorphism]],
     budget: Budget = DEFAULT_BUDGET,
-    check_membership: bool = True,
 ) -> AmalgamatedResult:
     """Pushout over a shared base, inside SP(Y).
 
@@ -793,9 +786,8 @@ def amalgamated_coproduct(
     for alg, emb in arms:
         if emb.source != base or emb.target != alg:
             raise AlgebraError("arm embeddings must run from the base into the arm")
-    if check_membership:
-        for alg, _ in arms:
-            ctx.require_member(alg, budget)
+    for alg, _ in arms:
+        ctx.require_member(alg, budget)
     return _pushout(ctx, base, arms, budget)
 
 
@@ -937,7 +929,7 @@ def subfamily_independence_check(
             )
     chosen = [family[i] for i in subfamily]
     if not chosen:
-        initial = coproduct(ctx, [], check_membership=False)
+        initial = coproduct(ctx, [])
         generated, _ = generated_subalgebra(ambient, [])
         return are_isomorphic(generated, initial.algebra)
     return _independent(ctx, ambient, chosen, budget)

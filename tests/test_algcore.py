@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import inspect
 import itertools
+import json
 import os
 import pkgutil
 import random
@@ -25,7 +26,10 @@ from prevar.algcore import (
     Signature,
     UNARY_SIGNATURE,
     Var,
-    _canonical_blocks,
+    _closure,
+    _labels,
+    _meet,
+    _product_rows,
     all_congruences,
     apply_relabeling,
     are_isomorphic,
@@ -107,6 +111,43 @@ class TestGeneratedSubalgebra:
             again, inc_again = generated_subalgebra(alg, inc_small.mapping)
             assert inc_again.mapping == inc_small.mapping
             assert again.tables == sub_small.tables
+
+
+def _relabelled_closure(alg, seed):
+    """The route ``generated_subalgebra`` took before it restricted with
+    ``subalgebra_on``: build the closure's algebra in discovery order, then
+    relabel it to ascending carrier order."""
+    elems, tables = _closure(alg.signature, _product_rows([alg]), [(x,) for x in seed])
+    carrier = sorted(x for (x,) in elems)
+    position = {x: i for i, x in enumerate(carrier)}
+    found = FiniteAlgebra(alg.signature, len(elems), tables)
+    return apply_relabeling(found, [position[x] for (x,) in elems]), tuple(carrier)
+
+
+@st.composite
+def seeded_algebras(draw):
+    """A unary algebra on up to 6 elements or a binary one on up to 3, with
+    or without a constant, and a seed of up to 3 elements."""
+    sig, max_size = draw(st.sampled_from([
+        (UNARY_SIGNATURE, 6), (Signature((("c", 0), ("a", 1))), 6),
+        (Signature((("g", 2),)), 3), (Signature((("c", 0), ("g", 2))), 3)]))
+    size = draw(st.integers(1, max_size))
+    element = st.integers(0, size - 1)
+    tables = {name: draw(st.lists(element, min_size=size**arity, max_size=size**arity))
+              for name, arity in sig.ops}
+    return FiniteAlgebra(sig, size, tables), draw(st.lists(element, max_size=3))
+
+
+class TestGeneratedSubalgebraOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(seeded_algebras())
+    def test_matches_the_relabelled_closure(self, case):
+        alg, seed = case
+        sub, inclusion = generated_subalgebra(alg, seed)
+        expected, carrier = _relabelled_closure(alg, seed)
+        assert sub == expected
+        assert inclusion.mapping == carrier
+        assert inclusion.source is sub and inclusion.target is alg
 
 
 class TestDirectProduct:
@@ -205,6 +246,39 @@ class TestCongruenceGenerated:
                         q_p, q_o, tuple(table[i] for i in range(q_p.size))
                     )
                     assert factor.mapping  # construction validates commutation
+
+
+def _canonical_blocks(labels):
+    """The label canonicaliser ``_labels`` replaced: renumber block labels
+    in order of first occurrence."""
+    seen = {}
+    out = []
+    for lab in labels:
+        if lab not in seen:
+            seen[lab] = len(seen)
+        out.append(seen[lab])
+    return tuple(out)
+
+
+class TestLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 5), st.tuples(st.integers(0, 2), st.integers(0, 2)))))
+    def test_labels_match_first_occurrence_loop(self, labels):
+        assert _labels(labels) == _canonical_blocks(labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), max_size=5))))
+    def test_meet_matches_the_zipped_labels(self, case):
+        n, labellings = case
+        expected = _canonical_blocks(zip(*labellings)) if labellings else (0,) * n
+        got = _meet(n, labellings)
+        assert got == (None if len(set(expected)) == n else expected)
+
+    def test_meet_stops_pulling_once_diagonal(self):
+        labellings = iter([(0, 0, 1), (0, 1, 1), (0, 0, 0)])
+        assert _meet(3, labellings) is None
+        assert next(labellings) == (0, 0, 0)
 
 
 def _pairwise_incompatible_op(alg, blocks):
@@ -578,9 +652,19 @@ class TestValidation:
     def test_empty_algebra_without_constants_allowed(self):
         assert empty_algebra(UNARY_SIGNATURE).size == 0
 
-    def test_table_entries_checked(self):
-        with pytest.raises(AlgebraError):
-            FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": [0, 2]})
+    @pytest.mark.parametrize("table", [[0, 2], [-1, 0], [2, -1]])
+    def test_table_entries_checked(self, table):
+        with pytest.raises(AlgebraError, match="^table for 'a' has entries outside the carrier$"):
+            FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": table})
+
+    @pytest.mark.parametrize("table", [["0", 1], [0, None], [[1], 0]])
+    def test_non_int_table_entries_refused(self, table):
+        with pytest.raises(TypeError):
+            FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": table})
+        text = FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": [1, 0]}).to_json().replace(
+            "[1,0]", json.dumps(table))
+        with pytest.raises(AlgebraError, match="^malformed algebra document: TypeError"):
+            FiniteAlgebra.from_json(text)
 
     def test_homomorphism_commutation_checked(self):
         with pytest.raises(AlgebraError):

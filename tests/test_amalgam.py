@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevar.algcore import AlgebraError
+from prevar.algcore import AlgebraError, generated_subalgebra
 from prevar.amalgam import (
     AmalgamCtx,
     AmalgamElement,
@@ -71,6 +71,82 @@ class TestGroups:
         index = {p: i for i, p in enumerate(perms)}
         with pytest.raises(AlgebraError):
             subgroup(g, [0, index[(1, 0, 2)], index[(0, 2, 1)]])
+
+
+def _table_loop_subgroup(group, members):
+    """The restriction ``subgroup`` made before it used ``subalgebra_on``:
+    the multiplication table over the sorted subset, read product by product."""
+    carrier = sorted(set(members))
+    pos = {g: i for i, g in enumerate(carrier)}
+    table = []
+    for x in carrier:
+        row = []
+        for y in carrier:
+            v = group.mul(x, y)
+            if v not in pos:
+                raise AlgebraError("subset is not closed under multiplication")
+            row.append(pos[v])
+        table.append(row)
+    return group_from_table(table), tuple(carrier)
+
+
+SYMMETRIC = {n: symmetric_group(n)[0] for n in (3, 4)}
+
+
+class TestSubgroupOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SYMMETRIC)).flatmap(lambda n: st.tuples(
+        st.just(SYMMETRIC[n]), st.lists(st.integers(0, SYMMETRIC[n].size - 1), max_size=3),
+        st.booleans())))
+    def test_matches_the_table_loop(self, case):
+        # the subgroup the drawn elements generate, or the bare drawn subset
+        group, picked, closed = case
+        members = generated_subalgebra(group.alg, picked)[1].mapping if closed else picked
+        try:
+            expected = _table_loop_subgroup(group, members)
+        except AlgebraError:
+            with pytest.raises(AlgebraError):
+                subgroup(group, members)
+            return
+        sub, inclusion = subgroup(group, members)
+        assert sub.alg == expected[0].alg and inclusion == expected[1]
+
+
+class TestBuildRefusals:
+    """``AmalgamCtx.build`` takes each embedding only as an injective
+    homomorphism of the subgroup into its factor."""
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        g, perms = symmetric_group(3)
+        stab, inclusion = point_stabilizer(g, perms, 2)
+        return g, stab, inclusion, {p: i for i, p in enumerate(perms)}
+
+    def test_stabilizer_inclusion_accepted(self, parts):
+        g, stab, inclusion, _ = parts
+        assert AmalgamCtx.build(g, g, stab, inclusion, inclusion).embeddings == (inclusion,) * 2
+
+    def test_non_injective_embedding_refused(self, parts):
+        g, stab, inclusion, _ = parts
+        with pytest.raises(AlgebraError, match="^embedding is not one-to-one on the subgroup$"):
+            AmalgamCtx.build(g, g, stab, inclusion, (0, 0))
+
+    def test_non_multiplicative_embedding_refused(self, parts):
+        # the transposition goes to a 3-cycle, whose square is not the identity
+        g, stab, inclusion, index = parts
+        emb = (0, index[(1, 2, 0)])
+        with pytest.raises(AlgebraError, match="^map does not commute with 'mul' at "):
+            AmalgamCtx.build(g, g, stab, emb, inclusion)
+
+    @pytest.mark.parametrize("emb, message", [
+        ((0,), "mapping length differs from the source carrier"),
+        ((0, 2, 1), "mapping length differs from the source carrier"),
+        ((0, 6), "mapping leaves the target carrier"),
+    ])
+    def test_malformed_embedding_refused(self, parts, emb, message):
+        g, stab, inclusion, _ = parts
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            AmalgamCtx.build(g, g, stab, inclusion, emb)
 
 
 class TestNormalForm:

@@ -389,6 +389,28 @@ class TestMalformedInput:
         assert json.loads(proc.stdout) == {
             "error": "usage", "message": "the size bound must be a natural number"}
 
+    @pytest.mark.parametrize("emb2, message", [
+        ("0,0", "embedding is not one-to-one on the subgroup"),
+        ("0,3", "map does not commute with 'mul' at (1, 1)"),
+        ("0", "mapping length differs from the source carrier"),
+    ], ids=["non-injective", "non-multiplicative", "wrong-length"])
+    def test_bad_amalgam_embedding(self, tmp_path, emb2, message):
+        from prevar.amalgam import point_stabilizer, symmetric_group
+
+        group, perms = symmetric_group(3)
+        stab, inclusion = point_stabilizer(group, perms, 2)
+        paths = {}
+        for name, g in (("g", group), ("base", stab)):
+            paths[name] = str(tmp_path / f"{name}.alg")
+            g.alg.save(paths[name])
+        emb1 = ",".join(map(str, inclusion))
+        argv = ["--json", "amalgam-nf", "--g1", paths["g"], "--g2", paths["g"],
+                "--base", paths["base"], "--emb1", emb1, "--emb2"]
+        assert _prevar(*argv, emb1, "1:3 0:2").returncode == 0
+        proc = _prevar(*argv, emb2, "1:3 0:2")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {"error": "usage", "message": message}
+
     def test_negative_scan_length(self):
         proc = _prevar("--json", "amalgam-scan", "--sym", "3", "--max-len", "-1")
         assert proc.returncode == 2

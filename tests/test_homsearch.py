@@ -180,28 +180,22 @@ class TestInSP:
         assert err.value.witness == (0, 1)
 
 
-class TestPartialMap:
-    def test_consistent_seed_accepted_and_used(self):
-        from prevar.homsearch import PartialMap
+class TestSeeds:
+    """Seeds are plain dicts from source elements to target elements."""
 
-        seed = PartialMap(C6, C6, ((0, 2),))
-        homs = find_homomorphisms(C6, C6, seed=seed)
+    def test_consistent_seed_is_extended(self):
+        homs = find_homomorphisms(C6, C6, seed={0: 2})
         assert [h.mapping for h in homs] == [(2, 3, 4, 5, 0, 1)]
 
-    def test_violating_seed_rejected_at_construction(self):
-        from prevar.algcore import AlgebraError
-        from prevar.homsearch import PartialMap
+    @pytest.mark.parametrize("seed", [{0: 0, 1: 2}, {0: 1, 3: 3}])
+    def test_contradictory_seed_has_no_extension(self, seed):
+        assert find_homomorphisms(C6, C6, seed=seed) == []
+        assert find_homomorphisms(C6, C6, seed=seed, injective=True) == []
 
-        with pytest.raises(AlgebraError):
-            PartialMap(C6, C6, ((0, 0), (1, 2)))
-
-    def test_mismatched_algebras_rejected(self):
-        from prevar.algcore import AlgebraError
-        from prevar.homsearch import PartialMap
-
-        seed = PartialMap(C2, C2, ((0, 1),))
-        with pytest.raises(AlgebraError):
-            find_homomorphisms(C3, C3, seed=seed)
+    @pytest.mark.parametrize("seed", [{0: 6}, {6: 0}, {-1: 0}, {0: -1}])
+    def test_off_carrier_seed_rejected(self, seed):
+        with pytest.raises(AlgebraError, match="^seed assignment is off a carrier$"):
+            find_homomorphisms(C6, C6, seed=seed)
 
 
 # -- cross-checks of the lazy, table-indexed search against eager references ----------

@@ -765,8 +765,8 @@ class TestAmalgamation:
                     embeddings_ac = prevar.prevariety.find_homomorphisms(a, c, injective=True)
                     for f in embeddings_ab:
                         for g in embeddings_ac:
-                            pushout = amalgamated_coproduct(
-                                ctx, a, [(b, f), (c, g)], check_membership=False)
+                            pushout = prevar.prevariety._pushout(
+                                ctx, a, [(b, f), (c, g)], Budget())
                             if not all(h.is_injective() for h in pushout.coprojections):
                                 return False, AmalgamationCounterexample(a, b, c, f, g)
         return True, None

@@ -1,0 +1,300 @@
+"""The public surface, pinned: each module's public names and the parameter
+names of each public function, class constructor and method.  A removed
+name or a new option changes ``public_surface()`` and fails here, so it
+shows up as a reviewed edit of ``SURFACE``.
+
+Print the current surface with ``python tests/test_surface.py``.
+"""
+
+import ast
+import enum
+import importlib
+import inspect
+import pkgutil
+import pprint
+
+import prevar
+
+
+def _params(fn) -> str:
+    stars = {inspect.Parameter.VAR_POSITIONAL: "*", inspect.Parameter.VAR_KEYWORD: "**"}
+    params = inspect.signature(fn).parameters.values()
+    return "(" + ", ".join(stars.get(p.kind, "") + p.name for p in params) + ")"
+
+
+def _describe(obj) -> str:
+    """A function's parameters; a class's constructor parameters, read from
+    the first ``__init__`` written in this package ("(...)" when it inherits
+    a builtin one) or its members for an enum; "" for any other value."""
+    if inspect.isfunction(obj):
+        return _params(obj)
+    if not inspect.isclass(obj):
+        return ""
+    if issubclass(obj, enum.Enum):
+        return "members: " + ", ".join(obj.__members__)
+    for k in obj.__mro__:
+        if k.__module__.startswith("prevar") and "__init__" in vars(k):
+            return _params(vars(k)["__init__"]).replace("(self, ", "(").replace("(self)", "()")
+    return "(...)"
+
+
+def _defined_names(module) -> list[str]:
+    """The public names a module binds at its top level, imports aside."""
+    tree = ast.parse(inspect.getsource(module))
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not n.startswith("_")]
+
+
+def public_surface() -> dict[str, str]:
+    """``module.name`` -> ``_describe`` of each public name, with a class's
+    public attributes under ``module.Class.name``; ``prevar.__all__`` is
+    listed as one entry."""
+    surface = {"prevar.__all__": ", ".join(sorted(prevar.__all__))}
+    for info in pkgutil.iter_modules(prevar.__path__):
+        module = importlib.import_module(f"prevar.{info.name}")
+        for name in _defined_names(module):
+            obj, qual = getattr(module, name), f"{module.__name__}.{name}"
+            surface[qual] = _describe(obj)
+            if inspect.isclass(obj) and not issubclass(obj, enum.Enum):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_"):
+                        surface[f"{qual}.{attr}"] = _describe(getattr(member, "__func__", member))
+    return surface
+
+
+SURFACE = {
+    "prevar.__all__": "AlgebraError, App, Budget, BudgetExceededError, Congruence, "
+                      "CoproductResult, FiniteAlgebra, Homomorphism, MembershipError, "
+                      "PrevarietyCtx, QuasiIdentity, Signature, Var, algcore, all_congruences, "
+                      "chain_independence, check_amalgamation_bounded, "
+                      "check_coproduct_monotone_bounded, congruence_generated, "
+                      "constants_si_census, coproduct, cyclic_unary, direct_product, "
+                      "disjoint_union, empty_algebra, eval_term, exists_embedding, "
+                      "find_homomorphisms, free_algebra, generated_subalgebra, "
+                      "has_trivial_subalgebra, homsearch, in_sp, is_comfortable, is_compatible, "
+                      "is_coproduct, is_independent, is_p_subdirectly_irreducible, "
+                      "is_subdirectly_irreducible, minimum_compatible_cover, "
+                      "parse_quasi_identity, prevariety, quasi_identity_holds, quotient, "
+                      "relative_congruences, sp, sp_embedding, subfamily_independence_check, "
+                      "trivial_algebra",
+    "prevar.algcore.AlgebraError": "(...)",
+    "prevar.algcore.App": "(op, args)",
+    "prevar.algcore.Budget": "(max_nodes, max_solutions, max_index, max_carrier, max_table_cells, "
+                             "max_enumeration, max_congruence_size, max_rules, max_word_len)",
+    "prevar.algcore.Budget.max_carrier": "",
+    "prevar.algcore.Budget.max_congruence_size": "",
+    "prevar.algcore.Budget.max_enumeration": "",
+    "prevar.algcore.Budget.max_index": "",
+    "prevar.algcore.Budget.max_nodes": "",
+    "prevar.algcore.Budget.max_rules": "",
+    "prevar.algcore.Budget.max_solutions": "",
+    "prevar.algcore.Budget.max_table_cells": "",
+    "prevar.algcore.Budget.max_word_len": "",
+    "prevar.algcore.BudgetExceededError": "(...)",
+    "prevar.algcore.Congruence": "(algebra, blocks)",
+    "prevar.algcore.Congruence.diagonal": "(cls, alg)",
+    "prevar.algcore.Congruence.full": "(cls, alg)",
+    "prevar.algcore.Congruence.is_diagonal": "(self)",
+    "prevar.algcore.Congruence.join": "(self, other)",
+    "prevar.algcore.Congruence.meet": "(self, other)",
+    "prevar.algcore.Congruence.num_blocks": "(self)",
+    "prevar.algcore.Congruence.related": "(self, a, b)",
+    "prevar.algcore.DEFAULT_BUDGET": "",
+    "prevar.algcore.FiniteAlgebra": "(signature, size, tables)",
+    "prevar.algcore.FiniteAlgebra.from_json": "(cls, text)",
+    "prevar.algcore.FiniteAlgebra.load": "(cls, path)",
+    "prevar.algcore.FiniteAlgebra.op": "(self, name, *args)",
+    "prevar.algcore.FiniteAlgebra.save": "(self, path)",
+    "prevar.algcore.FiniteAlgebra.signature": "",
+    "prevar.algcore.FiniteAlgebra.size": "",
+    "prevar.algcore.FiniteAlgebra.tables": "",
+    "prevar.algcore.FiniteAlgebra.to_json": "(self)",
+    "prevar.algcore.Homomorphism": "(source, target, mapping)",
+    "prevar.algcore.Homomorphism.compose": "(self, inner)",
+    "prevar.algcore.Homomorphism.is_injective": "(self)",
+    "prevar.algcore.Signature": "(ops)",
+    "prevar.algcore.Signature.all_unary": "(self)",
+    "prevar.algcore.Signature.arity": "(self, name)",
+    "prevar.algcore.Signature.has_zeroary": "(self)",
+    "prevar.algcore.Signature.names": "",
+    "prevar.algcore.Term": "",
+    "prevar.algcore.UNARY_SIGNATURE": "",
+    "prevar.algcore.Var": "(index)",
+    "prevar.algcore.all_congruences": "(alg, budget)",
+    "prevar.algcore.apply_relabeling": "(alg, perm)",
+    "prevar.algcore.are_isomorphic": "(a, b)",
+    "prevar.algcore.canonical_form": "(alg)",
+    "prevar.algcore.congruence_generated": "(alg, pairs)",
+    "prevar.algcore.cyclic_unary": "(d)",
+    "prevar.algcore.direct_product": "(algebras, signature)",
+    "prevar.algcore.disjoint_union": "(algebras)",
+    "prevar.algcore.empty_algebra": "(signature)",
+    "prevar.algcore.eval_term": "(alg, t, assignment)",
+    "prevar.algcore.find_isomorphism": "(a, b)",
+    "prevar.algcore.generated_subalgebra": "(alg, seed)",
+    "prevar.algcore.is_subdirectly_irreducible": "(alg, budget)",
+    "prevar.algcore.quotient": "(alg, c)",
+    "prevar.algcore.subalgebra_on": "(alg, carrier)",
+    "prevar.algcore.trivial_algebra": "(signature)",
+    "prevar.amalgam.AmalgamCtx": "(factors, base, embeddings, transversals)",
+    "prevar.amalgam.AmalgamCtx.build": "(cls, g1, g2, base, emb1, emb2)",
+    "prevar.amalgam.AmalgamCtx.embed": "(self, k, b)",
+    "prevar.amalgam.AmalgamCtx.factor": "(self, k)",
+    "prevar.amalgam.AmalgamElement": "(reps, tail)",
+    "prevar.amalgam.AmalgamElement.length": "(self)",
+    "prevar.amalgam.CosetWitness": "(image, witness, order)",
+    "prevar.amalgam.FiniteGroup": "(alg)",
+    "prevar.amalgam.FiniteGroup.alg": "",
+    "prevar.amalgam.FiniteGroup.identity": "",
+    "prevar.amalgam.FiniteGroup.inv": "(self, x)",
+    "prevar.amalgam.FiniteGroup.mul": "(self, x, y)",
+    "prevar.amalgam.FiniteGroup.order_of": "(self, x)",
+    "prevar.amalgam.FiniteGroup.size": "",
+    "prevar.amalgam.GROUP_SIGNATURE": "",
+    "prevar.amalgam.StabilizerSurvey": "(n, witnesses)",
+    "prevar.amalgam.StabilizerSurvey.all_cosets_have_involutions": "",
+    "prevar.amalgam.alternating_strings": "(ctx, length)",
+    "prevar.amalgam.coset_torsion_scan": "(ctx, string)",
+    "prevar.amalgam.cyclically_reduce": "(ctx, el)",
+    "prevar.amalgam.group_from_table": "(mul_table)",
+    "prevar.amalgam.identity_element": "(ctx)",
+    "prevar.amalgam.inverse": "(ctx, el)",
+    "prevar.amalgam.is_torsion": "(ctx, el)",
+    "prevar.amalgam.multiply": "(ctx, e1, e2)",
+    "prevar.amalgam.normal_form": "(ctx, word)",
+    "prevar.amalgam.point_stabilizer": "(group, perms, point)",
+    "prevar.amalgam.power": "(ctx, el, k)",
+    "prevar.amalgam.stabilizer_coset_survey": "(n)",
+    "prevar.amalgam.subgroup": "(group, members)",
+    "prevar.amalgam.sym_stab_amalgam": "(n)",
+    "prevar.amalgam.symmetric_group": "(n)",
+    "prevar.amalgam.to_word": "(ctx, el)",
+    "prevar.cli.EXIT_BUDGET": "",
+    "prevar.cli.EXIT_OK": "",
+    "prevar.cli.EXIT_REFUTED": "",
+    "prevar.cli.EXIT_USAGE": "",
+    "prevar.cli.SUITES": "",
+    "prevar.cli.build_parser": "",
+    "prevar.cli.cmd_amalg_check": "(args)",
+    "prevar.cli.cmd_amalgam_nf": "(args)",
+    "prevar.cli.cmd_amalgam_scan": "(args)",
+    "prevar.cli.cmd_comfortable": "(args)",
+    "prevar.cli.cmd_compatible": "(args)",
+    "prevar.cli.cmd_coproduct": "(args)",
+    "prevar.cli.cmd_cover": "(args)",
+    "prevar.cli.cmd_free": "(args)",
+    "prevar.cli.cmd_independent": "(args)",
+    "prevar.cli.cmd_kb": "(args)",
+    "prevar.cli.cmd_member": "(args)",
+    "prevar.cli.cmd_paperlab": "(args)",
+    "prevar.cli.cmd_qid": "(args)",
+    "prevar.cli.cmd_reduce": "(args)",
+    "prevar.cli.cmd_rel_si": "(args)",
+    "prevar.cli.cmd_si": "(args)",
+    "prevar.cli.main": "(argv)",
+    "prevar.freeness.CollapseRule": "members: TWO_GENERATED, STEM_SPLIT",
+    "prevar.freeness.FreeElement": "",
+    "prevar.freeness.FreePairCertificate": "(rule, depth, word_triples_checked, collisions, "
+                                           "failures)",
+    "prevar.freeness.FreeTermContext": "(rule, num_gens)",
+    "prevar.freeness.NoFreeTripleCertificate": "(length_bound, word_triples_checked, "
+                                               "all_word_triples_vanish, "
+                                               "tag_survives_on_three_generators)",
+    "prevar.freeness.NoFreeTripleCertificate.conclusive": "",
+    "prevar.freeness.Tag": "(u, v, w)",
+    "prevar.freeness.TripleWitness": "(images, expected)",
+    "prevar.freeness.TripleWitness.ok": "",
+    "prevar.freeness.Word": "(letters, gen)",
+    "prevar.freeness.Word.extends": "(self, other)",
+    "prevar.freeness.Word.prepend": "(self, letter)",
+    "prevar.freeness.ZERO": "",
+    "prevar.freeness.Zero": "()",
+    "prevar.freeness.apply_letter": "(letter, el)",
+    "prevar.freeness.apply_word": "(letters, el)",
+    "prevar.freeness.collapses_by_schema_instances": "(rule, u, v, w)",
+    "prevar.freeness.embed": "(el)",
+    "prevar.freeness.format_free_element": "(el)",
+    "prevar.freeness.make_tag": "(ctx, u, v, w)",
+    "prevar.freeness.no_free_triple_bounded": "(length_bound)",
+    "prevar.freeness.normal_form": "(ctx, term)",
+    "prevar.freeness.pair_hom": "(ctx, image_p, image_q)",
+    "prevar.freeness.parse_free_term": "(text)",
+    "prevar.freeness.subst_hom": "(ctx, images)",
+    "prevar.freeness.survival_oracle_agreement": "(rule, length_bound, num_gens)",
+    "prevar.freeness.tag_survives": "(rule, u, v, w)",
+    "prevar.freeness.verify_free_pair": "(rule, depth)",
+    "prevar.freeness.witness_triple_hom": "(a, b, c, rule)",
+    "prevar.homsearch.MembershipError": "(message, witness)",
+    "prevar.homsearch.exists_embedding": "(a, b, budget)",
+    "prevar.homsearch.find_homomorphisms": "(source, target, seed, budget, injective)",
+    "prevar.homsearch.in_sp": "(a, generators, budget)",
+    "prevar.homsearch.separating_family": "(a, generators, budget)",
+    "prevar.homsearch.sp_embedding": "(a, generators, budget)",
+    "prevar.prevariety.AmalgamatedResult": "(algebra, coprojections, base_map, index_metadata)",
+    "prevar.prevariety.AmalgamationCounterexample": "(base, left, right, left_embedding, "
+                                                    "right_embedding)",
+    "prevar.prevariety.ChainHypothesisError": "(index, message)",
+    "prevar.prevariety.ChainReport": "(independent, almost_independent, retractions)",
+    "prevar.prevariety.ChainReport.ok": "",
+    "prevar.prevariety.ConstantsCensus": "(count, algebras, partitions, compatibility)",
+    "prevar.prevariety.CoproductResult": "(algebra, coprojections, index_metadata, "
+                                         "element_tuples)",
+    "prevar.prevariety.CoproductResult.all_injective": "(self)",
+    "prevar.prevariety.PrevarietyCtx": "(generators)",
+    "prevar.prevariety.PrevarietyCtx.contains": "(self, alg, budget)",
+    "prevar.prevariety.PrevarietyCtx.require_member": "(self, alg, budget)",
+    "prevar.prevariety.PrevarietyCtx.signature": "",
+    "prevar.prevariety.QuasiIdentity": "(variables, premises, conclusion)",
+    "prevar.prevariety.amalgamated_coproduct": "(ctx, base, arms, budget)",
+    "prevar.prevariety.chain_independence": "(a0, chain, components, budget)",
+    "prevar.prevariety.check_amalgamation_bounded": "(ctx, max_size, budget, include_empty_base)",
+    "prevar.prevariety.check_coproduct_monotone_bounded": "(ctx, base, instances, budget)",
+    "prevar.prevariety.constants_si_census": "(kappa)",
+    "prevar.prevariety.coproduct": "(ctx, factors, budget)",
+    "prevar.prevariety.enumerate_members": "(ctx, max_size, budget)",
+    "prevar.prevariety.format_term": "(t, variables)",
+    "prevar.prevariety.free_algebra": "(ctx, n, budget)",
+    "prevar.prevariety.has_trivial_subalgebra": "(alg)",
+    "prevar.prevariety.is_comfortable": "(ctx, a, b, budget)",
+    "prevar.prevariety.is_compatible": "(ctx, algebras, budget)",
+    "prevar.prevariety.is_coproduct": "(ctx, b, maps, budget)",
+    "prevar.prevariety.is_independent": "(ctx, ambient, subalgebras, budget)",
+    "prevar.prevariety.is_p_subdirectly_irreducible": "(ctx, alg, budget)",
+    "prevar.prevariety.minimum_compatible_cover": "(ctx, algebras, budget)",
+    "prevar.prevariety.parse_quasi_identity": "(text, signature)",
+    "prevar.prevariety.quasi_identity_holds": "(alg, q)",
+    "prevar.prevariety.relative_congruences": "(ctx, alg, budget)",
+    "prevar.prevariety.sp": "(*generators)",
+    "prevar.prevariety.subfamily_independence_check": "(ctx, ambient, family, subfamily, budget)",
+    "prevar.srs.CompletionResult": "(system, completed, reason)",
+    "prevar.srs.CompletionResult.reason": "",
+    "prevar.srs.EPSILON": "",
+    "prevar.srs.Presentation": "(alphabet, relations)",
+    "prevar.srs.RewriteSystem": "(alphabet, rules)",
+    "prevar.srs.Word": "",
+    "prevar.srs.coproduct_presentation": "(factors, shared)",
+    "prevar.srs.critical_pairs": "(rs)",
+    "prevar.srs.format_presentation": "(p)",
+    "prevar.srs.format_word": "(w)",
+    "prevar.srs.knuth_bendix": "(presentation, budget)",
+    "prevar.srs.parse_presentation": "(text)",
+    "prevar.srs.parse_word": "(text, alphabet)",
+    "prevar.srs.reduce": "(rs, word)",
+    "prevar.srs.shortlex_key": "(alphabet, w)",
+    "prevar.srs.words_equal": "(rs, a, b)",
+}
+
+
+def test_public_surface_is_pinned():
+    assert public_surface() == SURFACE
+
+
+if __name__ == "__main__":
+    pprint.pprint(public_surface(), width=100, sort_dicts=True)
