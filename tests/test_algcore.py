@@ -652,10 +652,11 @@ class TestValidation:
     def test_empty_algebra_without_constants_allowed(self):
         assert empty_algebra(UNARY_SIGNATURE).size == 0
 
-    @pytest.mark.parametrize("table", [[0, 2], [-1, 0], [2, -1]])
-    def test_table_entries_checked(self, table):
-        with pytest.raises(AlgebraError, match="^table for 'a' has entries outside the carrier$"):
-            FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": table})
+    def test_table_entries_checked(self):
+        for table in ([0, 2], [-1, 0], [2, -1]):
+            with pytest.raises(AlgebraError,
+                               match="^table for 'a' has entries outside the carrier$"):
+                FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": table})
 
     @pytest.mark.parametrize("table", [["0", 1], [0, None], [[1], 0]])
     def test_non_int_table_entries_refused(self, table):
