@@ -14,7 +14,7 @@ always cross-checks it against a powers oracle, trusting neither alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .algcore import AlgebraError, FiniteAlgebra, Homomorphism, Signature, subalgebra_on
@@ -126,65 +126,40 @@ def point_stabilizer(group: FiniteGroup, perms: Sequence[tuple[int, ...]], point
 class AmalgamCtx:
     """Two factor groups with a common amalgamated subgroup.
 
-    ``embeddings[k]`` sends subgroup indices into factor ``k``.  The
-    transversals list left-coset representatives of the embedded subgroup,
-    identity first.
+    ``embeddings[k]`` sends subgroup indices into factor ``k``; one that is
+    not an injective homomorphism raises ``AlgebraError``.  The derived
+    ``transversals`` list the least left-coset representatives of each
+    embedded subgroup, identity first.
     """
 
     factors: tuple[FiniteGroup, FiniteGroup]
     base: FiniteGroup
     embeddings: tuple[tuple[int, ...], tuple[int, ...]]
-    transversals: tuple[tuple[int, ...], tuple[int, ...]]
+    transversals: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False)
 
     def __post_init__(self):
-        # factor element -> (representative, subgroup part), per factor
-        tables = []
-        for k, group in enumerate(self.factors):
-            table = {}
-            for rep in self.transversals[k]:
-                for b in range(self.base.size):
-                    table[group.mul(rep, self.embeddings[k][b])] = (rep, b)
-            tables.append(table)
-        object.__setattr__(self, "_split_tables", tuple(tables))
-
-    @classmethod
-    def build(
-        cls,
-        g1: FiniteGroup,
-        g2: FiniteGroup,
-        base: FiniteGroup,
-        emb1: Sequence[int],
-        emb2: Sequence[int],
-    ) -> "AmalgamCtx":
-        """The context with each factor's least transversal; an embedding
-        that is not an injective homomorphism raises ``AlgebraError``."""
-        factors, embeddings = (g1, g2), (tuple(emb1), tuple(emb2))
-        for group, emb in zip(factors, embeddings):
-            if not Homomorphism(base.alg, group.alg, emb).is_injective():
+        if len(self.factors) != 2 or len(self.embeddings) != 2:
+            raise AlgebraError("an amalgam has two factors, each with an embedding")
+        transversals, tables = [], []
+        for group, emb in zip(self.factors, self.embeddings):
+            if not Homomorphism(self.base.alg, group.alg, emb).is_injective():
                 raise AlgebraError("embedding is not one-to-one on the subgroup")
-        transversals = tuple(map(cls._least_transversal, factors, embeddings))
-        return cls(factors, base, embeddings, transversals)
-
-    @staticmethod
-    def _least_transversal(group: FiniteGroup, emb: Sequence[int]) -> tuple[int, ...]:
-        image = set(emb)
-        reps = []
-        assigned = set()
-        for g in range(group.size):
-            if g in assigned:
-                continue
-            coset = {group.mul(g, h) for h in image}
-            rep = group.identity if group.identity in coset else min(coset)
-            reps.append(rep)
-            assigned |= coset
-        reps.sort(key=lambda r: (r != group.identity, r))
-        return tuple(reps)
-
-    def factor(self, k: int) -> FiniteGroup:
-        return self.factors[k]
-
-    def embed(self, k: int, b: int) -> int:
-        return self.embeddings[k][b]
+            # factor element -> (representative, subgroup part); a coset is
+            # met first at its least index, and the subgroup's own coset
+            # is represented by the identity
+            reps, table = [], {}
+            for g in range(group.size):
+                if g in table:
+                    continue
+                rep = group.identity if g in emb else g
+                reps.append(rep)
+                for b, h in enumerate(emb):
+                    table[group.mul(rep, h)] = (rep, b)
+            reps.sort(key=lambda r: (r != group.identity, r))
+            transversals.append(tuple(reps))
+            tables.append(table)
+        object.__setattr__(self, "transversals", tuple(transversals))
+        object.__setattr__(self, "_split_tables", tuple(tables))
 
 
 @dataclass(frozen=True)
@@ -214,17 +189,14 @@ def _prepend(ctx: AmalgamCtx, k: int, g: int, el: AmalgamElement) -> AmalgamElem
     while i < n and reps[i][0] == k:
         g = mul[g * size + reps[i][1]]
         i += 1
-    try:
-        rep, beta = splits[k][g]
-        out = [] if rep == factors[k].identity else [(k, rep)]
-        while i < n:
-            fi, ri = reps[i]
-            # pushing a subgroup element through never lands in the subgroup
-            rep_i, beta = splits[fi][muls[fi][embs[fi][beta] * sizes[fi] + ri]]
-            out.append((fi, rep_i))
-            i += 1
-    except KeyError:
-        raise AlgebraError("transversal does not split the factor") from None
+    rep, beta = splits[k][g]
+    out = [] if rep == factors[k].identity else [(k, rep)]
+    while i < n:
+        fi, ri = reps[i]
+        # pushing a subgroup element through never lands in the subgroup
+        rep_i, beta = splits[fi][muls[fi][embs[fi][beta] * sizes[fi] + ri]]
+        out.append((fi, rep_i))
+        i += 1
     return AmalgamElement(tuple(out), base._mul[beta * base.size + el.tail])
 
 
@@ -234,14 +206,14 @@ def normal_form(ctx: AmalgamCtx, word: Sequence[tuple[int, int]]) -> AmalgamElem
     for k, g in reversed(list(word)):
         if k not in (0, 1):
             raise AlgebraError("factor tags are 0 and 1")
-        if not 0 <= g < ctx.factor(k).size:
+        if not 0 <= g < ctx.factors[k].size:
             raise AlgebraError("letter outside its factor")
         el = _prepend(ctx, k, g, el)
     return el
 
 
 def to_word(ctx: AmalgamCtx, el: AmalgamElement) -> list[tuple[int, int]]:
-    return list(el.reps) + [(0, ctx.embed(0, el.tail))]
+    return list(el.reps) + [(0, ctx.embeddings[0][el.tail])]
 
 
 def multiply(ctx: AmalgamCtx, e1: AmalgamElement, e2: AmalgamElement) -> AmalgamElement:
@@ -262,7 +234,7 @@ def _multiply(ctx: AmalgamCtx, e1: AmalgamElement, e2: AmalgamElement) -> Amalga
 def inverse(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
     _check_element(ctx, el)
     word = to_word(ctx, el)
-    inverted = [(k, ctx.factor(k).inv(g)) for k, g in reversed(word)]
+    inverted = [(k, ctx.factors[k].inv(g)) for k, g in reversed(word)]
     return normal_form(ctx, inverted)
 
 
@@ -279,10 +251,14 @@ def power(ctx: AmalgamCtx, el: AmalgamElement, k: int) -> AmalgamElement:
 def cyclically_reduce(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
     """Conjugate away matching ends until the string length stabilizes."""
     _check_element(ctx, el)
+    return _cyclically_reduce(ctx, el)
+
+
+def _cyclically_reduce(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
     while el.length() >= 2:
         k, r = el.reps[0]
         letter = normal_form(ctx, [(k, r)])
-        conj = _multiply(ctx, _multiply(ctx, inverse(ctx, letter), el), letter)
+        conj = _multiply(ctx, _prepend(ctx, k, ctx.factors[k].inv(r), el), letter)
         if conj.length() < el.length():
             el = conj
         else:
@@ -295,7 +271,7 @@ def _check_string(ctx: AmalgamCtx, reps: Sequence[tuple[int, int]]) -> None:
     for k, r in reps:
         if k not in (0, 1):
             raise AlgebraError("factor tags are 0 and 1")
-        if r == ctx.factor(k).identity or r not in ctx.transversals[k]:
+        if r == ctx.factors[k].identity or r not in ctx.transversals[k]:
             raise AlgebraError("coset strings use non-identity transversal reps")
     for i in range(len(reps) - 1):
         if reps[i][0] == reps[i + 1][0]:
@@ -322,23 +298,20 @@ def is_torsion(ctx: AmalgamCtx, el: AmalgamElement) -> bool:
 
 
 def _is_torsion(ctx: AmalgamCtx, el: AmalgamElement) -> bool:
-    reduced = cyclically_reduce(ctx, el)
-    structural = reduced.length() <= 1
-    if structural:
-        bound = ctx.factors[0].size * ctx.factors[1].size * ctx.base.size
-        acc = el
-        order = None
-        for k in range(1, bound + 1):
-            if acc == identity_element(ctx):
-                order = k
-                break
-            acc = _multiply(ctx, acc, el)
-        if order is None:
-            raise AlgebraError("structural torsion verdict failed the powers oracle")
-        return True
+    reduced = _cyclically_reduce(ctx, el)
     length = reduced.length()
+    if length <= 1:
+        bound = ctx.factors[0].size * ctx.factors[1].size * ctx.base.size
+        one, acc = identity_element(ctx), el
+        for _ in range(bound):
+            if acc == one:
+                return True
+            acc = _multiply(ctx, acc, el)
+        raise AlgebraError("structural torsion verdict failed the powers oracle")
+    acc = reduced
     for k in range(2, 7):
-        if power(ctx, reduced, k).length() != k * length:
+        acc = _multiply(ctx, reduced, acc)
+        if acc.length() != k * length:
             raise AlgebraError("expected strict normal-form growth of powers")
     return False
 
@@ -362,7 +335,7 @@ def alternating_strings(ctx: AmalgamCtx, length: int):
         yield ()
         return
     nonid = [
-        [r for r in ctx.transversals[k] if r != ctx.factor(k).identity]
+        [r for r in ctx.transversals[k] if r != ctx.factors[k].identity]
         for k in (0, 1)
     ]
     for start in (0, 1):
@@ -377,7 +350,7 @@ def sym_stab_amalgam(n: int) -> AmalgamCtx:
     g, perms = symmetric_group(n)
     g2, _ = symmetric_group(n)
     stab, inclusion = point_stabilizer(g, perms, n - 1)
-    return AmalgamCtx.build(g, g2, stab, inclusion, inclusion)
+    return AmalgamCtx((g, g2), stab, (inclusion, inclusion))
 
 
 @dataclass

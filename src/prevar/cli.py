@@ -73,6 +73,15 @@ def _ctx(args) -> PrevarietyCtx:
     return PrevarietyCtx(tuple(_load_algebras(args.gen)))
 
 
+def _int_list(text: str, sep: str, usage: str) -> list[int]:
+    """The integers between the ``sep``s of ``text``, empty items skipped;
+    any other item raises ``AlgebraError`` with the ``usage`` text."""
+    try:
+        return [int(x) for x in text.split(sep) if x]
+    except ValueError as exc:
+        raise AlgebraError(f"{usage}: {exc}") from None
+
+
 def _emit(args, report: dict, lines: Sequence[str]) -> None:
     if args.json:
         print(json.dumps(report, sort_keys=True))
@@ -148,10 +157,8 @@ def cmd_comfortable(args) -> int:
 def cmd_independent(args) -> int:
     ctx = _ctx(args)
     ambient = FiniteAlgebra.load(args.ambient)
-    try:
-        subsets = [[int(x) for x in s.split(",") if x] for s in args.subset]
-    except ValueError as exc:
-        raise AlgebraError(f"--subset takes comma-separated carrier indices: {exc}") from None
+    subsets = [_int_list(s, ",", "--subset takes comma-separated carrier indices")
+               for s in args.subset]
     ok = is_independent(ctx, ambient, subsets)
     _emit(args, {"independent": ok}, [f"independent: {ok}"])
     return EXIT_OK if ok else EXIT_REFUTED
@@ -269,16 +276,19 @@ def _amalgam_ctx_from_args(args) -> AmalgamCtx:
     g1 = FiniteGroup(FiniteAlgebra.load(args.g1))
     g2 = FiniteGroup(FiniteAlgebra.load(args.g2))
     base = FiniteGroup(FiniteAlgebra.load(args.base))
-    emb1 = [int(x) for x in args.emb1.split(",")]
-    emb2 = [int(x) for x in args.emb2.split(",")]
-    return AmalgamCtx.build(g1, g2, base, emb1, emb2)
+    embeddings = tuple(
+        tuple(_int_list(text, ",", f"{flag} takes comma-separated subgroup images"))
+        for flag, text in (("--emb1", args.emb1), ("--emb2", args.emb2)))
+    return AmalgamCtx((g1, g2), base, embeddings)
 
 
 def _parse_amalgam_word(text: str) -> list[tuple[int, int]]:
-    word = []
+    usage, word = "amalgam letters are factor:element", []
     for token in text.split():
-        factor, _, elem = token.partition(":")
-        word.append((int(factor), int(elem)))
+        letter = _int_list(token, ":", usage)
+        if len(letter) != 2:
+            raise AlgebraError(f"{usage}: {token!r}")
+        word.append(tuple(letter))
     return word
 
 

@@ -212,8 +212,6 @@ def find_homomorphisms(
     """
     if source.signature != target.signature:
         raise AlgebraError("search between different signatures")
-    if target.size == 0:
-        return [] if source.size > 0 else [Homomorphism(source, target, ())]
     found = _Search(source, target, injective, budget.max_nodes).iterate(seed or {})
     return [Homomorphism._unchecked(source, target, m) for m in itertools.islice(found, budget.max_solutions)]
 

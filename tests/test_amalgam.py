@@ -34,7 +34,7 @@ def ctx():
 
 
 def all_letters(ctx):
-    return [(k, g) for k in (0, 1) for g in range(ctx.factor(k).size)]
+    return [(k, g) for k in (0, 1) for g in range(ctx.factors[k].size)]
 
 
 def words_up_to(ctx, max_len):
@@ -113,8 +113,8 @@ class TestSubgroupOracle:
 
 
 class TestBuildRefusals:
-    """``AmalgamCtx.build`` takes each embedding only as an injective
-    homomorphism of the subgroup into its factor."""
+    """The ``AmalgamCtx`` constructor takes each embedding only as an
+    injective homomorphism of the subgroup into its factor."""
 
     @pytest.fixture(scope="class")
     def parts(self):
@@ -124,19 +124,19 @@ class TestBuildRefusals:
 
     def test_stabilizer_inclusion_accepted(self, parts):
         g, stab, inclusion, _ = parts
-        assert AmalgamCtx.build(g, g, stab, inclusion, inclusion).embeddings == (inclusion,) * 2
+        assert AmalgamCtx((g, g), stab, (inclusion, inclusion)).embeddings == (inclusion,) * 2
 
     def test_non_injective_embedding_refused(self, parts):
         g, stab, inclusion, _ = parts
         with pytest.raises(AlgebraError, match="^embedding is not one-to-one on the subgroup$"):
-            AmalgamCtx.build(g, g, stab, inclusion, (0, 0))
+            AmalgamCtx((g, g), stab, (inclusion, (0, 0)))
 
     def test_non_multiplicative_embedding_refused(self, parts):
         # the transposition goes to a 3-cycle, whose square is not the identity
         g, stab, inclusion, index = parts
         emb = (0, index[(1, 2, 0)])
         with pytest.raises(AlgebraError, match="^map does not commute with 'mul' at "):
-            AmalgamCtx.build(g, g, stab, emb, inclusion)
+            AmalgamCtx((g, g), stab, (emb, inclusion))
 
     @pytest.mark.parametrize("emb, message", [
         ((0,), "mapping length differs from the source carrier"),
@@ -146,12 +146,23 @@ class TestBuildRefusals:
     def test_malformed_embedding_refused(self, parts, emb, message):
         g, stab, inclusion, _ = parts
         with pytest.raises(AlgebraError, match=f"^{message}$"):
-            AmalgamCtx.build(g, g, stab, inclusion, emb)
+            AmalgamCtx((g, g), stab, (inclusion, emb))
+
+    def test_transversals_are_not_an_argument(self, parts):
+        g, stab, inclusion, _ = parts
+        ctx = AmalgamCtx((g, g), stab, (inclusion, inclusion))
+        with pytest.raises(TypeError):
+            AmalgamCtx(ctx.factors, ctx.base, ctx.embeddings, ctx.transversals)
+
+    def test_two_factors_required(self, parts):
+        g, stab, inclusion, _ = parts
+        with pytest.raises(AlgebraError, match="^an amalgam has two factors, each with an embedding$"):
+            AmalgamCtx((g,), stab, (inclusion,))
 
 
 class TestNormalForm:
     def test_subgroup_letter_has_empty_string(self, ctx):
-        b_letter = ctx.embed(0, 1)
+        b_letter = ctx.embeddings[0][1]
         el = normal_form(ctx, [(0, b_letter)])
         assert el.reps == () and el.tail == 1
 
@@ -201,7 +212,7 @@ class TestNormalForm:
             for (f1, r1), (f2, r2) in zip(el.reps, el.reps[1:]):
                 assert f1 != f2
             for f, r in el.reps:
-                assert r != ctx.factor(f).identity
+                assert r != ctx.factors[f].identity
                 assert r in ctx.transversals[f]
 
 
@@ -249,9 +260,9 @@ class TestTorsion:
         assert not is_torsion(ctx, el)
 
     def test_conjugate_of_factor_element_is_torsion(self, ctx):
-        g1 = ctx.factor(0)
+        g1 = ctx.factors[0]
         r1 = ctx.transversals[0][1]
-        word = [(0, r1), (0, ctx.embed(0, 1)), (0, g1.inv(r1))]
+        word = [(0, r1), (0, ctx.embeddings[0][1]), (0, g1.inv(r1))]
         el = normal_form(ctx, word)
         assert is_torsion(ctx, el)
 
@@ -291,7 +302,7 @@ class TestCosetScan:
 
     def test_bad_strings_rejected(self, ctx):
         with pytest.raises(AlgebraError):
-            coset_torsion_scan(ctx, [(0, ctx.factor(0).identity)])
+            coset_torsion_scan(ctx, [(0, ctx.factors[0].identity)])
         r1 = ctx.transversals[0][1]
         with pytest.raises(AlgebraError):
             coset_torsion_scan(ctx, [(0, r1), (0, r1)])
@@ -353,16 +364,6 @@ class TestRefusals:
         with pytest.raises(AlgebraError, match="^tail outside the subgroup$"):
             multiply(ctx, one, AmalgamElement((), -1))
 
-    def test_missing_split_entry_raises_algebra_error(self, ctx):
-        broken = AmalgamCtx(ctx.factors, ctx.base, ctx.embeddings, ctx.transversals)
-        tables = [dict(t) for t in broken._split_tables]
-        del tables[1][ctx.transversals[1][1]]
-        object.__setattr__(broken, "_split_tables", tuple(tables))
-        with pytest.raises(AlgebraError, match="^transversal does not split the factor$"):
-            normal_form(broken, [(1, ctx.transversals[1][1])])
-        with pytest.raises(AlgebraError, match="^transversal does not split the factor$"):
-            normal_form(broken, [(1, ctx.transversals[1][1]), (0, ctx.transversals[0][1])])
-
 
 # -- the list-based prepend the flat-table one replaced ---------------------------
 
@@ -370,16 +371,16 @@ class TestRefusals:
 def _reference_prepend(ctx, k, g, el):
     reps = list(el.reps)
     while reps and reps[0][0] == k:
-        g = ctx.factor(k).mul(g, reps[0][1])
+        g = ctx.factors[k].mul(g, reps[0][1])
         reps.pop(0)
     rep, beta = ctx._split_tables[k][g]
     out = []
     for fi, ri in reps:
-        h = ctx.factor(fi).mul(ctx.embed(fi, beta), ri)
+        h = ctx.factors[fi].mul(ctx.embeddings[fi][beta], ri)
         rep_i, beta = ctx._split_tables[fi][h]
         out.append((fi, rep_i))
     tail = ctx.base.mul(beta, el.tail)
-    if rep != ctx.factor(k).identity:
+    if rep != ctx.factors[k].identity:
         out.insert(0, (k, rep))
     return AmalgamElement(tuple(out), tail)
 
@@ -411,3 +412,50 @@ def test_normal_forms_match_the_list_based_prepend(case):
     for k, g in reversed(to_word(ctx, e1)):
         expected = _reference_prepend(ctx, k, g, expected)
     assert multiply(ctx, e1, e2) == expected
+
+
+# -- the transversal the context derived in a pass of its own ---------------------
+
+
+def _least_transversal(group, emb):
+    """Each coset's least index, the subgroup's own coset's the identity,
+    identity first; computed coset by coset, apart from any split table."""
+    image = set(emb)
+    reps = []
+    assigned = set()
+    for g in range(group.size):
+        if g in assigned:
+            continue
+        coset = {group.mul(g, h) for h in image}
+        rep = group.identity if group.identity in coset else min(coset)
+        reps.append(rep)
+        assigned |= coset
+    reps.sort(key=lambda r: (r != group.identity, r))
+    return tuple(reps)
+
+
+@st.composite
+def derived_contexts(draw):
+    """``sym_stab_amalgam(3)`` / ``(4)``, or a subgroup of Sym(3) / Sym(4)
+    embedded into two copies of it by the inclusion conjugated by drawn elements."""
+    if draw(st.booleans()):
+        return AMALGAMS[draw(st.sampled_from(sorted(AMALGAMS)))]
+    group = SYMMETRIC[draw(st.sampled_from(sorted(SYMMETRIC)))]
+    element = st.integers(0, group.size - 1)
+    members = generated_subalgebra(group.alg, draw(st.lists(element, max_size=3)))[1].mapping
+    base, inclusion = subgroup(group, members)
+    embeddings = tuple(
+        tuple(group.mul(group.mul(c, x), group.inv(c)) for x in inclusion)
+        for c in (draw(element), draw(element)))
+    return AmalgamCtx((group, group), base, embeddings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(derived_contexts())
+def test_derived_transversals_and_total_split_tables(ctx):
+    for k, (group, emb) in enumerate(zip(ctx.factors, ctx.embeddings)):
+        assert ctx.transversals[k] == _least_transversal(group, emb)
+        splits = ctx._split_tables[k]
+        for g in range(group.size):
+            rep, b = splits[g]
+            assert rep in ctx.transversals[k] and group.mul(rep, emb[b]) == g

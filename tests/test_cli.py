@@ -389,26 +389,46 @@ class TestMalformedInput:
         assert json.loads(proc.stdout) == {
             "error": "usage", "message": "the size bound must be a natural number"}
 
+    @pytest.fixture
+    def group_files(self, tmp_path):
+        """Sym(3) and the stabilizer of its last point, saved, with the
+        inclusion as an ``--emb`` argument."""
+        from prevar.amalgam import point_stabilizer, symmetric_group
+
+        group, perms = symmetric_group(3)
+        stab, inclusion = point_stabilizer(group, perms, 2)
+        files = {"emb": ",".join(map(str, inclusion))}
+        for name, g in (("g", group), ("base", stab)):
+            files[name] = str(tmp_path / f"{name}.alg")
+            g.alg.save(files[name])
+        return files
+
     @pytest.mark.parametrize("emb2, message", [
         ("0,0", "embedding is not one-to-one on the subgroup"),
         ("0,3", "map does not commute with 'mul' at (1, 1)"),
         ("0", "mapping length differs from the source carrier"),
     ], ids=["non-injective", "non-multiplicative", "wrong-length"])
-    def test_bad_amalgam_embedding(self, tmp_path, emb2, message):
-        from prevar.amalgam import point_stabilizer, symmetric_group
-
-        group, perms = symmetric_group(3)
-        stab, inclusion = point_stabilizer(group, perms, 2)
-        paths = {}
-        for name, g in (("g", group), ("base", stab)):
-            paths[name] = str(tmp_path / f"{name}.alg")
-            g.alg.save(paths[name])
-        emb1 = ",".join(map(str, inclusion))
-        argv = ["--json", "amalgam-nf", "--g1", paths["g"], "--g2", paths["g"],
-                "--base", paths["base"], "--emb1", emb1, "--emb2"]
-        assert _prevar(*argv, emb1, "1:3 0:2").returncode == 0
+    def test_bad_amalgam_embedding(self, group_files, emb2, message):
+        f = group_files
+        argv = ["--json", "amalgam-nf", "--g1", f["g"], "--g2", f["g"],
+                "--base", f["base"], "--emb1", f["emb"], "--emb2"]
+        assert _prevar(*argv, f["emb"], "1:3 0:2").returncode == 0
         proc = _prevar(*argv, emb2, "1:3 0:2")
         assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {"error": "usage", "message": message}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--sym", "3", "1:x"],
+         "amalgam letters are factor:element: invalid literal for int() with base 10: 'x'"),
+        (["--sym", "3", "1"], "amalgam letters are factor:element: '1'"),
+        (["--g1", "{g}", "--g2", "{g}", "--base", "{base}", "--emb1", "0,x", "--emb2", "{emb}",
+          "1:3"], "--emb1 takes comma-separated subgroup images: "
+                  "invalid literal for int() with base 10: 'x'"),
+    ], ids=["letter-not-int", "letter-without-colon", "embedding-not-int"])
+    def test_unparsable_amalgam_argument(self, group_files, argv, message):
+        proc = _prevar("--json", "amalgam-nf", *(a.format(**group_files) for a in argv))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stdout.count("\n") == 1
         assert json.loads(proc.stdout) == {"error": "usage", "message": message}
 
     def test_negative_scan_length(self):

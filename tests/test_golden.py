@@ -338,7 +338,7 @@ def _completions(budget):
 
 
 def _amalgam_words(ctx, seed, count, max_len):
-    letters = [(k, g) for k in (0, 1) for g in range(ctx.factor(k).size)]
+    letters = [(k, g) for k in (0, 1) for g in range(ctx.factors[k].size)]
     rng = random.Random(seed)
     return [[rng.choice(letters) for _ in range(rng.randint(0, max_len))] for _ in range(count)]
 

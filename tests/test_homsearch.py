@@ -197,6 +197,13 @@ class TestSeeds:
         with pytest.raises(AlgebraError, match="^seed assignment is off a carrier$"):
             find_homomorphisms(C6, C6, seed=seed)
 
+    def test_seed_checked_with_an_empty_carrier(self):
+        empty = FiniteAlgebra(UNARY_SIGNATURE, 0, {"a": []})
+        for source, target, seed in [(empty, empty, {0: 0}), (C2, empty, {5: 5}),
+                                     (empty, C2, {0: 0})]:
+            with pytest.raises(AlgebraError, match="^seed assignment is off a carrier$"):
+                find_homomorphisms(source, target, seed=seed)
+
 
 # -- cross-checks of the lazy, table-indexed search against eager references ----------
 

@@ -143,10 +143,7 @@ SURFACE = {
     "prevar.algcore.quotient": "(alg, c)",
     "prevar.algcore.subalgebra_on": "(alg, carrier)",
     "prevar.algcore.trivial_algebra": "(signature)",
-    "prevar.amalgam.AmalgamCtx": "(factors, base, embeddings, transversals)",
-    "prevar.amalgam.AmalgamCtx.build": "(cls, g1, g2, base, emb1, emb2)",
-    "prevar.amalgam.AmalgamCtx.embed": "(self, k, b)",
-    "prevar.amalgam.AmalgamCtx.factor": "(self, k)",
+    "prevar.amalgam.AmalgamCtx": "(factors, base, embeddings)",
     "prevar.amalgam.AmalgamElement": "(reps, tail)",
     "prevar.amalgam.AmalgamElement.length": "(self)",
     "prevar.amalgam.CosetWitness": "(image, witness, order)",
