@@ -36,12 +36,10 @@ class Budget:
     """Every limit on a computation that could blow up, in one object.
 
     Each layer reads the fields it bounds and passes plain ints to its
-    loops.  Every field is a positive int; ``max_solutions`` may also be
-    None (no cap).
+    loops.  Every field is a positive int.
     """
 
     max_nodes: int = 2_000_000  # homsearch: nodes of each seeded search
-    max_solutions: Optional[int] = None  # homsearch: homomorphisms pulled per search
     max_index: int = 10**6  # prevariety: hom-family / product index entries
     max_carrier: int = 10**4  # closure: elements discovered
     max_table_cells: int = 4 * 10**6  # closure: cells of one op table
@@ -53,8 +51,6 @@ class Budget:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if value is None and f.name == "max_solutions":
-                continue
             if type(value) is not int or value <= 0:
                 raise AlgebraError(f"budget field {f.name} must be a positive int, not {value!r}")
 
@@ -776,12 +772,12 @@ def canonical_form(alg: FiniteAlgebra) -> tuple:
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphism]:
     """Some isomorphism a -> b, or None: on carriers of equal size an
     injective homomorphism is bijective, hence an isomorphism."""
-    from .homsearch import find_homomorphisms  # homsearch imports this module
+    from .homsearch import _Search  # homsearch imports this module
 
     if a.signature != b.signature or a.size != b.size:
         return None
-    found = find_homomorphisms(a, b, budget=Budget(max_solutions=1), injective=True)
-    return found[0] if found else None
+    mapping = _Search(a, b, True, DEFAULT_BUDGET.max_nodes).first([])
+    return None if mapping is None else Homomorphism._unchecked(a, b, mapping)
 
 
 def are_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:

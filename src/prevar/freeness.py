@@ -355,15 +355,13 @@ class TripleWitness:
         return self.images == self.expected
 
 
-def witness_triple_hom(
-    a: str, b: str, c: str, rule: CollapseRule = CollapseRule.STEM_SPLIT
-) -> TripleWitness:
-    """Compose the three substitution maps that send (px, pqx, pqqx) to
-    (a x, b x, c x), and verify the images.
+def witness_triple_hom(a: str, b: str, c: str) -> TripleWitness:
+    """Compose the three substitution maps of the stem-split context that
+    send (px, pqx, pqqx) to (a x, b x, c x), and verify the images.
 
     A mismatch would falsify the construction, so it raises.
     """
-    ctx = FreeTermContext(rule, 1)
+    ctx = FreeTermContext(CollapseRule.STEM_SPLIT, 1)
     x = Word("", 0)
     f = pair_hom(ctx, Word(a + "qq", 0), x)
     g = pair_hom(ctx, Word(b + "q", 0), x)

@@ -6,14 +6,15 @@ the smallest candidate set, and values are tried in ascending order.
 Assigning an element propagates forward through every operation whose
 arguments are now all assigned.  Injectivity, when requested, is
 enforced during search by tracking used targets rather than by
-post-filtering.  A product of seed choices propagates each prefix once
-(``_Search.every_choice_extends``); results are not re-validated.
+post-filtering.  A search lists every solution, stops at the first, or
+tests a product of seed choices, propagating each prefix once; past
+``max_nodes`` it raises, never truncates.  Results are not re-validated.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import math
 from typing import Iterator, Optional, Sequence
 
 from .algcore import (
@@ -204,28 +205,27 @@ def find_homomorphisms(
     """All total homomorphisms extending ``seed``, in deterministic order.
 
     A seed pair off a carrier raises ``AlgebraError``; a contradictory seed
-    has no extension.  The search is lazy: reaching ``max_solutions`` stops
-    it before any further node.  Exceeding ``max_nodes`` raises
-    ``BudgetExceededError`` so exhaustion is never mistaken for "no
-    solutions".  The results are valid by construction and skip the
-    ``Homomorphism`` constructor's re-validation.
+    has no extension.  Exceeding ``max_nodes`` raises ``BudgetExceededError``
+    so exhaustion is never mistaken for "no solutions".  The results are
+    valid by construction and skip the ``Homomorphism`` constructor's
+    re-validation.
     """
     if source.signature != target.signature:
         raise AlgebraError("search between different signatures")
     found = _Search(source, target, injective, budget.max_nodes).iterate(seed or {})
-    return [Homomorphism._unchecked(source, target, m) for m in itertools.islice(found, budget.max_solutions)]
+    return [Homomorphism._unchecked(source, target, m) for m in found]
 
 
 def exists_embedding(
     a: FiniteAlgebra, b: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET
 ) -> bool:
-    """True iff an injective homomorphism a -> b exists."""
+    """True iff an injective homomorphism a -> b exists; the search stops
+    at the first one."""
     if a.size > b.size:
         return False
-    found = find_homomorphisms(
-        a, b, budget=dataclasses.replace(budget, max_solutions=1), injective=True
-    )
-    return bool(found)
+    if a.signature != b.signature:
+        raise AlgebraError("search between different signatures")
+    return _Search(a, b, True, budget.max_nodes).first([]) is not None
 
 
 def separating_family(
@@ -251,8 +251,7 @@ def separating_family(
     pending = pairs = [(x, y) for x in range(a.size) for y in range(x + 1, a.size)]
     chosen: dict[tuple[int, int], Homomorphism] = {}
     for g in generators:
-        found = _Search(a, g, False, budget.max_nodes).iterate({})
-        for mapping in itertools.islice(found, budget.max_solutions):
+        for mapping in _Search(a, g, False, budget.max_nodes).iterate({}):
             separated = [(x, y) for x, y in pending if mapping[x] != mapping[y]]
             if separated:
                 chosen.update(dict.fromkeys(separated, Homomorphism._unchecked(a, g, mapping)))
@@ -286,6 +285,8 @@ def sp_embedding(
 
     Returns ``(product, injection)`` built from one separating homomorphism
     per element pair; raises ``MembershipError`` when ``a`` is not in SP.
+    A product over ``max_carrier`` elements or ``max_table_cells`` cells in
+    an op table raises ``BudgetExceededError`` before it is built.
     """
     from .algcore import direct_product
 
@@ -293,8 +294,13 @@ def sp_embedding(
     if not ok:
         raise MembershipError("algebra is not in SP of the generators", witness)
     targets = [h.target for h in homs]
-    prod, _ = direct_product(targets, signature=a.signature)
     sizes = [t.size for t in targets]
+    size = math.prod(sizes)
+    if size > budget.max_carrier:
+        raise BudgetExceededError(f"SP product has {size} elements, over budget {budget.max_carrier}")
+    if any(size**arity > budget.max_table_cells for _, arity in a.signature.ops):
+        raise BudgetExceededError("operation table too large for the budget in the SP product")
+    prod, _ = direct_product(targets, signature=a.signature)
     mapping = []
     for x in range(a.size):
         idx = 0

@@ -268,10 +268,9 @@ def _every_family_extends(
     ``fixed``; ``parts`` holds the pairs (part_i, image_i).  One search of
     ``source -> target`` walks the families in product order, propagating
     each family prefix once (``_Search.every_choice_extends``)."""
-    runs = (_Search(part, target, False, budget.max_nodes).iterate({}) for part, _ in parts)
     stages = [
-        [list(zip(image, h)) for h in itertools.islice(homs, budget.max_solutions)]
-        for (_, image), homs in zip(parts, runs)
+        [list(zip(image, h)) for h in _Search(part, target, False, budget.max_nodes).iterate({})]
+        for part, image in parts
     ]
     return _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages)
 
@@ -295,20 +294,16 @@ def is_coproduct(
             raise MembershipError("a coproduct factor is not in SP of the generators")
     if not ctx.contains(b, budget):
         return False
-    return _generates_and_extends(ctx, b, maps, budget)
-
-
-def _generates_and_extends(ctx: PrevarietyCtx, b: FiniteAlgebra, maps, budget) -> bool:
-    """``is_coproduct`` once ``b`` and the maps' sources are known members."""
-    union = sorted({v for m in maps for v in m.mapping})
-    gen, _ = generated_subalgebra(b, union)
+    gen, _ = generated_subalgebra(b, sorted({v for m in maps for v in m.mapping}))
     if gen.size != b.size:
         return False
-    parts = [(m.source, m.mapping) for m in maps]
-    return all(
-        _every_family_extends(b, gen_alg, [], parts, budget)
-        for gen_alg in ctx.generators
-    )
+    return _families_extend(ctx, b, [(m.source, m.mapping) for m in maps], budget)
+
+
+def _families_extend(ctx: PrevarietyCtx, b: FiniteAlgebra, parts, budget) -> bool:
+    """``_every_family_extends`` into each generator: the coproduct test
+    once the parts' images are known to generate ``b``."""
+    return all(_every_family_extends(b, g, [], parts, budget) for g in ctx.generators)
 
 
 def is_compatible(
@@ -455,16 +450,15 @@ def is_independent(
 
 
 def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, budget) -> bool:
-    """``is_independent`` once ``ambient`` is a known member of SP(Y)."""
+    """``is_independent`` once ``ambient`` is a known member of SP(Y).  The
+    union generates ``generated`` by construction, so only extension is
+    tested; ``subalgebra_on`` raises on a subset that is not closed."""
     subsets = [sorted(set(s)) for s in subalgebras]
     union = sorted({x for s in subsets for x in s})
     generated, inclusion = generated_subalgebra(ambient, union)
     back = {inclusion(i): i for i in range(generated.size)}
-    maps = []
-    for s in subsets:
-        sub, _ = subalgebra_on(ambient, s)  # raises if not closed
-        maps.append(Homomorphism._unchecked(sub, generated, (back[x] for x in s)))
-    return _generates_and_extends(ctx, generated, maps, budget)
+    parts = [(subalgebra_on(ambient, s)[0], [back[x] for x in s]) for s in subsets]
+    return _families_extend(ctx, generated, parts, budget)
 
 
 class ChainHypothesisError(AlgebraError):
@@ -525,18 +519,19 @@ def chain_independence(
         to_local = {amb_inc(j): j for j in range(ambient.size)}
         a_local = [to_local[x] for x in levels[i]]
         b_local = [to_local[x] for x in components[i - 1]]
-        if not _independent(ctx, ambient, [a_local, b_local], budget):
-            raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
         a_sub, _ = subalgebra_on(ambient, a_local)
         b_sub, _ = subalgebra_on(ambient, b_local)
         span, span_inc = generated_subalgebra(ambient, a_local + b_local)
         span_pos = {span_inc(j): j for j in range(span.size)}
-        f_i = next(_Search(b_sub, a_sub, False, budget.max_nodes).iterate({}), None)
+        a_pos = [span_pos[x] for x in a_local]
+        b_pos = [span_pos[x] for x in b_local]
+        if not _families_extend(ctx, span, [(a_sub, a_pos), (b_sub, b_pos)], budget):
+            raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
+        f_i = _Search(b_sub, a_sub, False, budget.max_nodes).first([])
         if f_i is None:
             retractions.append(None)
             continue
-        pairs = [(span_pos[x], k) for k, x in enumerate(a_local)]
-        pairs += [(span_pos[x], f_i[k]) for k, x in enumerate(b_local)]
+        pairs = [*zip(a_pos, range(len(a_pos))), *zip(b_pos, f_i)]
         retraction = _Search(span, a_sub, False, budget.max_nodes).first(pairs)
         if retraction is None:
             raise AlgebraError(

@@ -800,7 +800,7 @@ class TestBudget:
 
     def test_defaults(self):
         assert dataclasses.astuple(Budget()) == (
-            2_000_000, None, 10**6, 10**4, 4 * 10**6, 10**6, 12, 64, 64)
+            2_000_000, 10**6, 10**4, 4 * 10**6, 10**6, 12, 64, 64)
 
     @pytest.mark.parametrize("field", INT_FIELDS)
     @pytest.mark.parametrize("value", [0, -1, 1.5, True, "3"])
@@ -808,8 +808,10 @@ class TestBudget:
         with pytest.raises(AlgebraError, match=f"^budget field {field} must be a positive int"):
             Budget(**{field: value})
 
-    def test_no_solution_cap_is_allowed(self):
-        assert Budget(max_solutions=None).max_solutions is None
+    def test_solution_cap_is_gone(self):
+        # a search lists every solution or raises; nothing truncates it
+        with pytest.raises(TypeError):
+            Budget(max_solutions=1)
 
     def test_congruence_size_is_read(self):
         assert len(all_congruences(cyclic_unary(13), Budget(max_congruence_size=13))) == 2

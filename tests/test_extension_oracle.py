@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from prevar.algcore import (
     AlgebraError,
-    Budget,
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
@@ -30,7 +29,7 @@ from prevar.algcore import (
     generated_subalgebra,
     subalgebra_on,
 )
-from prevar.homsearch import MembershipError, find_homomorphisms
+from prevar.homsearch import MembershipError, _Search, find_homomorphisms
 from prevar.prevariety import (
     ChainHypothesisError,
     ChainReport,
@@ -55,10 +54,8 @@ def oracle_extend(source, target, pairs, budget):
     for key, val in pairs:
         if seed.setdefault(key, val) != val:
             return None
-    found = find_homomorphisms(
-        source, target, seed=seed, budget=Budget(max_nodes=budget.max_nodes, max_solutions=1)
-    )
-    return found[0] if found else None
+    found = _Search(source, target, False, budget.max_nodes).first(sorted(seed.items()))
+    return None if found is None else Homomorphism(source, target, found)
 
 
 def oracle_generates_and_extends(ctx, b, maps, budget):
@@ -126,11 +123,11 @@ def oracle_chain_independence(a0, chain, components, budget=DEFAULT_BUDGET):
         b_sub, _ = subalgebra_on(ambient, b_local)
         span, span_inc = generated_subalgebra(ambient, a_local + b_local)
         span_pos = {span_inc(j): j for j in range(span.size)}
-        targets = find_homomorphisms(b_sub, a_sub, budget=Budget(max_nodes=budget.max_nodes, max_solutions=1))
-        if not targets:
+        found = _Search(b_sub, a_sub, False, budget.max_nodes).first([])
+        if found is None:
             retractions.append(None)
             continue
-        f_i = targets[0]
+        f_i = Homomorphism(b_sub, a_sub, found)
         pairs = [(span_pos[x], k) for k, x in enumerate(a_local)]
         pairs += [(span_pos[x], f_i(k)) for k, x in enumerate(b_local)]
         retraction = oracle_extend(span, a_sub, pairs, budget)

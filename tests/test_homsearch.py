@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prevar
 from prevar.algcore import (
     AlgebraError,
     Budget,
@@ -17,6 +21,7 @@ from prevar.algcore import (
     cyclic_unary,
     direct_product,
     disjoint_union,
+    find_isomorphism,
     generated_subalgebra,
     quotient,
     subalgebra_on,
@@ -105,9 +110,14 @@ class TestFindHomomorphisms:
         second = [h.mapping for h in find_homomorphisms(C6, C6)]
         assert first == second and len(first) == 6
 
-    def test_max_solutions_stops_early(self):
-        homs = find_homomorphisms(C2, C2, budget=Budget(max_solutions=1))
-        assert [h.mapping for h in homs] == [(0, 1)]
+    def test_first_solution_stops_the_search(self):
+        # the identity is found on the first node; listing every
+        # automorphism needs more nodes than the budget allows
+        budget = Budget(max_nodes=1)
+        assert exists_embedding(C6, C6, budget)
+        assert find_isomorphism(C6, C6).mapping == tuple(range(6))
+        with pytest.raises(BudgetExceededError):
+            find_homomorphisms(C6, C6, injective=True, budget=budget)
 
     def test_budget_exhaustion_is_distinct_from_no_solutions(self):
         big = disjoint_union([C2] * 4)
@@ -173,6 +183,31 @@ class TestInSP:
         prod, injection = sp_embedding(square, [C2])
         assert injection.is_injective()
         assert prod.size == 2 ** 6  # one two-element factor per pair
+
+    def test_embedding_product_is_bounded(self):
+        square = disjoint_union([C2, C2])  # the product has 64 elements
+        with pytest.raises(BudgetExceededError, match="^SP product has 64 elements, over budget 63$"):
+            sp_embedding(square, [C2], Budget(max_carrier=63))
+        with pytest.raises(BudgetExceededError, match="^operation table too large"):
+            sp_embedding(square, [C2], Budget(max_table_cells=63))
+
+    def test_semilattice_cube_embedding_raises_promptly(self):
+        # one 2-element factor per pair of the 8 elements: 2**28 elements,
+        # far too many to build, so the budget must refuse them first
+        code = ("from prevar.algcore import BudgetExceededError, FiniteAlgebra, Signature, "
+                "direct_product\n"
+                "from prevar.homsearch import sp_embedding\n"
+                "l2 = FiniteAlgebra(Signature((('m', 2),)), 2, {'m': [0, 0, 0, 1]})\n"
+                "cube, _ = direct_product([l2] * 3)\n"
+                "try:\n"
+                "    sp_embedding(cube, [l2])\n"
+                "except BudgetExceededError as e:\n"
+                "    print(e)\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prevar.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout == "SP product has 268435456 elements, over budget 10000\n"
 
     def test_embedding_fails_with_witness(self):
         with pytest.raises(MembershipError) as err:

@@ -86,7 +86,7 @@ SURFACE = {
                       "trivial_algebra",
     "prevar.algcore.AlgebraError": "(...)",
     "prevar.algcore.App": "(op, args)",
-    "prevar.algcore.Budget": "(max_nodes, max_solutions, max_index, max_carrier, max_table_cells, "
+    "prevar.algcore.Budget": "(max_nodes, max_index, max_carrier, max_table_cells, "
                              "max_enumeration, max_congruence_size, max_rules, max_word_len)",
     "prevar.algcore.Budget.max_carrier": "",
     "prevar.algcore.Budget.max_congruence_size": "",
@@ -94,7 +94,6 @@ SURFACE = {
     "prevar.algcore.Budget.max_index": "",
     "prevar.algcore.Budget.max_nodes": "",
     "prevar.algcore.Budget.max_rules": "",
-    "prevar.algcore.Budget.max_solutions": "",
     "prevar.algcore.Budget.max_table_cells": "",
     "prevar.algcore.Budget.max_word_len": "",
     "prevar.algcore.BudgetExceededError": "(...)",
@@ -227,7 +226,7 @@ SURFACE = {
     "prevar.freeness.survival_oracle_agreement": "(rule, length_bound, num_gens)",
     "prevar.freeness.tag_survives": "(rule, u, v, w)",
     "prevar.freeness.verify_free_pair": "(rule, depth)",
-    "prevar.freeness.witness_triple_hom": "(a, b, c, rule)",
+    "prevar.freeness.witness_triple_hom": "(a, b, c)",
     "prevar.homsearch.MembershipError": "(message, witness)",
     "prevar.homsearch.exists_embedding": "(a, b, budget)",
     "prevar.homsearch.find_homomorphisms": "(source, target, seed, budget, injective)",
