@@ -264,11 +264,11 @@ class Homomorphism:
         return len(set(self.mapping)) == len(self.mapping)
 
     def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """(self ∘ inner)(x) = self(inner(x))."""
+        """(self ∘ inner)(x) = self(inner(x)), valid by construction."""
         if inner.target is not self.source and inner.target != self.source:
             raise AlgebraError("composition mismatch")
-        return Homomorphism(inner.source, self.target,
-                            tuple(self.mapping[v] for v in inner.mapping))
+        return Homomorphism._unchecked(inner.source, self.target,
+                                       [self.mapping[v] for v in inner.mapping])
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,8 @@ class _Search:
         # one (target table, args, result) constraint per cell of each
         # non-zeroary source table; zeroary ops become forced assignments.
         # a constraint already satisfied never breaks later, so propagation
-        # and candidate filtering only visit constraints touching the
-        # element being assigned
+        # and candidate filtering only visit those with the element being
+        # assigned among their arguments (the last one assigned forces the result)
         self.touching = [[] for _ in range(source.size)]
         for name, arity in source.signature.ops:
             if arity == 0:
@@ -60,7 +60,7 @@ class _Search:
             cells = itertools.product(range(source.size), repeat=arity)
             for args, result in zip(cells, source.tables[name]):
                 constraint = (table, args, result)
-                for e in {*args, result}:
+                for e in set(args):
                     self.touching[e].append(constraint)
 
     def iterate(self, seed: dict[int, int]) -> Iterator[tuple[int, ...]]:
@@ -243,22 +243,36 @@ def separating_family(
     one homomorphism at a time, each under ``budget``; the search stops as
     soon as every pair is separated, and later generators are not searched.
     """
+    pending, chosen, _ = _separate(a, generators, budget)
+    if pending:
+        return False, pending[0], []
+    return True, None, [chosen[(x, y)] for x in range(a.size) for y in range(x + 1, a.size)]
+
+
+def _separate(a, generators, budget):
+    """``separating_family``'s walk.  Returns the pairs left unseparated, the
+    first separating hom of each separated pair, and per searched generator
+    (the mappings pulled, its live search), which a caller may drain."""
     for g in generators:
         if g.signature != a.signature:
             raise AlgebraError("membership test across signatures")
-    if a.size <= 1:
-        return True, None, []
-    pending = pairs = [(x, y) for x in range(a.size) for y in range(x + 1, a.size)]
+    pending = [(x, y) for x in range(a.size) for y in range(x + 1, a.size)]
     chosen: dict[tuple[int, int], Homomorphism] = {}
+    walked = []
     for g in generators:
-        for mapping in _Search(a, g, False, budget.max_nodes).iterate({}):
+        if not pending:
+            break
+        pulled, search = [], _Search(a, g, False, budget.max_nodes).iterate({})
+        walked.append((pulled, search))
+        for mapping in search:
+            pulled.append(mapping)
             separated = [(x, y) for x, y in pending if mapping[x] != mapping[y]]
             if separated:
                 chosen.update(dict.fromkeys(separated, Homomorphism._unchecked(a, g, mapping)))
                 pending = [p for p in pending if p not in chosen]
                 if not pending:
-                    return True, None, [chosen[p] for p in pairs]
-    return False, pending[0], []
+                    break
+    return pending, chosen, walked
 
 
 def in_sp(
@@ -307,4 +321,4 @@ def sp_embedding(
         for h, s in zip(homs, sizes):
             idx = idx * s + h(x)
         mapping.append(idx)
-    return prod, Homomorphism(a, prod, tuple(mapping))
+    return prod, Homomorphism._unchecked(a, prod, mapping)

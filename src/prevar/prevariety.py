@@ -48,6 +48,7 @@ from .algcore import (
 from .homsearch import (
     MembershipError,
     _Search,
+    _separate,
     find_homomorphisms,
     in_sp,
     separating_family,
@@ -79,11 +80,28 @@ class PrevarietyCtx:
     def require_member(self, alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET):
         ok, witness, _ = separating_family(alg, self.generators, budget)
         if not ok:
-            raise MembershipError(
-                f"algebra of size {alg.size} is not in SP of the generators; "
-                f"elements {witness} cannot be separated",
-                witness,
-            )
+            raise _not_a_member(alg, witness)
+
+
+def _not_a_member(alg: FiniteAlgebra, witness) -> MembershipError:
+    return MembershipError(f"algebra of size {alg.size} is not in SP of the generators; "
+                           f"elements {witness} cannot be separated", witness)
+
+
+def _member_hom_lists(ctx: PrevarietyCtx, algebras: Sequence[FiniteAlgebra], budget: Budget):
+    """Per generator, the homs (as mappings) from each algebra, once every
+    algebra has passed ``require_member``'s check, whose searches are kept
+    and drained: each list is searched once, nodes count as in one full
+    listing, and errors come in ``require_member``'s order."""
+    walks = []
+    for alg in algebras:
+        pending, _, walked = _separate(alg, ctx.generators, budget)
+        if pending:
+            raise _not_a_member(alg, pending[0])
+        walks.append(walked + [([], _Search(alg, g, False, budget.max_nodes).iterate({}))
+                               for g in ctx.generators[len(walked):]])
+    return [[pulled + list(search) for pulled, search in (w[k] for w in walks)]
+            for k in range(len(ctx.generators))]
 
 
 def sp(*generators: FiniteAlgebra) -> PrevarietyCtx:
@@ -170,28 +188,18 @@ class CoproductResult:
         return all(c.is_injective() for c in self.coprojections)
 
 
-def _hom_family_index(
-    ctx: PrevarietyCtx,
-    sources: Sequence[FiniteAlgebra],
-    key,
-    budget: Budget,
-    hom_lists=None,
-):
-    """All pairs (generator, family of homs source_i -> generator).
+def _hom_family_index(hom_lists, key, budget: Budget):
+    """All pairs (generator index, family of homs source_i -> generator),
+    from ``hom_lists``, per generator the homs (as mappings) from each source.
 
     Given ``key(i, h)``, only families whose homs share one key are listed
     (amalgamation over a shared base): each first-source hom is followed by
     the product of the later sources' homs with its key.  Order: generators
     as declared, then families lexicographically in per-source hom order.
     More than ``budget.max_index`` pairs raise ``BudgetExceededError``;
-    unkeyed, they are counted before they are listed.  ``hom_lists``, per
-    generator the homs from each source, is listed here unless a caller
-    that memoises it passes it in.
+    unkeyed, they are counted before they are listed.
     """
     max_index = budget.max_index
-    if hom_lists is None:
-        hom_lists = [[find_homomorphisms(src, gen, budget=budget) for src in sources]
-                     for gen in ctx.generators]
     count = sum(math.prod(map(len, lists)) for lists in hom_lists) if key is None else 0
     entries = []
     for a_idx, lists in enumerate(hom_lists):
@@ -210,19 +218,14 @@ def _hom_family_index(
     return entries
 
 
-def _indexed_coproduct(
-    ctx: PrevarietyCtx,
-    sources: Sequence[FiniteAlgebra],
-    key,
-    budget: Budget,
-    hom_lists=None,
-) -> CoproductResult:
+def _indexed_coproduct(ctx: PrevarietyCtx, sources: Sequence[FiniteAlgebra], key,
+                       budget: Budget, hom_lists) -> CoproductResult:
     """The subalgebra generated by the sources' images in the product
     indexed by their hom families (those sharing one ``key``, if given),
     with the coprojections sending each element to its image."""
-    entries = _hom_family_index(ctx, sources, key, budget, hom_lists)
+    entries = _hom_family_index(hom_lists, key, budget)
     images = [
-        [tuple(family[i](x) for _, family in entries) for x in range(src.size)]
+        [tuple(family[i][x] for _, family in entries) for x in range(src.size)]
         for i, src in enumerate(sources)
     ]
     alg, elems = _closed_tuple_algebra(
@@ -233,11 +236,28 @@ def _indexed_coproduct(
     )
     position = {t: i for i, t in enumerate(elems)}
     coprojections = [
-        Homomorphism(src, alg, tuple(position[t] for t in per_source))
+        Homomorphism._unchecked(src, alg, [position[t] for t in per_source])
         for src, per_source in zip(sources, images)
     ]
-    metadata = tuple((a_idx, tuple(h.mapping for h in family)) for a_idx, family in entries)
-    return CoproductResult(alg, coprojections, metadata, elems)
+    return CoproductResult(alg, coprojections, tuple(entries), elems)
+
+
+def _injective_coprojections(lists, algebras: Sequence[FiniteAlgebra], which, key=None) -> bool:
+    """True iff the coprojections of the factors ``which`` into the
+    coproduct ``_indexed_coproduct`` builds from ``lists`` and ``key`` are
+    one-to-one, decided without building it.  The coprojection of factor i
+    sends x to (h_i(x)) over the index families, so it is injective iff the
+    homs of factor i that occur in some family (their key is shared by some
+    hom of every other factor) separate its points."""
+    key = key or (lambda i, h: None)
+    occurring = [[] for _ in algebras]
+    for per_source in lists:
+        keys = [{key(j, h) for h in homs} for j, homs in enumerate(per_source)]
+        for i in which:
+            others = keys[:i] + keys[i + 1:]
+            occurring[i] += [h for h in per_source[i] if all(key(i, h) in ks for ks in others)]
+    return all(algebras[i].size < 2 or len(set(zip(*occurring[i]))) == algebras[i].size
+               for i in which)
 
 
 def coproduct(
@@ -251,9 +271,7 @@ def coproduct(
     algebra, or the empty algebra when every factor is empty.
     """
     factors = list(factors)
-    for f in factors:
-        ctx.require_member(f, budget)
-    return _indexed_coproduct(ctx, factors, None, budget)
+    return _indexed_coproduct(ctx, factors, None, budget, _member_hom_lists(ctx, factors, budget))
 
 
 def _every_family_extends(
@@ -316,9 +334,11 @@ def is_compatible(
     Equivalent to the existence of a common embedding target in SP(Y):
     the coproduct itself serves as the target in the positive case, and
     any target would force injective coprojections in the negative one.
+    Read off the hom lists, not a built coproduct: only ``max_nodes`` applies.
     """
-    result = coproduct(ctx, algebras, budget)
-    return result.all_injective()
+    algebras = list(algebras)
+    return _injective_coprojections(_member_hom_lists(ctx, algebras, budget), algebras,
+                                    range(len(algebras)))
 
 
 def is_comfortable(
@@ -329,10 +349,9 @@ def is_comfortable(
 ) -> bool:
     """True iff the coprojection of ``a`` into the coproduct of [a, b] is 1-1.
 
-    Not symmetric in general.
+    Not symmetric in general.  Decided like ``is_compatible``.
     """
-    result = coproduct(ctx, [a, b], budget)
-    return result.coprojections[0].is_injective()
+    return _injective_coprojections(_member_hom_lists(ctx, [a, b], budget), [a, b], [0])
 
 
 # -- relative congruences and subdirect irreducibility ---------------------
@@ -538,7 +557,7 @@ def chain_independence(
                 "no retraction extends the chosen component map; "
                 "contradicts the verified independence"
             )
-        retractions.append(Homomorphism(span, a_sub, retraction))
+        retractions.append(Homomorphism._unchecked(span, a_sub, retraction))
 
     independent = _independent(ctx, a0, components, budget)
 
@@ -781,32 +800,17 @@ def amalgamated_coproduct(
     for alg, emb in arms:
         if emb.source != base or emb.target != alg:
             raise AlgebraError("arm embeddings must run from the base into the arm")
-    for alg, _ in arms:
-        ctx.require_member(alg, budget)
-    return _pushout(ctx, base, arms, budget)
-
-
-def _pushout(
-    ctx: PrevarietyCtx,
-    base: FiniteAlgebra,
-    arms: Sequence[tuple[FiniteAlgebra, Homomorphism]],
-    budget: Budget,
-    hom_lists=None,
-) -> AmalgamatedResult:
-    """``amalgamated_coproduct`` once the arms are checked."""
-
-    def on_base(i, h):
-        return tuple(h(arms[i][1](s)) for s in range(base.size))
-
     sources = [alg for alg, _ in arms]
-    result = _indexed_coproduct(ctx, sources, on_base, budget, hom_lists)
-    base_map = None
-    if arms:
-        first, emb0 = result.coprojections[0], arms[0][1]
-        base_map = Homomorphism(base, result.algebra, tuple(first(emb0(s)) for s in range(base.size)))
-    return AmalgamatedResult(
-        result.algebra, result.coprojections, base_map, result.index_metadata
-    )
+    result = _indexed_coproduct(ctx, sources, _on_base([e for _, e in arms]), budget,
+                                _member_hom_lists(ctx, sources, budget))
+    base_map = Homomorphism._unchecked(base, result.algebra, [
+        result.coprojections[0](v) for v in arms[0][1].mapping]) if arms else None
+    return AmalgamatedResult(result.algebra, result.coprojections, base_map, result.index_metadata)
+
+
+def _on_base(embeddings: Sequence[Homomorphism]):
+    """The pushout's family key: arm i's hom h keyed by its values on the base."""
+    return lambda i, h: tuple(h[v] for v in embeddings[i].mapping)
 
 
 @dataclass
@@ -830,8 +834,9 @@ def check_amalgamation_bounded(
     enumerated members, the square completes with embeddings iff both
     coprojections into the canonical pushout are injective (any completing
     object factors through the pushout), so the verdict is exact rather
-    than bounded by a target size.  Empty bases turn the check into a
-    joint-embedding question and are excluded by default.
+    than bounded by a target size.  Injectivity is read off the hom lists
+    (``_injective_coprojections``); no pushout is built.  Empty bases turn
+    the check into a joint-embedding question and are excluded by default.
     """
     members = enumerate_members(ctx, max_size, budget)
     # each hom list is made once per check, keyed by members' positions
@@ -842,7 +847,8 @@ def check_amalgamation_bounded(
 
     @functools.cache
     def into_generators(j):
-        return [find_homomorphisms(members[j], gen, budget=budget) for gen in ctx.generators]
+        return [[h.mapping for h in find_homomorphisms(members[j], gen, budget=budget)]
+                for gen in ctx.generators]
 
     for i, a in enumerate(members):
         if a.size < 1 and not include_empty_base:
@@ -853,11 +859,10 @@ def check_amalgamation_bounded(
             for k, c in enumerate(members):
                 if c.size < a.size or not embeddings(i, k):
                     continue
-                hom_lists = list(zip(into_generators(j), into_generators(k)))
+                lists = list(zip(into_generators(j), into_generators(k)))
                 for f in embeddings(i, j):
                     for g in embeddings(i, k):
-                        pushout = _pushout(ctx, a, [(b, f), (c, g)], budget, hom_lists)
-                        if not all(h.is_injective() for h in pushout.coprojections):
+                        if not _injective_coprojections(lists, [b, c], (0, 1), _on_base([f, g])):
                             return False, AmalgamationCounterexample(a, b, c, f, g)
     return True, None
 
@@ -892,7 +897,7 @@ def check_coproduct_monotone_bounded(
             "no induced map between amalgamated coproducts; "
             "contradicts their universal property"
         )
-    return Homomorphism(qa.algebra, qb.algebra, induced).is_injective()
+    return len(set(induced)) == len(induced)
 
 
 def subfamily_independence_check(

@@ -127,6 +127,15 @@ class TestPropertyVerbs:
         )
         assert code == 0
 
+    def test_compatible_answers_past_the_coproduct_table_budget(self, capsys, tmp_path):
+        # the coproduct of two copies is too large to build under the
+        # default budget; compatibility is decided without it
+        y = FiniteAlgebra(Signature((("j", 2),)), 3, {"j": [0, 1, 1, 2, 0, 2, 2, 0, 2]})
+        path = str(tmp_path / "y.alg")
+        y.save(path)
+        code, out, _ = run(capsys, "--json", "compatible", "--gen", path, path, path)
+        assert code == 0 and json.loads(out) == {"compatible": True}
+
     def test_member_with_witness(self, capsys, algebra_files):
         code, out, _ = run(
             capsys, "--json", "member", "--gen", algebra_files["c2"], "--gen",

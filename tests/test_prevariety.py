@@ -426,6 +426,15 @@ class TestCompatibility:
     def test_empty_family_compatible(self):
         assert is_compatible(sp(C2), [])
 
+    def test_decided_without_building_the_coproduct(self):
+        # the coproduct of two copies of this 3-element binary algebra has
+        # an op table over the default max_table_cells; the verdict needs
+        # only the hom lists
+        y = FiniteAlgebra(Signature((("j", 2),)), 3, {"j": [0, 1, 1, 2, 0, 2, 2, 0, 2]})
+        assert is_compatible(sp(y), [y, y])
+        with pytest.raises(BudgetExceededError):
+            coproduct(sp(y), [y, y])
+
 
 class TestComfortable:
     def test_trivial_comfortable_with_two_cycle(self):
@@ -748,9 +757,9 @@ class TestAmalgamation:
 
     @staticmethod
     def _listing_every_pushout(ctx, max_size, include_empty_base=False):
-        """The check before its hom lists were memoised: the a -> c
-        embeddings listed once per b, every arm's homs into every generator
-        once per pushout."""
+        """The check before its hom lists were memoised, building every
+        pushout: the a -> c embeddings listed once per b, every arm's homs
+        into every generator once per pushout."""
         members = enumerate_members(ctx, max_size)
         for a in [m for m in members if m.size >= 1 or include_empty_base]:
             for b in members:
@@ -765,8 +774,7 @@ class TestAmalgamation:
                     embeddings_ac = prevar.prevariety.find_homomorphisms(a, c, injective=True)
                     for f in embeddings_ab:
                         for g in embeddings_ac:
-                            pushout = prevar.prevariety._pushout(
-                                ctx, a, [(b, f), (c, g)], Budget())
+                            pushout = amalgamated_coproduct(ctx, a, [(b, f), (c, g)])
                             if not all(h.is_injective() for h in pushout.coprojections):
                                 return False, AmalgamationCounterexample(a, b, c, f, g)
         return True, None
