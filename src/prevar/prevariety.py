@@ -38,7 +38,6 @@ from .algcore import (
     _product_rows,
     _require_congruence_size,
     all_congruences,
-    are_isomorphic,
     empty_algebra,
     eval_term,
     generated_subalgebra,
@@ -276,21 +275,24 @@ def coproduct(
 
 def _every_family_extends(
     source: FiniteAlgebra,
-    target: FiniteAlgebra,
+    targets: Sequence[FiniteAlgebra],
     fixed: list[tuple[int, int]],
     parts: Sequence[tuple[FiniteAlgebra, Sequence[int]]],
     budget: Budget,
 ) -> bool:
-    """True iff each family of homs h_i: part_i -> ``target`` extends to a
-    hom ``source -> target`` sending image_i[x] to h_i(x) and agreeing with
-    ``fixed``; ``parts`` holds the pairs (part_i, image_i).  One search of
-    ``source -> target`` walks the families in product order, propagating
-    each family prefix once (``_Search.every_choice_extends``)."""
-    stages = [
-        [list(zip(image, h)) for h in _Search(part, target, False, budget.max_nodes).iterate({})]
-        for part, image in parts
-    ]
-    return _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages)
+    """True iff, for each target, each family of homs h_i: part_i -> target
+    extends to a hom ``source -> target`` sending image_i[x] to h_i(x) and
+    agreeing with ``fixed``; ``parts`` holds the pairs (part_i, image_i).
+    One search of ``source -> target`` walks the families in product order,
+    propagating each family prefix once (``_Search.every_choice_extends``)."""
+    for target in targets:
+        stages = [
+            [list(zip(image, h)) for h in _Search(part, target, False, budget.max_nodes).iterate({})]
+            for part, image in parts
+        ]
+        if not _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages):
+            return False
+    return True
 
 
 def is_coproduct(
@@ -315,13 +317,7 @@ def is_coproduct(
     gen, _ = generated_subalgebra(b, sorted({v for m in maps for v in m.mapping}))
     if gen.size != b.size:
         return False
-    return _families_extend(ctx, b, [(m.source, m.mapping) for m in maps], budget)
-
-
-def _families_extend(ctx: PrevarietyCtx, b: FiniteAlgebra, parts, budget) -> bool:
-    """``_every_family_extends`` into each generator: the coproduct test
-    once the parts' images are known to generate ``b``."""
-    return all(_every_family_extends(b, g, [], parts, budget) for g in ctx.generators)
+    return _every_family_extends(b, ctx.generators, [], [(m.source, m.mapping) for m in maps], budget)
 
 
 def is_compatible(
@@ -470,14 +466,21 @@ def is_independent(
 
 def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, budget) -> bool:
     """``is_independent`` once ``ambient`` is a known member of SP(Y).  The
-    union generates ``generated`` by construction, so only extension is
-    tested; ``subalgebra_on`` raises on a subset that is not closed."""
-    subsets = [sorted(set(s)) for s in subalgebras]
-    union = sorted({x for s in subsets for x in s})
-    generated, inclusion = generated_subalgebra(ambient, union)
-    back = {inclusion(i): i for i in range(generated.size)}
-    parts = [(subalgebra_on(ambient, s)[0], [back[x] for x in s]) for s in subsets]
-    return _families_extend(ctx, generated, parts, budget)
+    union generates the span by construction, so only extension is tested.
+    With no subalgebras the span is the closure of the constants, and it is
+    the initial algebra exactly when every generator receives a hom from it."""
+    span, parts = _span(ambient, subalgebras)
+    return _every_family_extends(span, ctx.generators, [], parts, budget)
+
+
+def _span(ambient: FiniteAlgebra, subsets):
+    """The subalgebra of ``ambient`` that the union of ``subsets`` generates,
+    and for each subset the pair (subalgebra on it, its positions in the
+    span); ``subalgebra_on`` raises on a subset that is not closed."""
+    subsets = [sorted(set(s)) for s in subsets]
+    span, inclusion = generated_subalgebra(ambient, sorted({x for s in subsets for x in s}))
+    position = {x: j for j, x in enumerate(inclusion.mapping)}
+    return span, [(subalgebra_on(ambient, s)[0], [position[x] for x in s]) for s in subsets]
 
 
 class ChainHypothesisError(AlgebraError):
@@ -532,20 +535,13 @@ def chain_independence(
     ctx = PrevarietyCtx((last_alg,))
     ctx.require_member(a0, budget)
 
+    # A_{i-1} is closed, so <A_i, B_i> is the same in a0 as in A_{i-1}
     retractions: list[Optional[Homomorphism]] = []
     for i in range(1, n + 1):
-        ambient, amb_inc = subalgebra_on(a0, levels[i - 1])
-        to_local = {amb_inc(j): j for j in range(ambient.size)}
-        a_local = [to_local[x] for x in levels[i]]
-        b_local = [to_local[x] for x in components[i - 1]]
-        a_sub, _ = subalgebra_on(ambient, a_local)
-        b_sub, _ = subalgebra_on(ambient, b_local)
-        span, span_inc = generated_subalgebra(ambient, a_local + b_local)
-        span_pos = {span_inc(j): j for j in range(span.size)}
-        a_pos = [span_pos[x] for x in a_local]
-        b_pos = [span_pos[x] for x in b_local]
-        if not _families_extend(ctx, span, [(a_sub, a_pos), (b_sub, b_pos)], budget):
+        span, parts = _span(a0, [levels[i], components[i - 1]])
+        if not _every_family_extends(span, ctx.generators, [], parts, budget):
             raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
+        (a_sub, a_pos), (b_sub, b_pos) = parts
         f_i = _Search(b_sub, a_sub, False, budget.max_nodes).first([])
         if f_i is None:
             retractions.append(None)
@@ -562,11 +558,9 @@ def chain_independence(
     independent = _independent(ctx, a0, components, budget)
 
     # stronger form: families into the distinguished last level extend
-    span_all, span_inc = generated_subalgebra(a0, levels[n] + [x for s in components for x in s])
-    span_pos = {span_inc(j): j for j in range(span_all.size)}
-    fixed = [(span_pos[x], k) for k, x in enumerate(levels[n])]
-    parts = [(subalgebra_on(a0, s)[0], [span_pos[x] for x in s]) for s in components]
-    almost = _every_family_extends(span_all, last_alg, fixed, parts, budget)
+    span_all, [(_, last_pos), *parts] = _span(a0, [levels[n], *components])
+    fixed = [(p, k) for k, p in enumerate(last_pos)]
+    almost = _every_family_extends(span_all, [last_alg], fixed, parts, budget)
     return ChainReport(independent, almost, retractions)
 
 
@@ -913,7 +907,8 @@ def subfamily_independence_check(
     Hypotheses checked: single generator; the full family independent;
     members nontrivial, unless some nontrivial member of the prevariety
     has an idempotent element (then trivial members are allowed).  The
-    empty subfamily is compared against the canonical empty coproduct.
+    empty subfamily is independent when its span, the closure of the
+    constants, is the initial algebra.
     """
     if len(ctx.generators) != 1:
         raise AlgebraError("this check needs a single-generator prevariety")
@@ -927,12 +922,7 @@ def subfamily_independence_check(
             raise AlgebraError(
                 "trivial members need a nontrivial generator with an idempotent"
             )
-    chosen = [family[i] for i in subfamily]
-    if not chosen:
-        initial = coproduct(ctx, [])
-        generated, _ = generated_subalgebra(ambient, [])
-        return are_isomorphic(generated, initial.algebra)
-    return _independent(ctx, ambient, chosen, budget)
+    return _independent(ctx, ambient, [family[i] for i in subfamily], budget)
 
 
 # -- the zeroary-constants census -------------------------------------------

@@ -7,13 +7,14 @@ once did.  The library shares one search per (source, target) pair, walks
 the families depth-first on it, and tests membership once; verdicts,
 retractions, errors and their order must not change.  Inputs: unions of
 cycles in SP(C2, C3) (some not members), subalgebras of squares of
-2-element binary algebras, and fixed inputs for an empty hom list and for
-constants.
+2-element binary algebras, products of small algebras with a constant
+(for the empty family), and fixed inputs for an empty hom list, for
+constants and for subsets that are not closed.
 """
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prevar.algcore import (
@@ -23,6 +24,7 @@ from prevar.algcore import (
     Homomorphism,
     Signature,
     UNARY_SIGNATURE,
+    are_isomorphic,
     cyclic_unary,
     direct_product,
     disjoint_union,
@@ -34,7 +36,9 @@ from prevar.prevariety import (
     ChainHypothesisError,
     ChainReport,
     PrevarietyCtx,
+    _independent,
     chain_independence,
+    coproduct,
     has_trivial_subalgebra,
     is_coproduct,
     is_independent,
@@ -148,8 +152,13 @@ def oracle_chain_independence(a0, chain, components, budget=DEFAULT_BUDGET):
     return ChainReport(independent, almost, retractions)
 
 
+def oracle_empty_family_independent(ctx, ambient):
+    # the closure of the constants against the coproduct of no algebras
+    generated, _ = generated_subalgebra(ambient, [])
+    return are_isomorphic(generated, coproduct(ctx, []).algebra)
+
+
 def oracle_subfamily_independence_check(ctx, ambient, family, subfamily):
-    # nonempty subfamilies only: the empty one takes a path these checks skip
     if len(ctx.generators) != 1:
         raise AlgebraError("this check needs a single-generator prevariety")
     family = [sorted(set(s)) for s in family]
@@ -159,6 +168,8 @@ def oracle_subfamily_independence_check(ctx, ambient, family, subfamily):
         gen = ctx.generators[0]
         if not (gen.size >= 2 and has_trivial_subalgebra(gen)):
             raise AlgebraError("trivial members need a nontrivial generator with an idempotent")
+    if not subfamily:
+        return oracle_empty_family_independent(ctx, ambient)
     return oracle_is_independent(ctx, ambient, [family[i] for i in subfamily])
 
 
@@ -217,6 +228,30 @@ def cases(draw):
     return [gen], alg, parts
 
 
+# a constant c with a unary f, or with a binary g
+CONST_UNARY = Signature((("c", 0), ("f", 1)))
+CONST_BINARY = Signature((("c", 0), ("g", 2)))
+
+
+@st.composite
+def constant_members(draw):
+    """One or two algebras of size 1 to 3 over a signature with a constant,
+    and a member of their prevariety: a subalgebra of a product of them."""
+    sig = draw(st.sampled_from([CONST_UNARY, CONST_BINARY]))
+
+    def algebra():
+        size = draw(st.integers(1, 3))
+        return FiniteAlgebra(sig, size, {
+            name: draw(st.lists(st.integers(0, size - 1), min_size=size**arity,
+                                max_size=size**arity))
+            for name, arity in sig.ops})
+
+    gens = [algebra() for _ in range(draw(st.integers(1, 2)))]
+    product, _ = direct_product(draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2)))
+    seeds = draw(st.lists(st.integers(0, product.size - 1), max_size=2))
+    return gens, generated_subalgebra(product, seeds)[0]
+
+
 def picks(draw, subsets, min_size=0, max_size=3):
     return draw(st.lists(st.sampled_from(subsets), min_size=min_size, max_size=max_size))
 
@@ -267,8 +302,7 @@ def test_chain_independence_matches_oracle(case, data):
 def test_subfamily_independence_check_matches_oracle(case, data):
     gens, ambient, subsets = case
     family = picks(data.draw, subsets, min_size=1)
-    sub = data.draw(st.lists(st.integers(0, len(family) - 1), min_size=1, max_size=len(family),
-                             unique=True))
+    sub = data.draw(st.lists(st.integers(0, len(family) - 1), max_size=len(family), unique=True))
     ctx = sp(gens[-1])
     assert outcome(lambda: subfamily_independence_check(ctx, ambient, family, sub)) == outcome(
         lambda: oracle_subfamily_independence_check(ctx, ambient, family, sub))
@@ -283,7 +317,6 @@ TAIL = FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": [0, 0]})
 # a constant c and a unary f: the one-element algebra is generated by its
 # constant and has no hom into POINTED, where f moves c, but forgetting the
 # constant would let it land on POINTED's fixed point
-CONST_UNARY = Signature((("c", 0), ("f", 1)))
 POINTED = FiniteAlgebra(CONST_UNARY, 2, {"c": [0], "f": [1, 1]})
 ONE = FiniteAlgebra(CONST_UNARY, 1, {"c": [0], "f": [0]})
 
@@ -303,3 +336,44 @@ def test_fixed_inputs_match_oracle():
         got = outcome(lambda: is_coproduct(ctx, b, maps))
         assert got == outcome(lambda: oracle_is_coproduct(ctx, b, maps)), label
         assert got == expected, label
+
+
+# ONE lies in SP(POINTED) as the empty product; with no hom into POINTED,
+# the closure of its constant is not the initial algebra
+@settings(max_examples=200, deadline=None)
+@given(constant_members())
+@example(([POINTED], POINTED))
+@example(([POINTED], ONE))
+@example(([POINTED, ONE], ONE))
+def test_empty_family_matches_initial_algebra(case):
+    # the closure of the constants is independent iff every generator
+    # receives a hom from it iff it is the initial algebra
+    gens, ambient = case
+    ctx = sp(*gens)
+    assert _independent(ctx, ambient, [], DEFAULT_BUDGET) == oracle_empty_family_independent(
+        ctx, ambient)
+
+
+def test_chain_refuses_unclosed_subsets():
+    # three 3-cycles 0-1-2, 3-4-5, 6-7-8 lie in SP(C3); with a fixed point
+    # added they do not.  A subset that is not closed is refused by
+    # subalgebra_on: a last level before the membership test, any other at
+    # its step, after the hypotheses of the steps before it
+    a0 = disjoint_union([cyclic_unary(3)] * 3)
+    outside = disjoint_union([cyclic_unary(3)] * 2 + [cyclic_unary(1)])
+    unclosed = ("AlgebraError", "subset is not closed under 'a'", None, None)
+    inputs = [
+        (a0, [[0, 1]], [[3, 4, 5]], unclosed),
+        (outside, [[0, 1]], [[3]], unclosed),
+        (outside, [[0, 1, 2]], [[3]], "MembershipError"),
+        (a0, [[0, 1, 2]], [[3]], unclosed),
+        (a0, [[0, 1, 2, 3], [0, 1, 2]], [[6, 7, 8], [0, 1, 2]], unclosed),
+        (a0, [list(range(6)), [0, 1, 2]], [[6, 7], [0, 1, 2]], unclosed),
+        (a0, [list(range(6)), [0, 1, 2]], [[6, 7, 8], [3]], unclosed),
+        (a0, [list(range(6)), [0, 1, 2]], [[0, 1, 2], [3]],
+         ("ChainHypothesisError", "step 1: the pair (A_i, B_i) is not independent", None, 1)),
+    ]
+    for ambient, chain, components, expected in inputs:
+        got = outcome(lambda: chain_independence(ambient, chain, components))
+        assert got == outcome(lambda: oracle_chain_independence(ambient, chain, components))
+        assert (got[0] if isinstance(expected, str) else got) == expected, (chain, components)
