@@ -179,29 +179,33 @@ def subst_hom(
 # artifact lets a predicate bug be caught mechanically.
 
 
-def _suffixes(word: Word) -> list[Word]:
-    return [Word(word.letters[i:], word.gen) for i in range(len(word.letters) + 1)]
+def _stem_table(words: Sequence[Word]) -> dict[Word, tuple[frozenset, frozenset]]:
+    """Each word's stems (its suffixes) and split instances (p s, q s)."""
+    table = {}
+    for word in words:
+        stems = frozenset(Word(word.letters[i:], word.gen) for i in range(len(word.letters) + 1))
+        table[word] = stems, frozenset((s.prepend("p"), s.prepend("q")) for s in stems)
+    return table
+
+
+def _collapses(rule: CollapseRule, u: Word, v: Word, w: Word, table: dict) -> bool:
+    """The schema-instance search on t(u, v, w), reading stems from ``table``."""
+    (u_stems, _), (v_stems, v_splits), (w_stems, _) = table[u], table[v], table[w]
+    if rule is CollapseRule.TWO_GENERATED:
+        # t(a(x,y), b(x,y), c(x,y)) = 0: search two stems covering all three
+        for e, f in itertools.combinations_with_replacement(u_stems | v_stems | w_stems, 2):
+            if all(e in stems or f in stems for stems in (u_stems, v_stems, w_stems)):
+                return True
+        return False
+    # t(U, p V, q V) = 0: V runs over v's stems; t(a(V, W), V, W) = 0:
+    # word-valued binary terms are m*V or m*W, so V or W is a stem of U
+    return (v, w) in v_splits or v in u_stems or w in u_stems
 
 
 def collapses_by_schema_instances(rule: CollapseRule, u: Word, v: Word, w: Word) -> bool:
     """Whether some substitution instance of the variety's schema kills
     t(u, v, w), found by exhaustive search over candidate stems."""
-    if rule is CollapseRule.TWO_GENERATED:
-        # t(a(x,y), b(x,y), c(x,y)) = 0: search two stems covering all three
-        stems = {s for word in (u, v, w) for s in _suffixes(word)}
-        for e, f in itertools.combinations_with_replacement(sorted(stems, key=lambda s: (s.gen, s.letters)), 2):
-            if all(x.extends(e) or x.extends(f) for x in (u, v, w)):
-                return True
-        return False
-    # t(U, p V, q V) = 0: V runs over candidate words
-    for s in _suffixes(v):
-        if v == s.prepend("p") and w == s.prepend("q"):
-            return True
-    # t(a(V, W), V, W) = 0: word-valued binary terms are m*V or m*W
-    for target in (v, w):
-        if u.extends(target):
-            return True
-    return False
+    return _collapses(rule, u, v, w, _stem_table((u, v, w)))
 
 
 def _bounded_words(depth: int, num_gens: int) -> list[Word]:
@@ -226,11 +230,12 @@ def survival_oracle_agreement(
     if length_bound < 0 or num_gens < 1:
         raise AlgebraError("the sweep needs a word length >= 0 and at least one generator")
     words = _bounded_words(length_bound, num_gens)
+    table = _stem_table(words)
     disagreements = []
     checked = 0
     for u, v, w in itertools.product(words, repeat=3):
         checked += 1
-        if tag_survives(rule, u, v, w) != (not collapses_by_schema_instances(rule, u, v, w)):
+        if tag_survives(rule, u, v, w) != (not _collapses(rule, u, v, w, table)):
             disagreements.append((u, v, w))
     return checked, disagreements
 

@@ -180,7 +180,7 @@ def test_criterion_07_survival_oracle_agreement():
         assert checked == 45 ** 3
         assert disagreements == []
     report(7, "survival predicates match the schema-instance oracle on "
-              f"2 x {45 ** 3} bounded triples", started)
+              f"2 x {45 ** 3} bounded triples", started, bound=10.0)
 
 
 def test_criterion_08_monoid_counterexamples():

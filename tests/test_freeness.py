@@ -162,6 +162,39 @@ class TestSubstHom:
             assert lhs == rhs
 
 
+def _reference_suffixes(word):
+    return [Word(word.letters[i:], word.gen) for i in range(len(word.letters) + 1)]
+
+
+def _reference_collapses(rule, u, v, w):
+    """The schema-instance search that rebuilt every stem for each triple."""
+    if rule is TWO_GEN:
+        stems = {s for word in (u, v, w) for s in _reference_suffixes(word)}
+        for e, f in itertools.combinations_with_replacement(sorted(stems, key=lambda s: (s.gen, s.letters)), 2):
+            if all(x.extends(e) or x.extends(f) for x in (u, v, w)):
+                return True
+        return False
+    for s in _reference_suffixes(v):
+        if v == s.prepend("p") and w == s.prepend("q"):
+            return True
+    for target in (v, w):
+        if u.extends(target):
+            return True
+    return False
+
+
+def _reference_sweep(predicate, rule, length_bound, num_gens):
+    """The agreement sweep over every bounded triple, with the per-triple search."""
+    words = freeness._bounded_words(length_bound, num_gens)
+    disagreements = []
+    checked = 0
+    for u, v, w in itertools.product(words, repeat=3):
+        checked += 1
+        if predicate(rule, u, v, w) != (not _reference_collapses(rule, u, v, w)):
+            disagreements.append((u, v, w))
+    return checked, disagreements
+
+
 class TestSurvivalOracle:
     @pytest.mark.parametrize("rule", [TWO_GEN, STEM])
     def test_agreement_small_sweep(self, rule):
@@ -186,6 +219,30 @@ class TestSurvivalOracle:
     def test_oracle_split_instances(self):
         assert collapses_by_schema_instances(STEM, Word("", 0), Word("pq", 0), Word("qq", 0))
         assert not collapses_by_schema_instances(STEM, Word("", 0), Word("q", 0), Word("p", 0))
+
+    @given(st.lists(st.tuples(st.text("pq", max_size=5), st.integers(0, 2)),
+                    min_size=1, max_size=4),
+           st.sampled_from([TWO_GEN, STEM]))
+    def test_matches_the_per_triple_search(self, drawn, rule):
+        words = [Word(letters, gen) for letters, gen in drawn]
+        table = freeness._stem_table(words)
+        for u, v, w in itertools.product(words, repeat=3):
+            expected = _reference_collapses(rule, u, v, w)
+            assert collapses_by_schema_instances(rule, u, v, w) == expected
+            assert freeness._collapses(rule, u, v, w, table) == expected
+
+    @pytest.mark.parametrize("rule", [TWO_GEN, STEM])
+    def test_injected_survivals_reported_alike(self, monkeypatch, rule):
+        # a predicate that lets every tag whose first argument has two letters survive
+        real = freeness.tag_survives
+
+        def faulty(rule, u, v, w):
+            return len(u.letters) == 2 or real(rule, u, v, w)
+
+        monkeypatch.setattr(freeness, "tag_survives", faulty)
+        checked, disagreements = survival_oracle_agreement(rule, 2, 2)
+        assert disagreements
+        assert (checked, disagreements) == _reference_sweep(faulty, rule, 2, 2)
 
 
 def _reference_free_pair(rule, depth):
