@@ -170,7 +170,10 @@ class FiniteAlgebra:
         try:
             doc = json.loads(text)
             sig = Signature(tuple((e["name"], e["arity"]) for e in doc["signature"]))
-            return cls(sig, doc["size"], {n: doc["ops"][n] for n in sig.names})
+            size, tables = doc["size"], {n: doc["ops"][n] for n in sig.names}
+            if type(size) is not int or any(type(v) is not int for t in tables.values() for v in t):
+                raise TypeError("the size and every table entry must be integers")
+            return cls(sig, size, tables)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise AlgebraError(f"malformed algebra document: {type(exc).__name__}: {exc}") from exc
 

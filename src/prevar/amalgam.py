@@ -14,16 +14,20 @@ always cross-checks it against a powers oracle, trusting neither alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .algcore import AlgebraError, FiniteAlgebra, Homomorphism, Signature, subalgebra_on
+from .algcore import (AlgebraError, BudgetExceededError, DEFAULT_BUDGET, FiniteAlgebra,
+                      Homomorphism, Signature, subalgebra_on)
 
 GROUP_SIGNATURE = Signature((("mul", 2), ("inv", 1), ("e", 0)))
 
 
 class FiniteGroup:
-    """A finite group presented by tables; the axioms are checked up front.
+    """A finite group presented by tables; the constructor checks the axioms
+    up front, and groups built as groups (``symmetric_group``, ``subgroup``)
+    skip that O(n³) check.
 
     The tables are flattened on construction since group arithmetic sits
     in the innermost loops of the normal-form machinery.
@@ -34,13 +38,8 @@ class FiniteGroup:
     def __init__(self, alg: FiniteAlgebra):
         if alg.signature != GROUP_SIGNATURE:
             raise AlgebraError("groups use the signature {mul/2, inv/1, e/0}")
-        self.alg = alg
-        n = alg.size
-        self.size = n
-        self.identity = alg.op("e")
-        self._mul = alg.tables["mul"]
-        self._inv = alg.tables["inv"]
-        e = self.identity
+        self._adopt(alg)
+        n, e = self.size, self.identity
         for x in range(n):
             if self.mul(e, x) != x or self.mul(x, e) != x:
                 raise AlgebraError("identity law fails")
@@ -48,11 +47,20 @@ class FiniteGroup:
                 raise AlgebraError("inverse law fails")
         for x in range(n):
             for y in range(n):
-                if self.mul(x, y) >= n:
-                    raise AlgebraError("product leaves the carrier")
                 for z in range(n):
                     if self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z)):
                         raise AlgebraError("associativity fails")
+
+    @classmethod
+    def _unchecked(cls, alg: FiniteAlgebra) -> "FiniteGroup":
+        """A group that is one by construction: the axioms are not re-checked."""
+        group = object.__new__(cls)
+        group._adopt(alg)
+        return group
+
+    def _adopt(self, alg: FiniteAlgebra) -> None:
+        self.alg, self.size, self.identity = alg, alg.size, alg.op("e")
+        self._mul, self._inv = alg.tables["mul"], alg.tables["inv"]
 
     def mul(self, x: int, y: int) -> int:
         return self._mul[x * self.size + y]
@@ -103,18 +111,22 @@ def symmetric_group(n: int) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """
     if n < 1:
         raise AlgebraError("symmetric groups need at least one point")
+    cells = math.factorial(n) ** 2
+    if cells > DEFAULT_BUDGET.max_table_cells:
+        raise BudgetExceededError(f"Sym({n}) has {cells} table cells, "
+                                  f"over the budget {DEFAULT_BUDGET.max_table_cells}")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(g[h[x]] for x in range(n))] for h in perms] for g in perms
-    ]
-    return group_from_table(table), perms
+    mul = [index[tuple(g[x] for x in h)] for g in perms for h in perms]
+    inv = [index[tuple(sorted(range(n), key=g.__getitem__))] for g in perms]
+    alg = FiniteAlgebra(GROUP_SIGNATURE, len(perms), {"mul": mul, "inv": inv, "e": [0]})
+    return FiniteGroup._unchecked(alg), perms
 
 
 def subgroup(group: FiniteGroup, members: Iterable[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
     """The subgroup on the given closed subset, with its inclusion indices."""
     carrier = sorted(set(members))
-    return FiniteGroup(subalgebra_on(group.alg, carrier)[0]), tuple(carrier)
+    return FiniteGroup._unchecked(subalgebra_on(group.alg, carrier)[0]), tuple(carrier)
 
 
 def point_stabilizer(group: FiniteGroup, perms: Sequence[tuple[int, ...]], point: int):
@@ -348,9 +360,8 @@ def sym_stab_amalgam(n: int) -> AmalgamCtx:
     """Sym(n) amalgamated with a second copy over the stabilizer of the
     last point."""
     g, perms = symmetric_group(n)
-    g2, _ = symmetric_group(n)
     stab, inclusion = point_stabilizer(g, perms, n - 1)
-    return AmalgamCtx((g, g2), stab, (inclusion, inclusion))
+    return AmalgamCtx((g, g), stab, (inclusion, inclusion))
 
 
 @dataclass

@@ -122,11 +122,8 @@ def cmd_coproduct(args) -> int:
     factors = _load_algebras(args.factors)
     result = coproduct(ctx, factors)
     inj = [c.is_injective() for c in result.coprojections]
-    report = {
-        "size": result.algebra.size,
-        "coprojections_injective": inj,
-        "index_entries": len(result.index_metadata),
-    }
+    report = {"size": result.algebra.size, "coprojections_injective": inj,
+              "index_entries": len(result.index_metadata)}
     lines = [
         f"coproduct of {len(factors)} factors: {result.algebra.size} elements",
         f"coprojections injective: {inj}",
@@ -223,15 +220,9 @@ def cmd_amalg_check(args) -> int:
     report = {"amalgamation": ok}
     lines = [f"amalgamation up to size {args.k}: {ok}"]
     if counterexample:
-        report["counterexample_sizes"] = [
-            counterexample.base.size,
-            counterexample.left.size,
-            counterexample.right.size,
-        ]
-        lines.append(
-            "counterexample sizes (base, left, right): "
-            f"{report['counterexample_sizes']}"
-        )
+        sizes = [counterexample.base.size, counterexample.left.size, counterexample.right.size]
+        report["counterexample_sizes"] = sizes
+        lines.append(f"counterexample sizes (base, left, right): {sizes}")
     _emit(args, report, lines)
     return EXIT_OK if ok else EXIT_REFUTED
 
@@ -273,9 +264,7 @@ def _amalgam_ctx_from_args(args) -> AmalgamCtx:
         return sym_stab_amalgam(args.sym)
     if not (args.g1 and args.g2 and args.base and args.emb1 and args.emb2):
         raise AlgebraError("give --sym N, or all of --g1 --g2 --base --emb1 --emb2")
-    g1 = FiniteGroup(FiniteAlgebra.load(args.g1))
-    g2 = FiniteGroup(FiniteAlgebra.load(args.g2))
-    base = FiniteGroup(FiniteAlgebra.load(args.base))
+    g1, g2, base = (FiniteGroup(FiniteAlgebra.load(p)) for p in (args.g1, args.g2, args.base))
     embeddings = tuple(
         tuple(_int_list(text, ",", f"{flag} takes comma-separated subgroup images"))
         for flag, text in (("--emb1", args.emb1), ("--emb2", args.emb2)))
@@ -368,12 +357,10 @@ def _suite_prop_2_2():
     pair = verify_free_pair(CollapseRule.STEM_SPLIT, 3)
     checks.append(("free0:px-qx-pair-free-depth-3", not pair.failures and pair.collisions == 0))
     rng = random.Random(20240601)
-    ok = True
-    for _ in range(25):
-        words = ["".join(rng.choice("pq") for _ in range(rng.randint(0, 8))) for _ in range(3)]
-        if not witness_triple_hom(*words).ok:
-            ok = False
-    checks.append(("free0:witness-triples-map-correctly", ok))
+    words = [["".join(rng.choice("pq") for _ in range(rng.randint(0, 8))) for _ in range(3)]
+             for _ in range(25)]
+    checks.append(("free0:witness-triples-map-correctly",
+                   all(witness_triple_hom(*triple).ok for triple in words)))
     return checks
 
 
@@ -446,11 +433,8 @@ def _suite_constants_census():
     checks = []
     census = constants_si_census(3)
     checks.append(("constants:census-count-is-4", census.count == 4))
-    off_diagonal = all(
-        census.compatibility[i][j] == (i == j)
-        for i in range(census.count)
-        for j in range(census.count)
-    )
+    off_diagonal = all(census.compatibility[i][j] == (i == j)
+                       for i in range(census.count) for j in range(census.count))
     checks.append(("constants:distinct-partitions-incompatible", off_diagonal))
     return checks
 
@@ -466,9 +450,7 @@ def _suite_chain_theorem():
     checks.append(("chain:two-summands-independent", report.ok))
     checks.append(("chain:retraction-found", report.retractions[0] is not None))
     a0 = disjoint_union([c3, c3, c3])
-    report = chain_independence(
-        a0, [[0, 1, 2, 3, 4, 5], [0, 1, 2]], [[6, 7, 8], [3, 4, 5]]
-    )
+    report = chain_independence(a0, [[0, 1, 2, 3, 4, 5], [0, 1, 2]], [[6, 7, 8], [3, 4, 5]])
     checks.append(("chain:three-summand-chain-independent", report.ok))
     return checks
 

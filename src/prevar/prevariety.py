@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algcore import (
@@ -50,7 +50,6 @@ from .homsearch import (
     _separate,
     find_homomorphisms,
     in_sp,
-    separating_family,
 )
 
 
@@ -77,30 +76,34 @@ class PrevarietyCtx:
         return in_sp(alg, self.generators, budget)
 
     def require_member(self, alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET):
-        ok, witness, _ = separating_family(alg, self.generators, budget)
-        if not ok:
-            raise _not_a_member(alg, witness)
+        _member_homs(self, alg, budget)
 
 
-def _not_a_member(alg: FiniteAlgebra, witness) -> MembershipError:
-    return MembershipError(f"algebra of size {alg.size} is not in SP of the generators; "
-                           f"elements {witness} cannot be separated", witness)
+def _member_homs(ctx: PrevarietyCtx, alg: FiniteAlgebra, budget: Budget):
+    """Per generator, a stream of the homs (as mappings) from ``alg``, once
+    ``alg`` has passed the membership walk (``_separate``).  A stream goes on
+    with the walk's own search; a generator the walk never reached is
+    searched when its stream is first pulled.  So each search starts at most
+    once, and its nodes count as in one listing from scratch."""
+    pending, _, walked = _separate(alg, ctx.generators, budget)
+    if pending:
+        raise MembershipError(f"algebra of size {alg.size} is not in SP of the generators; "
+                              f"elements {pending[0]} cannot be separated", pending[0])
+
+    def stream(k: int) -> Iterator[tuple[int, ...]]:
+        pulled, search = walked[k] if k < len(walked) else (
+            [], _Search(alg, ctx.generators[k], False, budget.max_nodes).iterate({}))
+        yield from pulled
+        yield from search
+
+    return [stream(k) for k in range(len(ctx.generators))]
 
 
 def _member_hom_lists(ctx: PrevarietyCtx, algebras: Sequence[FiniteAlgebra], budget: Budget):
-    """Per generator, the homs (as mappings) from each algebra, once every
-    algebra has passed ``require_member``'s check, whose searches are kept
-    and drained: each list is searched once, nodes count as in one full
-    listing, and errors come in ``require_member``'s order."""
-    walks = []
-    for alg in algebras:
-        pending, _, walked = _separate(alg, ctx.generators, budget)
-        if pending:
-            raise _not_a_member(alg, pending[0])
-        walks.append(walked + [([], _Search(alg, g, False, budget.max_nodes).iterate({}))
-                               for g in ctx.generators[len(walked):]])
-    return [[pulled + list(search) for pulled, search in (w[k] for w in walks)]
-            for k in range(len(ctx.generators))]
+    """Per generator, the homs (as mappings) from each algebra: every
+    algebra is membership-tested in order, then the streams are drained."""
+    streams = [_member_homs(ctx, alg, budget) for alg in algebras]
+    return [[list(s[k]) for s in streams] for k in range(len(ctx.generators))]
 
 
 def sp(*generators: FiniteAlgebra) -> PrevarietyCtx:
@@ -176,12 +179,13 @@ class CoproductResult:
 
     ``index_metadata`` lists, per coordinate of the ambient product, the
     generator index and the family of homomorphism tables it came from.
+    A pushout's ``base_map`` sends the base in through the first arm.
     """
 
     algebra: FiniteAlgebra
     coprojections: list[Homomorphism]
     index_metadata: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
-    element_tuples: list[tuple[int, ...]] = field(repr=False, default_factory=list)
+    base_map: Optional[Homomorphism] = None
 
     def all_injective(self) -> bool:
         return all(c.is_injective() for c in self.coprojections)
@@ -238,7 +242,7 @@ def _indexed_coproduct(ctx: PrevarietyCtx, sources: Sequence[FiniteAlgebra], key
         Homomorphism._unchecked(src, alg, [position[t] for t in per_source])
         for src, per_source in zip(sources, images)
     ]
-    return CoproductResult(alg, coprojections, tuple(entries), elems)
+    return CoproductResult(alg, coprojections, tuple(entries))
 
 
 def _injective_coprojections(lists, algebras: Sequence[FiniteAlgebra], which, key=None) -> bool:
@@ -379,18 +383,16 @@ def is_p_subdirectly_irreducible(
     The relative congruences are the meets of kernels of homomorphisms
     into the generators (the full congruence is the empty meet), so that
     meet is the meet of the kernels of the non-injective homomorphisms
-    A -> Y_i.  They are pulled one at a time, each generator's search
-    under ``budget.max_nodes``, and the search stops once the meet is
+    A -> Y_i.  They are pulled one at a time from the membership walk's
+    searches (``_member_homs``), and the searches stop once the meet is
     diagonal; the congruence lattice is never built.  Checks run in this
     order: nontrivial, member of SP(Y), within ``max_congruence_size``.
     """
     if alg.size < 2:
         raise AlgebraError("relative irreducibility needs a nontrivial algebra")
-    ctx.require_member(alg, budget)
+    streams = _member_homs(ctx, alg, budget)
     _require_congruence_size(alg, budget)
-    kernels = (mapping for g in ctx.generators
-               for mapping in _Search(alg, g, False, budget.max_nodes).iterate({})
-               if len(set(mapping)) < alg.size)
+    kernels = (mapping for s in streams for mapping in s if len(set(mapping)) < alg.size)
     return _meet(alg.size, kernels) is not None
 
 
@@ -406,19 +408,23 @@ def minimum_compatible_cover(
 
     Exact branch-and-bound over restricted-growth strings, so the result
     is the lexicographically least among the minimum-size partitions.
-    Compatibility of a block is decided by ``is_compatible`` and cached;
+    Each algebra's homs are listed once, the first time a block reaches it,
+    and every block is judged from them as ``is_compatible`` judges it;
     subsets of compatible sets are compatible, which justifies pruning.
     """
     algebras = list(algebras)
     n = len(algebras)
     if n == 0:
         return []
-    cache: dict[frozenset[int], bool] = {}
 
-    def block_ok(block: frozenset[int]) -> bool:
-        if block not in cache:
-            cache[block] = is_compatible(ctx, [algebras[i] for i in sorted(block)], budget)
-        return cache[block]
+    @functools.cache
+    def homs(i: int) -> list:
+        return [list(s) for s in _member_homs(ctx, algebras[i], budget)]
+
+    @functools.cache
+    def block_ok(block: tuple[int, ...]) -> bool:
+        return _injective_coprojections(list(zip(*map(homs, block))),
+                                        [algebras[i] for i in block], range(len(block)))
 
     for max_blocks in range(1, n + 1):
         blocks: list[set[int]] = []
@@ -427,19 +433,18 @@ def minimum_compatible_cover(
             if i == n:
                 return [sorted(b) for b in blocks]
             for b in blocks:
-                if block_ok(frozenset(b | {i})):
+                if block_ok(tuple(sorted(b | {i}))):
                     b.add(i)
                     found = place(i + 1)
                     if found is not None:
                         return found
                     b.remove(i)
-            if len(blocks) < max_blocks:
-                if block_ok(frozenset({i})):
-                    blocks.append({i})
-                    found = place(i + 1)
-                    if found is not None:
-                        return found
-                    blocks.pop()
+            if len(blocks) < max_blocks and block_ok((i,)):
+                blocks.append({i})
+                found = place(i + 1)
+                if found is not None:
+                    return found
+                blocks.pop()
             return None
 
         found = place(0)
@@ -654,6 +659,9 @@ def parse_quasi_identity(text: str, signature: Optional[Signature] = None) -> Qu
             raise AlgebraError(f"bad equation {chunk!r}")
         out = []
         for s in sides:
+            stray = re.sub(r"\s+|" + _TOKEN.pattern, "", s)
+            if stray:
+                raise AlgebraError(f"unexpected character {stray[0]!r} in {chunk!r}")
             tokens = _TOKEN.findall(s)
             if not tokens:
                 raise AlgebraError(f"empty side in {chunk!r}")
@@ -769,20 +777,12 @@ def enumerate_members(
     return out
 
 
-@dataclass
-class AmalgamatedResult:
-    algebra: FiniteAlgebra
-    coprojections: list[Homomorphism]
-    base_map: Optional[Homomorphism]
-    index_metadata: tuple
-
-
 def amalgamated_coproduct(
     ctx: PrevarietyCtx,
     base: FiniteAlgebra,
     arms: Sequence[tuple[FiniteAlgebra, Homomorphism]],
     budget: Budget = DEFAULT_BUDGET,
-) -> AmalgamatedResult:
+) -> CoproductResult:
     """Pushout over a shared base, inside SP(Y).
 
     The index is restricted to hom families agreeing on the image of the
@@ -797,9 +797,10 @@ def amalgamated_coproduct(
     sources = [alg for alg, _ in arms]
     result = _indexed_coproduct(ctx, sources, _on_base([e for _, e in arms]), budget,
                                 _member_hom_lists(ctx, sources, budget))
-    base_map = Homomorphism._unchecked(base, result.algebra, [
-        result.coprojections[0](v) for v in arms[0][1].mapping]) if arms else None
-    return AmalgamatedResult(result.algebra, result.coprojections, base_map, result.index_metadata)
+    if arms:
+        result.base_map = Homomorphism._unchecked(base, result.algebra, [
+            result.coprojections[0](v) for v in arms[0][1].mapping])
+    return result
 
 
 def _on_base(embeddings: Sequence[Homomorphism]):
@@ -841,8 +842,7 @@ def check_amalgamation_bounded(
 
     @functools.cache
     def into_generators(j):
-        return [[h.mapping for h in find_homomorphisms(members[j], gen, budget=budget)]
-                for gen in ctx.generators]
+        return [list(s) for s in _member_homs(ctx, members[j], budget)]
 
     for i, a in enumerate(members):
         if a.size < 1 and not include_empty_base:

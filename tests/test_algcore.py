@@ -667,6 +667,15 @@ class TestValidation:
         with pytest.raises(AlgebraError, match="^malformed algebra document: TypeError"):
             FiniteAlgebra.from_json(text)
 
+    @pytest.mark.parametrize("size, table", [(2, [1.0, 0]), (2, [True, False]), (True, [0]),
+                                             (2.0, [1, 0])])
+    def test_non_int_document_values_refused(self, size, table):
+        # 1.0 and True compare equal to 1, so only their type tells them apart
+        doc = {"signature": [{"name": "a", "arity": 1}], "size": size, "ops": {"a": table}}
+        with pytest.raises(AlgebraError, match="^malformed algebra document: TypeError: "
+                                               "the size and every table entry must be integers$"):
+            FiniteAlgebra.from_json(json.dumps(doc))
+
     def test_homomorphism_commutation_checked(self):
         with pytest.raises(AlgebraError):
             Homomorphism(C2, C3, (0, 1))

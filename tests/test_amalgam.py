@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevar.algcore import AlgebraError, generated_subalgebra
+from prevar.algcore import AlgebraError, BudgetExceededError, FiniteAlgebra, generated_subalgebra
 from prevar.amalgam import (
+    GROUP_SIGNATURE,
     AmalgamCtx,
     AmalgamElement,
+    FiniteGroup,
     alternating_strings,
     coset_torsion_scan,
     cyclically_reduce,
@@ -65,6 +67,29 @@ class TestGroups:
     def test_bad_table_rejected(self):
         with pytest.raises(AlgebraError):
             group_from_table([[0, 1], [1, 1]])
+
+    @pytest.mark.parametrize("size, tables, message", [
+        (2, {"mul": [0, 1, 1, 1], "inv": [0, 1], "e": [1]}, "identity law fails"),
+        (2, {"mul": [0, 1, 1, 1], "inv": [0, 1], "e": [0]}, "inverse law fails"),
+        # 1 and 2 are each other's inverses, but (1 1) 2 = 0 and 1 (1 2) = 1
+        (3, {"mul": [0, 1, 2, 1, 1, 0, 2, 0, 2], "inv": [0, 2, 1], "e": [0]},
+         "associativity fails"),
+    ], ids=["identity", "inverse", "associativity"])
+    def test_group_laws_checked(self, size, tables, message):
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            FiniteGroup(FiniteAlgebra(GROUP_SIGNATURE, size, tables))
+
+    def test_built_groups_pass_the_checks(self):
+        # symmetric groups and subgroups skip the checks, being groups by construction
+        for n in (1, 2, 3, 4):
+            group, perms = symmetric_group(n)
+            FiniteGroup(group.alg)
+            FiniteGroup(point_stabilizer(group, perms, n - 1)[0].alg)
+
+    def test_symmetric_group_over_the_table_budget_refused(self):
+        with pytest.raises(BudgetExceededError,
+                           match="^Sym\\(7\\) has 25401600 table cells, over the budget 4000000$"):
+            symmetric_group(7)
 
     def test_non_closed_subset_rejected(self):
         g, perms = symmetric_group(3)

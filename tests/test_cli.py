@@ -381,10 +381,36 @@ class TestMalformedInput:
         assert report["error"] == "usage" and message in report["message"]
         assert proc.stdout.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text", [
+        '{"signature":[{"name":"a","arity":1}],"size":2,"ops":{"a":[1.0,0]}}',
+        '{"signature":[{"name":"a","arity":1}],"size":2,"ops":{"a":[true,false]}}',
+        '{"signature":[{"name":"a","arity":1}],"size":true,"ops":{"a":[0]}}',
+        '{"signature":[{"name":"a","arity":1}],"size":2.0,"ops":{"a":[1,0]}}',
+    ], ids=["float-entry", "bool-entries", "bool-size", "float-size"])
+    def test_non_integer_algebra_file(self, tmp_path, algebra_files, text):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        for argv in (["member", "--gen", algebra_files["c2"], str(path)], ["si", str(path)]):
+            proc = _prevar("--json", *argv)
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr
+            assert proc.stdout.count("\n") == 1
+            assert json.loads(proc.stdout) == {
+                "error": "usage", "message": "malformed algebra document: TypeError: "
+                                             "the size and every table entry must be integers"}
+
     def test_unclosed_term_in_a_quasi_identity(self, algebra_files):
         proc = _prevar("--json", "qid", algebra_files["c2"], "=> a(x = x")
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"] == "usage"
+
+    @pytest.mark.parametrize("text, char", [
+        ("=> a(a(x)) = x + 1", "+"), ("=> a(x) = 3x", "3"), ("=> a(x)$ = x", "$"),
+    ], ids=["plus", "digit", "dollar"])
+    def test_character_outside_the_term_grammar(self, capsys, algebra_files, text, char):
+        code, out, _ = run(capsys, "--json", "qid", algebra_files["c2"], text)
+        assert code == 2
+        assert json.loads(out) == {"error": "usage", "message": f"unexpected character "
+                                   f"{char!r} in {text.split('=>')[1]!r}"}
 
     def test_subset_that_is_not_indices(self, algebra_files):
         proc = _prevar("independent", "--gen", algebra_files["u23"], algebra_files["u23"],
@@ -445,3 +471,16 @@ class TestMalformedInput:
         assert proc.returncode == 2
         assert json.loads(proc.stdout) == {
             "error": "usage", "message": "--max-len must be a natural number"}
+
+
+class TestSymmetricAmalgam:
+    def test_sym_six_answers_and_sym_seven_is_refused(self):
+        # Sym(6) is built once, unchecked; Sym(7)'s 25.4M-cell table is
+        # refused before it is built
+        proc = _prevar("--json", "amalgam-nf", "--sym", "6", "0:1")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"reps": [[0, 1]], "tail": 0}
+        proc = _prevar("--json", "amalgam-nf", "--sym", "7", "0:1")
+        assert proc.returncode == 3 and proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout) == {
+            "error": "budget", "message": "Sym(7) has 25401600 table cells, over the budget 4000000"}

@@ -363,6 +363,20 @@ class TestWitnessTriple:
         with pytest.raises(AlgebraError):
             h(Word("", 0))
 
+    def test_pair_hom_on_zero_and_tags(self):
+        # the image of a tag is the normal form of t at the images of its
+        # words, read off the term with px and qx substituted by hand
+        ctx = FreeTermContext(STEM, 1)
+        tag = normal_form(ctx, parse_free_term("t(q x, p x, q q x)"))
+        assert isinstance(tag, Tag)
+        for image_p, image_q, image in (("p", "q", "t(q x, p x, q q x)"),
+                                        ("q", "p", "t(p x, q x, q p x)"),
+                                        ("p", "p", "t(p x, p x, q p x)")):
+            h = pair_hom(ctx, Word(image_p, 0), Word(image_q, 0))
+            assert h(ZERO) == ZERO
+            assert h(tag) == normal_form(ctx, parse_free_term(image))
+        assert pair_hom(ctx, Word("p", 0), Word("p", 0))(tag) == ZERO
+
 
 class TestTermSyntax:
     def test_parse_examples(self):
@@ -370,6 +384,14 @@ class TestTermSyntax:
         assert parse_free_term("p q x") == App("p", (App("q", (Var(0),)),))
         t = parse_free_term("t(p x, p q x, q q x)")
         assert isinstance(t, App) and t.op == "t" and len(t.args) == 3
+
+    def test_parse_nested_tags(self):
+        x, y, z = Var(0), Var(1), Var(2)
+        assert parse_free_term("t(t(x, q y, z), p x, t(0, y, t(x, y, z)))") == App("t", (
+            App("t", (x, App("q", (y,)), z)),
+            App("p", (x,)),
+            App("t", (App("0", ()), y, App("t", (x, y, z)))),
+        ))
 
     def test_format_round_trip(self):
         ctx = FreeTermContext(STEM, 3)

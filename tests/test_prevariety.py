@@ -70,6 +70,29 @@ def a_word(k):
 
 
 class TestQuasiIdentity:
+    @pytest.mark.parametrize("text", ["=> a(x) = x + 1", "=> a(x) = 3x", "=> a(x)$ = x"])
+    def test_characters_outside_the_grammar_refused(self, text):
+        with pytest.raises(AlgebraError, match="^unexpected character"):
+            parse_quasi_identity(text)
+
+    def test_several_and_no_arguments_match_brute_force(self):
+        # m is a random binary table and c a constant, on 3 elements
+        sig = Signature((("m", 2), ("c", 0)))
+        rng = random.Random(7)
+        for _ in range(20):
+            m = [rng.randrange(3) for _ in range(9)]
+            alg = FiniteAlgebra(sig, 3, {"m": m, "c": [rng.randrange(3)]})
+            c = alg.op("c")
+            laws = {
+                "=> m(x, y) = m(y, x)": all(m[3 * x + y] == m[3 * y + x]
+                                            for x in range(3) for y in range(3)),
+                "=> m(x, c()) = x": all(m[3 * x + c] == x for x in range(3)),
+                "m(x, y) = c() => m(y, x) = c": all(m[3 * y + x] == c for x in range(3)
+                                                    for y in range(3) if m[3 * x + y] == c),
+            }
+            for text, holds in laws.items():
+                assert quasi_identity_holds(alg, parse_quasi_identity(text, sig)) == holds
+
     def test_sixth_power_identity_on_six_cycle(self):
         q = parse_quasi_identity(f"=> {a_word(6)} = x")
         assert quasi_identity_holds(C6, q)
@@ -675,6 +698,11 @@ class TestChainIndependence:
         )
         assert report.ok
         assert all(r is not None for r in report.retractions)
+
+    def test_no_component_map_leaves_no_retraction(self):
+        # the one-element B_1 has no hom into the empty A_1
+        report = chain_independence(cyclic_unary(1), [[]], [[0]])
+        assert report.retractions == [None] and report.ok
 
     def test_hypothesis_violation_reports_index(self):
         double = disjoint_union([C3, C3])

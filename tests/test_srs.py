@@ -103,6 +103,12 @@ class TestCriticalPairs:
     def test_empty_system(self):
         assert critical_pairs(RewriteSystem(("a",), ())) == []
 
+    def test_containment_reducts_reported(self):
+        # b occurs inside ab: ab -> 1 against a(b) -> a; completion never
+        # builds such a system, since it keeps its rules interreduced
+        rs = RewriteSystem(("a", "b"), ((("a", "b"), ()), (("b",), ())))
+        assert critical_pairs(rs) == [((), ("a",))]
+
     def test_overlap_reducts_reported(self):
         rs = RewriteSystem(("x", "y", "z"), ((("x", "y"), ()), (("z", "x"), ())))
         pairs = set(critical_pairs(rs))

@@ -233,16 +233,15 @@ SURFACE = {
     "prevar.homsearch.in_sp": "(a, generators, budget)",
     "prevar.homsearch.separating_family": "(a, generators, budget)",
     "prevar.homsearch.sp_embedding": "(a, generators, budget)",
-    "prevar.prevariety.AmalgamatedResult": "(algebra, coprojections, base_map, index_metadata)",
     "prevar.prevariety.AmalgamationCounterexample": "(base, left, right, left_embedding, "
                                                     "right_embedding)",
     "prevar.prevariety.ChainHypothesisError": "(index, message)",
     "prevar.prevariety.ChainReport": "(independent, almost_independent, retractions)",
     "prevar.prevariety.ChainReport.ok": "",
     "prevar.prevariety.ConstantsCensus": "(count, algebras, partitions, compatibility)",
-    "prevar.prevariety.CoproductResult": "(algebra, coprojections, index_metadata, "
-                                         "element_tuples)",
+    "prevar.prevariety.CoproductResult": "(algebra, coprojections, index_metadata, base_map)",
     "prevar.prevariety.CoproductResult.all_injective": "(self)",
+    "prevar.prevariety.CoproductResult.base_map": "",
     "prevar.prevariety.PrevarietyCtx": "(generators)",
     "prevar.prevariety.PrevarietyCtx.contains": "(self, alg, budget)",
     "prevar.prevariety.PrevarietyCtx.require_member": "(self, alg, budget)",
