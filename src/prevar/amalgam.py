@@ -83,6 +83,8 @@ class FiniteGroup:
 def group_from_table(mul_table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Build a group from its multiplication table, deriving e and inverses."""
     n = len(mul_table)
+    if any(len(row) != n for row in mul_table):
+        raise AlgebraError("the multiplication table is not square")
     flat = [mul_table[i][j] for i in range(n) for j in range(n)]
     identity = None
     for e in range(n):

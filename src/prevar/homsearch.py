@@ -243,21 +243,27 @@ def separating_family(
     one homomorphism at a time, each under ``budget``; the search stops as
     soon as every pair is separated, and later generators are not searched.
     """
-    pending, chosen, _ = _separate(a, generators, budget)
+    pending, walked = _separate(a, generators, budget)
     if pending:
         return False, pending[0], []
-    return True, None, [chosen[(x, y)] for x in range(a.size) for y in range(x + 1, a.size)]
+    homs = [Homomorphism._unchecked(a, g, m) for g, (ms, _) in zip(generators, walked) for m in ms]
+    images = list(zip(*(h.mapping for h in homs)))  # x -> its image under each hom
+    witnesses = []
+    for x, y in itertools.combinations(range(a.size), 2):
+        i = 0
+        while images[x][i] == images[y][i]:
+            i += 1
+        witnesses.append(homs[i])
+    return True, None, witnesses
 
 
 def _separate(a, generators, budget):
-    """``separating_family``'s walk.  Returns the pairs left unseparated, the
-    first separating hom of each separated pair, and per searched generator
-    (the mappings pulled, its live search), which a caller may drain."""
-    for g in generators:
-        if g.signature != a.signature:
-            raise AlgebraError("membership test across signatures")
-    pending = [(x, y) for x in range(a.size) for y in range(x + 1, a.size)]
-    chosen: dict[tuple[int, int], Homomorphism] = {}
+    """``separating_family``'s walk.  Returns the pairs left unseparated and,
+    per searched generator, (the mappings pulled, its live search), which a
+    caller may drain; it stops pulling once every pair is separated."""
+    if any(g.signature != a.signature for g in generators):
+        raise AlgebraError("membership test across signatures")
+    pending = list(itertools.combinations(range(a.size), 2))
     walked = []
     for g in generators:
         if not pending:
@@ -266,13 +272,10 @@ def _separate(a, generators, budget):
         walked.append((pulled, search))
         for mapping in search:
             pulled.append(mapping)
-            separated = [(x, y) for x, y in pending if mapping[x] != mapping[y]]
-            if separated:
-                chosen.update(dict.fromkeys(separated, Homomorphism._unchecked(a, g, mapping)))
-                pending = [p for p in pending if p not in chosen]
-                if not pending:
-                    break
-    return pending, chosen, walked
+            pending = [(x, y) for x, y in pending if mapping[x] == mapping[y]]
+            if not pending:
+                break
+    return pending, walked
 
 
 def in_sp(
@@ -286,8 +289,7 @@ def in_sp(
     otherwise every pair of distinct elements must be separated by a
     homomorphism into some generator.
     """
-    ok, _, _ = separating_family(a, generators, budget)
-    return ok
+    return not _separate(a, generators, budget)[0]
 
 
 def sp_embedding(

@@ -80,21 +80,22 @@ class PrevarietyCtx:
 
 
 def _member_homs(ctx: PrevarietyCtx, alg: FiniteAlgebra, budget: Budget):
-    """Per generator, a stream of the homs (as mappings) from ``alg``, once
-    ``alg`` has passed the membership walk (``_separate``).  A stream goes on
-    with the walk's own search; a generator the walk never reached is
-    searched when its stream is first pulled.  So each search starts at most
-    once, and its nodes count as in one listing from scratch."""
-    pending, _, walked = _separate(alg, ctx.generators, budget)
+    """``_streams`` of ``alg`` going on with its membership walk (``_separate``)."""
+    pending, walked = _separate(alg, ctx.generators, budget)
     if pending:
         raise MembershipError(f"algebra of size {alg.size} is not in SP of the generators; "
                               f"elements {pending[0]} cannot be separated", pending[0])
+    return _streams(ctx, alg, budget, walked)
+
+
+def _streams(ctx: PrevarietyCtx, alg: FiniteAlgebra, budget: Budget, walked=()):
+    """Per generator, a stream of the homs (as mappings) from ``alg``: it goes
+    on with the walked search, or starts one when first pulled, so each search
+    starts at most once and its nodes count as in one listing from scratch."""
 
     def stream(k: int) -> Iterator[tuple[int, ...]]:
-        pulled, search = walked[k] if k < len(walked) else (
-            [], _Search(alg, ctx.generators[k], False, budget.max_nodes).iterate({}))
-        yield from pulled
-        yield from search
+        yield from (itertools.chain(*walked[k]) if k < len(walked) else
+                    _Search(alg, ctx.generators[k], False, budget.max_nodes).iterate({}))
 
     return [stream(k) for k in range(len(ctx.generators))]
 
@@ -277,23 +278,14 @@ def coproduct(
     return _indexed_coproduct(ctx, factors, None, budget, _member_hom_lists(ctx, factors, budget))
 
 
-def _every_family_extends(
-    source: FiniteAlgebra,
-    targets: Sequence[FiniteAlgebra],
-    fixed: list[tuple[int, int]],
-    parts: Sequence[tuple[FiniteAlgebra, Sequence[int]]],
-    budget: Budget,
-) -> bool:
-    """True iff, for each target, each family of homs h_i: part_i -> target
-    extends to a hom ``source -> target`` sending image_i[x] to h_i(x) and
-    agreeing with ``fixed``; ``parts`` holds the pairs (part_i, image_i).
-    One search of ``source -> target`` walks the families in product order,
-    propagating each family prefix once (``_Search.every_choice_extends``)."""
-    for target in targets:
-        stages = [
-            [list(zip(image, h)) for h in _Search(part, target, False, budget.max_nodes).iterate({})]
-            for part, image in parts
-        ]
+def _every_family_extends(ctx: PrevarietyCtx, source: FiniteAlgebra, fixed, parts, budget) -> bool:
+    """True iff, for each generator Y_k, each family of homs h_i: part_i -> Y_k
+    extends to a hom ``source -> Y_k`` sending image_i[x] to h_i(x) and agreeing
+    with ``fixed``; ``parts`` holds the pairs (``_streams`` of part_i, image_i),
+    and stream k is drained only when Y_k is reached.  One search of ``source ->
+    Y_k`` walks the families in product order, propagating each prefix once."""
+    for k, target in enumerate(ctx.generators):
+        stages = [[list(zip(image, h)) for h in streams[k]] for streams, image in parts]
         if not _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages):
             return False
     return True
@@ -311,17 +303,20 @@ def is_coproduct(
     every family of homomorphisms from the sources into a generator
     extends along the maps.
     """
+    parts = []
     for m in maps:
         if m.target != b:
             raise AlgebraError("a candidate coprojection does not target b")
-        if not ctx.contains(m.source, budget):
-            raise MembershipError("a coproduct factor is not in SP of the generators")
+        try:
+            parts.append((_member_homs(ctx, m.source, budget), m.mapping))
+        except MembershipError:
+            raise MembershipError("a coproduct factor is not in SP of the generators") from None
     if not ctx.contains(b, budget):
         return False
     gen, _ = generated_subalgebra(b, sorted({v for m in maps for v in m.mapping}))
     if gen.size != b.size:
         return False
-    return _every_family_extends(b, ctx.generators, [], [(m.source, m.mapping) for m in maps], budget)
+    return _every_family_extends(ctx, b, [], parts, budget)
 
 
 def is_compatible(
@@ -474,18 +469,21 @@ def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, budget
     union generates the span by construction, so only extension is tested.
     With no subalgebras the span is the closure of the constants, and it is
     the initial algebra exactly when every generator receives a hom from it."""
-    span, parts = _span(ambient, subalgebras)
-    return _every_family_extends(span, ctx.generators, [], parts, budget)
+    span, _, parts = _span(ctx, ambient, subalgebras, budget)
+    return _every_family_extends(ctx, span, [], parts, budget)
 
 
-def _span(ambient: FiniteAlgebra, subsets):
+def _span(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subsets, budget: Budget):
     """The subalgebra of ``ambient`` that the union of ``subsets`` generates,
-    and for each subset the pair (subalgebra on it, its positions in the
-    span); ``subalgebra_on`` raises on a subset that is not closed."""
+    the subalgebras on the subsets, and for each subset the pair (its
+    ``_streams`` into the generators, its positions in the span);
+    ``subalgebra_on`` raises on a subset that is not closed."""
     subsets = [sorted(set(s)) for s in subsets]
     span, inclusion = generated_subalgebra(ambient, sorted({x for s in subsets for x in s}))
     position = {x: j for j, x in enumerate(inclusion.mapping)}
-    return span, [(subalgebra_on(ambient, s)[0], [position[x] for x in s]) for s in subsets]
+    subs = [subalgebra_on(ambient, s)[0] for s in subsets]
+    return span, subs, [(_streams(ctx, sub, budget), [position[x] for x in s])
+                        for sub, s in zip(subs, subsets)]
 
 
 class ChainHypothesisError(AlgebraError):
@@ -543,10 +541,10 @@ def chain_independence(
     # A_{i-1} is closed, so <A_i, B_i> is the same in a0 as in A_{i-1}
     retractions: list[Optional[Homomorphism]] = []
     for i in range(1, n + 1):
-        span, parts = _span(a0, [levels[i], components[i - 1]])
-        if not _every_family_extends(span, ctx.generators, [], parts, budget):
+        span, (a_sub, b_sub), parts = _span(ctx, a0, [levels[i], components[i - 1]], budget)
+        if not _every_family_extends(ctx, span, [], parts, budget):
             raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
-        (a_sub, a_pos), (b_sub, b_pos) = parts
+        (_, a_pos), (_, b_pos) = parts
         f_i = _Search(b_sub, a_sub, False, budget.max_nodes).first([])
         if f_i is None:
             retractions.append(None)
@@ -563,9 +561,9 @@ def chain_independence(
     independent = _independent(ctx, a0, components, budget)
 
     # stronger form: families into the distinguished last level extend
-    span_all, [(_, last_pos), *parts] = _span(a0, [levels[n], *components])
+    span_all, _, [(_, last_pos), *parts] = _span(ctx, a0, [levels[n], *components], budget)
     fixed = [(p, k) for k, p in enumerate(last_pos)]
-    almost = _every_family_extends(span_all, [last_alg], fixed, parts, budget)
+    almost = _every_family_extends(ctx, span_all, fixed, parts, budget)
     return ChainReport(independent, almost, retractions)
 
 

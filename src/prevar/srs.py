@@ -39,6 +39,8 @@ def _check_letters(alphabet: Sequence[str], words: Iterable[Word]) -> None:
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    if "" in alphabet:
+        raise AlgebraError("alphabet letters must be nonempty")
     if len(set(alphabet)) != len(alphabet):
         raise AlgebraError("alphabet letters must be distinct")
 
@@ -225,9 +227,12 @@ def coproduct_presentation(
 
 
 def parse_word(text: str, alphabet: Sequence[str]) -> Word:
+    if "" in alphabet:
+        raise AlgebraError("alphabet letters must be nonempty")
     text = text.strip()
     if text == "1":
         return EPSILON
+    longest_first = sorted(alphabet, key=len, reverse=True)
     letters: list[str] = []
     for token in text.split():
         if token in alphabet:
@@ -236,11 +241,7 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
         # fall back to greedy longest-prefix decomposition of a fused token
         rest = token
         while rest:
-            match = None
-            for c in sorted(alphabet, key=len, reverse=True):
-                if rest.startswith(c):
-                    match = c
-                    break
+            match = next((c for c in longest_first if rest.startswith(c)), None)
             if match is None:
                 raise AlgebraError(f"cannot read {token!r} over {list(alphabet)}")
             letters.append(match)

@@ -68,6 +68,11 @@ class TestGroups:
         with pytest.raises(AlgebraError):
             group_from_table([[0, 1], [1, 1]])
 
+    @pytest.mark.parametrize("table", [[[0, 1], [1]], [[0], [1, 0]]])
+    def test_table_that_is_not_square_rejected(self, table):
+        with pytest.raises(AlgebraError, match="^the multiplication table is not square$"):
+            group_from_table(table)
+
     @pytest.mark.parametrize("size, tables, message", [
         (2, {"mul": [0, 1, 1, 1], "inv": [0, 1], "e": [1]}, "identity law fails"),
         (2, {"mul": [0, 1, 1, 1], "inv": [0, 1], "e": [0]}, "inverse law fails"),

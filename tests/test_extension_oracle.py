@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from prevar.algcore import (
     AlgebraError,
+    Budget,
+    BudgetExceededError,
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
@@ -377,3 +379,186 @@ def test_chain_refuses_unclosed_subsets():
         got = outcome(lambda: chain_independence(ambient, chain, components))
         assert got == outcome(lambda: oracle_chain_independence(ambient, chain, components))
         assert (got[0] if isinstance(expected, str) else got) == expected, (chain, components)
+
+
+# -- node budgets: the extension test fed by the membership walk --------------------
+#
+# The routes the checks took before every hom stream into the generators came
+# from one maker: the extension test listed each part's homs with a search of
+# its own, over a list of targets, and ``is_coproduct`` walked each source for
+# membership with ``ctx.contains`` before that listing searched it again.  Under
+# every node budget the library must end the same way: same verdict, report,
+# error text, witness and step index.
+
+
+def listed_every_family_extends(source, targets, fixed, parts, budget):
+    for target in targets:
+        stages = [[list(zip(image, h))
+                   for h in _Search(part, target, False, budget.max_nodes).iterate({})]
+                  for part, image in parts]
+        if not _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages):
+            return False
+    return True
+
+
+def listed_span(ambient, subsets):
+    subsets = [sorted(set(s)) for s in subsets]
+    span, inclusion = generated_subalgebra(ambient, sorted({x for s in subsets for x in s}))
+    position = {x: j for j, x in enumerate(inclusion.mapping)}
+    return span, [(subalgebra_on(ambient, s)[0], [position[x] for x in s]) for s in subsets]
+
+
+def listed_independent(ctx, ambient, subalgebras, budget):
+    span, parts = listed_span(ambient, subalgebras)
+    return listed_every_family_extends(span, ctx.generators, [], parts, budget)
+
+
+def listed_is_independent(ctx, ambient, subalgebras, budget):
+    ctx.require_member(ambient, budget)
+    return listed_independent(ctx, ambient, subalgebras, budget)
+
+
+def listed_is_coproduct(ctx, b, maps, budget):
+    for m in maps:
+        if m.target != b:
+            raise AlgebraError("a candidate coprojection does not target b")
+        if not ctx.contains(m.source, budget):
+            raise MembershipError("a coproduct factor is not in SP of the generators")
+    if not ctx.contains(b, budget):
+        return False
+    gen, _ = generated_subalgebra(b, sorted({v for m in maps for v in m.mapping}))
+    if gen.size != b.size:
+        return False
+    return listed_every_family_extends(
+        b, ctx.generators, [], [(m.source, m.mapping) for m in maps], budget)
+
+
+def listed_chain_independence(a0, chain, components, budget):
+    chain = [sorted(set(s)) for s in chain]
+    components = [sorted(set(s)) for s in components]
+    n = len(chain)
+    if len(components) != n:
+        raise AlgebraError("chain and component lists differ in length")
+    levels = [list(range(a0.size))] + chain
+    for i in range(1, n + 1):
+        if not set(levels[i]) <= set(levels[i - 1]):
+            raise ChainHypothesisError(i, "chain is not descending")
+        if not set(components[i - 1]) <= set(levels[i - 1]):
+            raise ChainHypothesisError(i, "component leaves the previous level")
+    last_alg, _ = subalgebra_on(a0, levels[n])
+    ctx = PrevarietyCtx((last_alg,))
+    ctx.require_member(a0, budget)
+    retractions = []
+    for i in range(1, n + 1):
+        span, parts = listed_span(a0, [levels[i], components[i - 1]])
+        if not listed_every_family_extends(span, ctx.generators, [], parts, budget):
+            raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
+        (a_sub, a_pos), (b_sub, b_pos) = parts
+        f_i = _Search(b_sub, a_sub, False, budget.max_nodes).first([])
+        if f_i is None:
+            retractions.append(None)
+            continue
+        pairs = [*zip(a_pos, range(len(a_pos))), *zip(b_pos, f_i)]
+        retraction = _Search(span, a_sub, False, budget.max_nodes).first(pairs)
+        assert retraction is not None
+        retractions.append(Homomorphism(span, a_sub, retraction))
+    independent = listed_independent(ctx, a0, components, budget)
+    span_all, [(_, last_pos), *parts] = listed_span(a0, [levels[n], *components])
+    fixed = [(p, k) for k, p in enumerate(last_pos)]
+    almost = listed_every_family_extends(span_all, [last_alg], fixed, parts, budget)
+    return ChainReport(independent, almost, retractions)
+
+
+def budgeted(call):
+    try:
+        return outcome(call)
+    except BudgetExceededError as e:
+        return ("BudgetExceededError", str(e))
+
+
+def budget_cases():
+    """(label, library call, listed call), each taking a ``Budget``."""
+    c2, c3 = cyclic_unary(2), cyclic_unary(3)
+    r = coproduct(sp(c3), [c3, c3])
+    b, maps = r.algebra, r.coprojections
+    swap = Homomorphism(c3, c3, (1, 2, 0))
+    yield ("coproduct of two C3", lambda bud: is_coproduct(sp(c3), b, maps, bud),
+           lambda bud: listed_is_coproduct(sp(c3), b, maps, bud))
+    # the identity and a rotation of C3 agree nowhere, so C3 is not their coproduct
+    maps2 = [identity_hom(c3), swap]
+    yield ("C3 twice into C3", lambda bud: is_coproduct(sp(c3), c3, maps2, bud),
+           lambda bud: listed_is_coproduct(sp(c3), c3, maps2, bud))
+    # C2 has no hom into C3, so in SP(C3) the first source is refused
+    pair = disjoint_union([c2, c3])
+    inc = [subalgebra_on(pair, [0, 1])[1], subalgebra_on(pair, [2, 3, 4])[1]]
+    yield ("C2 + C3 in SP(C3)", lambda bud: is_coproduct(sp(c3), pair, inc, bud),
+           lambda bud: listed_is_coproduct(sp(c3), pair, inc, bud))
+    # C6 needs both generators to separate its points, so each source's walk
+    # leaves a search into C2 and one into C3 for the extension test to go on with
+    c6 = cyclic_unary(6)
+    twice = disjoint_union([c6, c6])
+    left, right = list(range(6)), list(range(6, 12))
+    sides = [subalgebra_on(twice, left)[1], subalgebra_on(twice, right)[1]]
+    yield ("C6 + C6 in SP(C2, C3)", lambda bud: is_coproduct(sp(c2, c3), twice, sides, bud),
+           lambda bud: listed_is_coproduct(sp(c2, c3), twice, sides, bud))
+    # one side does not generate C6 + C6: False before any hom is listed
+    yield ("one side of C6 + C6", lambda bud: is_coproduct(sp(c2, c3), twice, sides[:1], bud),
+           lambda bud: listed_is_coproduct(sp(c2, c3), twice, sides[:1], bud))
+    for ambient, pick in ((twice, [left, right]), (twice, [left, left]), (twice, [right]),
+                          (disjoint_union([c2, c3]), [[0, 1], [2, 3, 4]])):
+        yield (f"independence of {pick} in {ambient.size} elements",
+               lambda bud, a=ambient, p=pick: is_independent(sp(c2, c3), a, p, bud),
+               lambda bud, a=ambient, p=pick: listed_is_independent(sp(c2, c3), a, p, bud))
+    a0 = disjoint_union([c3] * 3)
+    for chain, components in (([list(range(6)), [0, 1, 2]], [[6, 7, 8], [3, 4, 5]]),
+                              ([list(range(6)), [0, 1, 2]], [[0, 1, 2], [3, 4, 5]])):
+        yield (f"chain {chain} {components}",
+               lambda bud, c=chain, k=components: chain_independence(a0, c, k, bud),
+               lambda bud, c=chain, k=components: listed_chain_independence(a0, c, k, bud))
+
+
+def test_node_budget_parity_on_fixed_inputs():
+    for label, library, listed in budget_cases():
+        exhausted = set()
+        for max_nodes in range(1, 16):
+            budget = Budget(max_nodes=max_nodes)
+            got = budgeted(lambda: library(budget))
+            assert got == budgeted(lambda: listed(budget)), (label, max_nodes)
+            exhausted.add(isinstance(got, tuple) and got[0] == "BudgetExceededError")
+        assert exhausted == {True, False}, label
+
+
+def count_search_starts(monkeypatch):
+    """A list that records (source id, target id) each time a search starts."""
+    starts = []
+    real = _Search.iterate
+
+    def counting(self, seed):
+        starts.append((id(self.A), id(self.B)))
+        return real(self, seed)
+
+    monkeypatch.setattr(_Search, "iterate", counting)
+    return starts
+
+
+def test_is_coproduct_starts_each_listing_once(monkeypatch):
+    # the listed route walks each C3 source and b, then lists C3 -> C3 twice
+    # more; the library goes on with the sources' walks
+    c3 = cyclic_unary(3)
+    r = coproduct(sp(c3), [c3, c3])
+    starts = count_search_starts(monkeypatch)
+    assert listed_is_coproduct(sp(c3), r.algebra, r.coprojections, DEFAULT_BUDGET)
+    assert len(starts) == 5
+    starts.clear()
+    assert is_coproduct(sp(c3), r.algebra, r.coprojections)
+    assert starts == [(id(c3), id(c3)), (id(c3), id(c3)), (id(r.algebra), id(c3))]
+
+
+def test_parts_are_listed_only_up_to_the_first_failing_generator(monkeypatch):
+    # one copy of C6 twice is not independent, and C2 already shows it: the
+    # parts' homs into C3 are never listed
+    c2, c3, c6 = cyclic_unary(2), cyclic_unary(3), cyclic_unary(6)
+    twice = disjoint_union([c6, c6])
+    starts = count_search_starts(monkeypatch)
+    assert not is_independent(sp(c2, c3), twice, [range(6), range(6)])
+    assert [b for _, b in starts].count(id(c3)) == 1  # the ambient's walk

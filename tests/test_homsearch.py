@@ -350,9 +350,9 @@ SMALL_SIGNATURES = [
 
 
 @st.composite
-def small_algebra(draw, sig, min_size=1):
+def small_algebra(draw, sig, min_size=1, max_size=None):
     binary = any(arity == 2 for _, arity in sig.ops)
-    size = draw(st.integers(min_size, 4 if binary else 5))
+    size = draw(st.integers(min_size, max_size or (4 if binary else 5)))
     return FiniteAlgebra(sig, size, {
         name: draw(st.lists(st.integers(0, size - 1), min_size=size**arity,
                             max_size=size**arity))
@@ -393,6 +393,68 @@ def test_lazy_separating_family_matches_eager_reference(case):
     ref_ok, ref_witness, ref_homs = eager_separating_family(a, gens)
     assert (ok, witness) == (ref_ok, ref_witness)
     assert [(h.target, h.mapping) for h in homs] == [(h.target, h.mapping) for h in ref_homs]
+
+
+def table_separating_family(a, generators, budget):
+    """``separating_family`` as it was when the walk itself kept a table of
+    each pair's first separating homomorphism."""
+    for g in generators:
+        if g.signature != a.signature:
+            raise AlgebraError("membership test across signatures")
+    pending = [(x, y) for x in range(a.size) for y in range(x + 1, a.size)]
+    chosen = {}
+    for g in generators:
+        if not pending:
+            break
+        for mapping in _Search(a, g, False, budget.max_nodes).iterate({}):
+            separated = [(x, y) for x, y in pending if mapping[x] != mapping[y]]
+            if separated:
+                chosen.update(dict.fromkeys(separated, Homomorphism._unchecked(a, g, mapping)))
+                pending = [p for p in pending if p not in chosen]
+                if not pending:
+                    break
+    if pending:
+        return False, pending[0], []
+    return True, None, [chosen[(x, y)] for x in range(a.size) for y in range(x + 1, a.size)]
+
+
+@st.composite
+def walk_cases(draw):
+    """A small unary algebra with unary generators, or a small binary algebra
+    (now and then a subalgebra of a product of the generators) with
+    2-element binary generators."""
+    if draw(st.booleans()):
+        gens = draw(st.lists(small_algebra(UNARY_SIGNATURE), min_size=1, max_size=3))
+        return draw(small_algebra(UNARY_SIGNATURE, min_size=2)), gens
+    sig = Signature((("m", 2),))
+    gens = draw(st.lists(small_algebra(sig, min_size=2, max_size=2), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        return draw(small_algebra(sig, min_size=2)), gens
+    product, _ = direct_product(draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2)))
+    seeds = draw(st.lists(st.integers(0, product.size - 1), min_size=1, max_size=3))
+    return generated_subalgebra(product, seeds)[0], gens
+
+
+def walk_outcome(call):
+    try:
+        r = call()
+    except BudgetExceededError as e:
+        return ("BudgetExceededError", str(e))
+    if isinstance(r, bool):
+        return r
+    ok, witness, homs = r
+    return ok, witness, [(h.source, h.target, h.mapping) for h in homs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases(), st.integers(1, 12))
+def test_walk_matches_the_chosen_table_walk(case, max_nodes):
+    a, gens = case
+    for budget in (Budget(), Budget(max_nodes=max_nodes)):
+        want = walk_outcome(lambda: table_separating_family(a, gens, budget))
+        assert walk_outcome(lambda: separating_family(a, gens, budget)) == want
+        assert walk_outcome(lambda: in_sp(a, gens, budget)) == (
+            want if want[0] == "BudgetExceededError" else want[0])
 
 
 def first_commutation_failure(a, b, mapping):

@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -267,6 +271,23 @@ class TestAlphabetChecks:
     def test_duplicate_letters_rejected_by_the_presentation(self):
         with pytest.raises(AlgebraError, match="^alphabet letters must be distinct$"):
             parse_presentation("a a\na a = a")
+
+    def test_empty_letters_rejected(self):
+        # a greedy prefix match would take "" forever, so the parse runs in a
+        # child process: a hang fails on the timeout instead of stalling here
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = ("from prevar.algcore import AlgebraError\n"
+                "from prevar.srs import parse_word\n"
+                "try:\n    parse_word('b', ['', 'a'])\n"
+                "except AlgebraError as e:\n    print(e)\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert done.stdout == "alphabet letters must be nonempty\n", done.stderr
+        for build in (lambda: Presentation(("", "a"), ()), lambda: RewriteSystem(("a", ""), ()),
+                      lambda: parse_word("1", ("a", ""))):
+            with pytest.raises(AlgebraError, match="^alphabet letters must be nonempty$"):
+                build()
 
     def test_foreign_letters_rejected_by_reduce(self):
         rs = RewriteSystem(("x", "y"), ((("x", "y"), ()),))

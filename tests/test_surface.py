@@ -1,7 +1,8 @@
 """The public surface, pinned: each module's public names and the parameter
 names of each public function, class constructor and method.  A removed
 name or a new option changes ``public_surface()`` and fails here, so it
-shows up as a reviewed edit of ``SURFACE``.
+shows up as a reviewed edit of ``SURFACE``.  Each module is also checked
+for a top-level import it never uses, as the project runs no linter.
 
 Print the current surface with ``python tests/test_surface.py``.
 """
@@ -10,6 +11,7 @@ import ast
 import enum
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import pprint
 
@@ -289,6 +291,27 @@ SURFACE = {
 
 def test_public_surface_is_pinned():
     assert public_surface() == SURFACE
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """The names a module binds by a top-level import and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_keeps_an_unused_import():
+    # the package's __init__ imports to re-export, so it is left out
+    modules = [p for p in sorted(pathlib.Path(prevar.__file__).parent.glob("*.py"))
+               if p.name != "__init__.py"]
+    assert modules
+    assert {p.name: unused_imports(p) for p in modules} == {p.name: [] for p in modules}
 
 
 if __name__ == "__main__":
