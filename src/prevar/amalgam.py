@@ -99,9 +99,7 @@ def group_from_table(mul_table: Sequence[Sequence[int]]) -> FiniteGroup:
         if len(found) != 1:
             raise AlgebraError("missing or ambiguous inverse")
         inv.append(found[0])
-    alg = FiniteAlgebra(
-        GROUP_SIGNATURE, n, {"mul": flat, "inv": inv, "e": [identity]}
-    )
+    alg = FiniteAlgebra(GROUP_SIGNATURE, n, {"mul": flat, "inv": inv, "e": [identity]})
     return FiniteGroup(alg)
 
 

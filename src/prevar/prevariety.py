@@ -278,14 +278,16 @@ def coproduct(
     return _indexed_coproduct(ctx, factors, None, budget, _member_hom_lists(ctx, factors, budget))
 
 
-def _every_family_extends(ctx: PrevarietyCtx, source: FiniteAlgebra, fixed, parts, budget) -> bool:
+def _every_family_extends(ctx: PrevarietyCtx, source: FiniteAlgebra, fixed: list[tuple[int, int]],
+                          parts: Sequence[tuple[FiniteAlgebra, list[Iterator], Sequence[int]]],
+                          budget: Budget) -> bool:
     """True iff, for each generator Y_k, each family of homs h_i: part_i -> Y_k
     extends to a hom ``source -> Y_k`` sending image_i[x] to h_i(x) and agreeing
-    with ``fixed``; ``parts`` holds the pairs (``_streams`` of part_i, image_i),
-    and stream k is drained only when Y_k is reached.  One search of ``source ->
+    with ``fixed``; ``parts`` holds (part_i, its ``_streams``, image_i), and
+    stream k is drained only when Y_k is reached.  One search of ``source ->
     Y_k`` walks the families in product order, propagating each prefix once."""
     for k, target in enumerate(ctx.generators):
-        stages = [[list(zip(image, h)) for h in streams[k]] for streams, image in parts]
+        stages = [[list(zip(image, h)) for h in streams[k]] for _, streams, image in parts]
         if not _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages):
             return False
     return True
@@ -308,7 +310,7 @@ def is_coproduct(
         if m.target != b:
             raise AlgebraError("a candidate coprojection does not target b")
         try:
-            parts.append((_member_homs(ctx, m.source, budget), m.mapping))
+            parts.append((m.source, _member_homs(ctx, m.source, budget), m.mapping))
         except MembershipError:
             raise MembershipError("a coproduct factor is not in SP of the generators") from None
     if not ctx.contains(b, budget):
@@ -469,21 +471,19 @@ def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, budget
     union generates the span by construction, so only extension is tested.
     With no subalgebras the span is the closure of the constants, and it is
     the initial algebra exactly when every generator receives a hom from it."""
-    span, _, parts = _span(ctx, ambient, subalgebras, budget)
+    span, parts = _span(ctx, ambient, subalgebras, budget)
     return _every_family_extends(ctx, span, [], parts, budget)
 
 
 def _span(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subsets, budget: Budget):
     """The subalgebra of ``ambient`` that the union of ``subsets`` generates,
-    the subalgebras on the subsets, and for each subset the pair (its
-    ``_streams`` into the generators, its positions in the span);
-    ``subalgebra_on`` raises on a subset that is not closed."""
+    and per subset (the subalgebra on it, its ``_streams``, its positions in
+    the span); ``subalgebra_on`` raises on a subset that is not closed."""
     subsets = [sorted(set(s)) for s in subsets]
     span, inclusion = generated_subalgebra(ambient, sorted({x for s in subsets for x in s}))
     position = {x: j for j, x in enumerate(inclusion.mapping)}
-    subs = [subalgebra_on(ambient, s)[0] for s in subsets]
-    return span, subs, [(_streams(ctx, sub, budget), [position[x] for x in s])
-                        for sub, s in zip(subs, subsets)]
+    parts = [(subalgebra_on(ambient, s)[0], [position[x] for x in s]) for s in subsets]
+    return span, [(sub, _streams(ctx, sub, budget), image) for sub, image in parts]
 
 
 class ChainHypothesisError(AlgebraError):
@@ -541,10 +541,10 @@ def chain_independence(
     # A_{i-1} is closed, so <A_i, B_i> is the same in a0 as in A_{i-1}
     retractions: list[Optional[Homomorphism]] = []
     for i in range(1, n + 1):
-        span, (a_sub, b_sub), parts = _span(ctx, a0, [levels[i], components[i - 1]], budget)
+        span, parts = _span(ctx, a0, [levels[i], components[i - 1]], budget)
         if not _every_family_extends(ctx, span, [], parts, budget):
             raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
-        (_, a_pos), (_, b_pos) = parts
+        (a_sub, _, a_pos), (b_sub, _, b_pos) = parts
         f_i = _Search(b_sub, a_sub, False, budget.max_nodes).first([])
         if f_i is None:
             retractions.append(None)
@@ -561,7 +561,7 @@ def chain_independence(
     independent = _independent(ctx, a0, components, budget)
 
     # stronger form: families into the distinguished last level extend
-    span_all, _, [(_, last_pos), *parts] = _span(ctx, a0, [levels[n], *components], budget)
+    span_all, [(_, _, last_pos), *parts] = _span(ctx, a0, [levels[n], *components], budget)
     fixed = [(p, k) for k, p in enumerate(last_pos)]
     almost = _every_family_extends(ctx, span_all, fixed, parts, budget)
     return ChainReport(independent, almost, retractions)

@@ -232,7 +232,6 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     text = text.strip()
     if text == "1":
         return EPSILON
-    longest_first = sorted(alphabet, key=len, reverse=True)
     letters: list[str] = []
     for token in text.split():
         if token in alphabet:
@@ -241,7 +240,11 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
         # fall back to greedy longest-prefix decomposition of a fused token
         rest = token
         while rest:
-            match = next((c for c in longest_first if rest.startswith(c)), None)
+            match = None
+            for c in sorted(alphabet, key=len, reverse=True):
+                if rest.startswith(c):
+                    match = c
+                    break
             if match is None:
                 raise AlgebraError(f"cannot read {token!r} over {list(alphabet)}")
             letters.append(match)
