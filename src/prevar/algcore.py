@@ -78,7 +78,7 @@ class Signature:
                 return ar
         raise AlgebraError(f"unknown operation symbol {name!r}")
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.ops)
 
@@ -541,6 +541,9 @@ def generated_subalgebra(
 def subalgebra_on(alg: FiniteAlgebra, carrier: Sequence[int]) -> tuple[FiniteAlgebra, Homomorphism]:
     """Restrict ``alg`` to an already-closed subset (ascending order kept)."""
     carrier = list(carrier)
+    if carrier and (min(carrier) < 0 or max(carrier) >= alg.size):
+        x = next(x for x in carrier if not 0 <= x < alg.size)
+        raise AlgebraError(f"subset element {x} is off the carrier")
     position = {x: i for i, x in enumerate(carrier)}
     if len(position) != len(carrier):
         raise AlgebraError("carrier subset has repeats")

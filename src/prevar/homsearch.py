@@ -47,21 +47,25 @@ class _Search:
         self.injective = injective
         self.max_nodes = max_nodes
         self.nodes = 0
-        # one (target table, args, result) constraint per cell of each
-        # non-zeroary source table; zeroary ops become forced assignments.
+        # one (target table, args, result) constraint per cell of each source
+        # table of arity 2 or more, and one (target table, result) per unary
+        # cell, filed under its argument; zeroary ops become forced assignments.
         # a constraint already satisfied never breaks later, so propagation
         # and candidate filtering only visit those with the element being
         # assigned among their arguments (the last one assigned forces the result)
+        self.unary = [[] for _ in range(source.size)]
         self.touching = [[] for _ in range(source.size)]
         for name, arity in source.signature.ops:
-            if arity == 0:
-                continue
             table = target.tables[name]
-            cells = itertools.product(range(source.size), repeat=arity)
-            for args, result in zip(cells, source.tables[name]):
-                constraint = (table, args, result)
-                for e in set(args):
-                    self.touching[e].append(constraint)
+            if arity == 1:
+                for x, result in enumerate(source.tables[name]):
+                    self.unary[x].append((table, result))
+            elif arity:
+                cells = itertools.product(range(source.size), repeat=arity)
+                for args, result in zip(cells, source.tables[name]):
+                    constraint = (table, args, result)
+                    for e in set(args):
+                        self.touching[e].append(constraint)
 
     def iterate(self, seed: dict[int, int]) -> Iterator[tuple[int, ...]]:
         state = self._start(sorted(seed.items()))
@@ -85,6 +89,8 @@ class _Search:
 
     def _walk(self, stages, assignment, used) -> bool:
         if not stages:
+            if None not in assignment:
+                return True  # a complete leaf is its own extension
             self.nodes = 0
             return next(self._extend(assignment, used), None) is not None
         for pairs in stages[0]:
@@ -111,7 +117,7 @@ class _Search:
     # assign the pending pairs plus everything they force through determined
     # constraints; False means a contradiction (this branch has no extension)
     def _assign_all(self, assignment, used, pending) -> bool:
-        touching, size, injective = self.touching, self.B.size, self.injective
+        unary, touching, size, injective = self.unary, self.touching, self.B.size, self.injective
         queue = list(pending)
         while queue:
             x, v = queue.pop()
@@ -124,6 +130,12 @@ class _Search:
                 return False
             assignment[x] = v
             used[v] += 1
+            for table, result in unary[x]:
+                res = assignment[result]
+                if res is None:
+                    queue.append((result, table[v]))
+                elif res != table[v]:
+                    return False
             for table, args, result in touching[x]:
                 idx = 0
                 for a in args:
@@ -141,12 +153,23 @@ class _Search:
         return True
 
     def _candidates(self, assignment, used, x) -> list[int]:
-        # x is unassigned; each value is tried by assigning it in place
+        # x is unassigned; each unary cell on x narrows the ascending values
+        # with one table read per value, then each value left is tried
+        # against the wider cells by assigning it in place
         touching, size, injective = self.touching[x], self.B.size, self.injective
+        values = [v for v in range(size) if not used[v]] if injective else range(size)
+        for table, result in self.unary[x]:
+            res = assignment[result]
+            if result == x:
+                values = [v for v in values if table[v] == v]
+            elif res is not None:
+                values = [v for v in values if table[v] == res]
+            elif injective:  # the result would be forced onto a taken target
+                values = [v for v in values if not used[table[v]]]
+        if not touching:
+            return list(values)
         out = []
-        for v in range(size):
-            if injective and used[v]:
-                continue
+        for v in values:
             assignment[x] = v
             for table, args, result in touching:
                 idx = 0
@@ -184,15 +207,11 @@ class _Search:
         for v in cands:
             self.nodes += 1
             if self.nodes > self.max_nodes:
-                raise BudgetExceededError(
-                    f"homomorphism search exceeded {self.max_nodes} nodes"
-                )
-            trail_assignment = list(assignment)
-            trail_used = list(used)
+                raise BudgetExceededError(f"homomorphism search exceeded {self.max_nodes} nodes")
+            trail = list(assignment), list(used)
             if self._assign_all(assignment, used, [(x, v)]):
                 yield from self._extend(assignment, used)
-            assignment[:] = trail_assignment
-            used[:] = trail_used
+            assignment[:], used[:] = trail
 
 
 def find_homomorphisms(

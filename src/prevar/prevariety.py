@@ -283,9 +283,9 @@ def _every_family_extends(ctx: PrevarietyCtx, source: FiniteAlgebra, fixed: list
                           budget: Budget) -> bool:
     """True iff, for each generator Y_k, each family of homs h_i: part_i -> Y_k
     extends to a hom ``source -> Y_k`` sending image_i[x] to h_i(x) and agreeing
-    with ``fixed``; ``parts`` holds (part_i, its ``_streams``, image_i), and
-    stream k is drained only when Y_k is reached.  One search of ``source ->
-    Y_k`` walks the families in product order, propagating each prefix once."""
+    with ``fixed``; ``parts`` holds (part_i, one hom stream per generator,
+    image_i), and stream k is drained only when Y_k is reached.  One search of
+    ``source -> Y_k`` walks the families in product order, propagating each prefix once."""
     for k, target in enumerate(ctx.generators):
         stages = [[list(zip(image, h)) for h in streams[k]] for _, streams, image in parts]
         if not _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages):
@@ -471,19 +471,24 @@ def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, budget
     union generates the span by construction, so only extension is tested.
     With no subalgebras the span is the closure of the constants, and it is
     the initial algebra exactly when every generator receives a hom from it."""
-    span, parts = _span(ctx, ambient, subalgebras, budget)
+
+    def part(subset):
+        sub = subalgebra_on(ambient, subset)[0]
+        return sub, _streams(ctx, sub, budget)
+
+    span, parts = _span(ambient, subalgebras, part)
     return _every_family_extends(ctx, span, [], parts, budget)
 
 
-def _span(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subsets, budget: Budget):
+def _span(ambient: FiniteAlgebra, subsets, part):
     """The subalgebra of ``ambient`` that the union of ``subsets`` generates,
-    and per subset (the subalgebra on it, its ``_streams``, its positions in
-    the span); ``subalgebra_on`` raises on a subset that is not closed."""
-    subsets = [sorted(set(s)) for s in subsets]
+    and per subset (*``part(subset)``, its positions in the span), where
+    ``part`` takes a sorted tuple and gives the subalgebra on it and its
+    streams; ``subalgebra_on`` raises on a subset that is not closed."""
+    subsets = [tuple(sorted(set(s))) for s in subsets]
     span, inclusion = generated_subalgebra(ambient, sorted({x for s in subsets for x in s}))
     position = {x: j for j, x in enumerate(inclusion.mapping)}
-    parts = [(subalgebra_on(ambient, s)[0], [position[x] for x in s]) for s in subsets]
-    return span, [(sub, _streams(ctx, sub, budget), image) for sub, image in parts]
+    return span, [(*part(s), [position[x] for x in s]) for s in subsets]
 
 
 class ChainHypothesisError(AlgebraError):
@@ -534,14 +539,26 @@ def chain_independence(
             raise ChainHypothesisError(i, "chain is not descending")
         if not set(components[i - 1]) <= set(levels[i - 1]):
             raise ChainHypothesisError(i, "component leaves the previous level")
-    last_alg, _ = subalgebra_on(a0, levels[n])
+    # each distinct subset's subalgebra is built, and its homs into A_n are
+    # listed on the first pull, once per call: with one generator every check
+    # drains a part's stream in full, so keeping the listing loses no laziness
+    subalgebra = functools.cache(lambda subset: subalgebra_on(a0, subset)[0])
+    listing = functools.cache(lambda subset: list(
+        _Search(subalgebra(subset), last_alg, False, budget.max_nodes).iterate({})))
+
+    def part(subset):
+        def stream():
+            yield from listing(subset)
+        return subalgebra(subset), [stream()]
+
+    last_alg = subalgebra(tuple(levels[n]))
     ctx = PrevarietyCtx((last_alg,))
     ctx.require_member(a0, budget)
 
     # A_{i-1} is closed, so <A_i, B_i> is the same in a0 as in A_{i-1}
     retractions: list[Optional[Homomorphism]] = []
     for i in range(1, n + 1):
-        span, parts = _span(ctx, a0, [levels[i], components[i - 1]], budget)
+        span, parts = _span(a0, [levels[i], components[i - 1]], part)
         if not _every_family_extends(ctx, span, [], parts, budget):
             raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
         (a_sub, _, a_pos), (b_sub, _, b_pos) = parts
@@ -552,16 +569,15 @@ def chain_independence(
         pairs = [*zip(a_pos, range(len(a_pos))), *zip(b_pos, f_i)]
         retraction = _Search(span, a_sub, False, budget.max_nodes).first(pairs)
         if retraction is None:
-            raise AlgebraError(
-                "no retraction extends the chosen component map; "
-                "contradicts the verified independence"
-            )
+            raise AlgebraError("no retraction extends the chosen component map; "
+                               "contradicts the verified independence")
         retractions.append(Homomorphism._unchecked(span, a_sub, retraction))
 
-    independent = _independent(ctx, a0, components, budget)
+    span, parts = _span(a0, components, part)
+    independent = _every_family_extends(ctx, span, [], parts, budget)
 
     # stronger form: families into the distinguished last level extend
-    span_all, [(_, _, last_pos), *parts] = _span(ctx, a0, [levels[n], *components], budget)
+    span_all, [(_, _, last_pos), *parts] = _span(a0, [levels[n], *components], part)
     fixed = [(p, k) for k, p in enumerate(last_pos)]
     almost = _every_family_extends(ctx, span_all, fixed, parts, budget)
     return ChainReport(independent, almost, retractions)
@@ -569,12 +585,8 @@ def chain_independence(
 
 def has_trivial_subalgebra(alg: FiniteAlgebra) -> bool:
     """True iff some element is idempotent under every operation."""
-    for e in range(alg.size):
-        if all(
-            alg.op(name, *([e] * arity)) == e for name, arity in alg.signature.ops
-        ):
-            return True
-    return False
+    return any(all(alg.op(name, *([e] * arity)) == e for name, arity in alg.signature.ops)
+               for e in range(alg.size))
 
 
 # -- quasi-identities -------------------------------------------------------
@@ -593,9 +605,7 @@ class QuasiIdentity:
             return f"{format_term(eq[0], self.variables)} = {format_term(eq[1], self.variables)}"
 
         left = " & ".join(side(p) for p in self.premises)
-        if left:
-            return f"{left} => {side(self.conclusion)}"
-        return f"=> {side(self.conclusion)}"
+        return f"{left} => {side(self.conclusion)}" if left else f"=> {side(self.conclusion)}"
 
 
 def format_term(t: Term, variables: Sequence[str]) -> str:
@@ -669,10 +679,7 @@ def parse_quasi_identity(text: str, signature: Optional[Signature] = None) -> Qu
             out.append(term)
         return tuple(out)
 
-    premises = []
-    if left.strip():
-        for chunk in left.split("&"):
-            premises.append(parse_equation(chunk))
+    premises = [parse_equation(chunk) for chunk in left.split("&")] if left.strip() else []
     conclusion = parse_equation(right)
     return QuasiIdentity(tuple(variables), tuple(premises), conclusion)
 
@@ -763,9 +770,7 @@ def enumerate_members(
     for size in range(1, max_size + 1):
         total += size ** sum(size**arity for _, arity in sig.ops)
         if total > budget.max_enumeration:
-            raise BudgetExceededError(
-                "raw algebra enumeration exceeds the budget; lower max_size"
-            )
+            raise BudgetExceededError("raw algebra enumeration exceeds the budget; lower max_size")
         for flat in _canonical_tables(sig, size):
             values = iter(flat)
             cand = FiniteAlgebra(sig, size, {name: tuple(itertools.islice(values, size**arity))
@@ -885,10 +890,8 @@ def check_coproduct_monotone_bounded(
     ]
     induced = _Search(qa.algebra, qb.algebra, False, budget.max_nodes).first(pairs)
     if induced is None:
-        raise AlgebraError(
-            "no induced map between amalgamated coproducts; "
-            "contradicts their universal property"
-        )
+        raise AlgebraError("no induced map between amalgamated coproducts; "
+                           "contradicts their universal property")
     return len(set(induced)) == len(induced)
 
 
@@ -917,9 +920,7 @@ def subfamily_independence_check(
     if trivial_members:
         gen = ctx.generators[0]
         if not (gen.size >= 2 and has_trivial_subalgebra(gen)):
-            raise AlgebraError(
-                "trivial members need a nontrivial generator with an idempotent"
-            )
+            raise AlgebraError("trivial members need a nontrivial generator with an idempotent")
     return _independent(ctx, ambient, [family[i] for i in subfamily], budget)
 
 
@@ -955,7 +956,5 @@ def constants_si_census(kappa: int) -> ConstantsCensus:
         algebras.append(FiniteAlgebra(sig, 2, tables))
         partitions.append(vector)
     ctx = PrevarietyCtx(tuple(algebras))
-    compatibility = [
-        [is_compatible(ctx, [x, y]) for y in algebras] for x in algebras
-    ]
+    compatibility = [[is_compatible(ctx, [x, y]) for y in algebras] for x in algebras]
     return ConstantsCensus(len(algebras), algebras, partitions, compatibility)

@@ -39,10 +39,15 @@ def _check_letters(alphabet: Sequence[str], words: Iterable[Word]) -> None:
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    # the text format separates letters by whitespace and sides by "=", reads
+    # "1" as the empty word and a line that starts with "#" as a comment
     if "" in alphabet:
         raise AlgebraError("alphabet letters must be nonempty")
     if len(set(alphabet)) != len(alphabet):
         raise AlgebraError("alphabet letters must be distinct")
+    for c in alphabet:
+        if c == "1" or c.startswith("#") or "=" in c or any(ch.isspace() for ch in c):
+            raise AlgebraError(f"letter {c!r} is '1', starts with '#' or holds '=' or whitespace")
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,7 @@ class RewriteSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(
-            self, "rules", tuple((tuple(l), tuple(r)) for l, r in self.rules)
-        )
+        object.__setattr__(self, "rules", tuple((tuple(l), tuple(r)) for l, r in self.rules))
         _check_alphabet(self.alphabet)
         key = _shortlex(self.alphabet)
         for lhs, rhs in self.rules:
@@ -168,9 +171,7 @@ def knuth_bendix(presentation: Presentation, budget: Budget = DEFAULT_BUDGET) ->
             continue
         lhs, rhs = (s, t) if key(s) > key(t) else (t, s)
         if len(lhs) > budget.max_word_len:
-            return CompletionResult(
-                current_system(), False, f"word length budget hit by {lhs}"
-            )
+            return CompletionResult(current_system(), False, f"word length budget hit by {lhs}")
         # interreduce: requeue rules whose sides the new rule touches
         survivors = []
         for old in rules:
@@ -192,9 +193,7 @@ def words_equal(rs: RewriteSystem, a: Iterable[str], b: Iterable[str]) -> bool:
     return reduce(rs, a) == reduce(rs, b)
 
 
-def coproduct_presentation(
-    factors: Sequence[Presentation], shared: Sequence[str]
-) -> Presentation:
+def coproduct_presentation(factors: Sequence[Presentation], shared: Sequence[str]) -> Presentation:
     """Union of the presentations with the shared letters identified.
 
     Non-shared letters must not collide across factors (rename first);

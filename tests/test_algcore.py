@@ -43,6 +43,7 @@ from prevar.algcore import (
     generated_subalgebra,
     is_subdirectly_irreducible,
     quotient,
+    subalgebra_on,
     trivial_algebra,
 )
 
@@ -111,6 +112,13 @@ class TestGeneratedSubalgebra:
             again, inc_again = generated_subalgebra(alg, inc_small.mapping)
             assert inc_again.mapping == inc_small.mapping
             assert again.tables == sub_small.tables
+
+    @pytest.mark.parametrize("carrier, bad", [([-1, 2], -1), ([2, 5], 5), ([0, 3], 3)])
+    def test_subset_off_the_carrier_rejected(self, carrier, bad):
+        # -1 once read the last element through Python's negative indexing
+        identity = FiniteAlgebra(UNARY_SIGNATURE, 3, {"a": [0, 1, 2]})
+        with pytest.raises(AlgebraError, match=f"^subset element {bad} is off the carrier$"):
+            subalgebra_on(identity, carrier)
 
 
 def _relabelled_closure(alg, seed):

@@ -562,3 +562,19 @@ def test_parts_are_listed_only_up_to_the_first_failing_generator(monkeypatch):
     starts = count_search_starts(monkeypatch)
     assert not is_independent(sp(c2, c3), twice, [range(6), range(6)])
     assert [b for _, b in starts].count(id(c3)) == 1  # the ambient's walk
+
+
+def test_chain_independence_lists_each_part_once(monkeypatch):
+    # n = 2 over three copies of C3: A_1, B_1 in step 1 and A_2, B_2 in step 2,
+    # then B_1, B_2 again in the independence check and in the "almost" form.
+    # The listed route starts those 8 part listings; the library starts each
+    # of the 4 distinct parts once, after the walk of a0 into A_2
+    a0 = disjoint_union([cyclic_unary(3)] * 3)
+    chain, components = [list(range(6)), [0, 1, 2]], [[6, 7, 8], [3, 4, 5]]
+    starts = count_search_starts(monkeypatch)
+    want = listed_chain_independence(a0, chain, components, DEFAULT_BUDGET)
+    assert len(starts) == 1 + 8
+    starts.clear()
+    assert chain_independence(a0, chain, components) == want
+    walk, *parts = starts
+    assert walk[0] == id(a0) and len(parts) == len({source for source, _ in parts}) == 4

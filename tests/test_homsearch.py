@@ -558,3 +558,136 @@ def test_every_choice_extends_matches_one_search_per_choice(pair, max_nodes, dat
 
     assert outcome(lambda: _Search(a, b, False, max_nodes).every_choice_extends(fixed, stages)) \
         == outcome(lambda: per_choice_extends(a, b, max_nodes, fixed, stages))
+
+
+# -- unary cells against the generic constraint handling ------------------------------
+
+
+class GenericSearch(_Search):
+    """``_Search`` as it was before unary cells were filed apart: every cell of
+    arity 1 or more is one (target table, args, result) constraint, filed under
+    each of its arguments, and candidates are tried value by value."""
+
+    def __init__(self, source, target, injective, max_nodes):
+        super().__init__(source, target, injective, max_nodes)
+        self.generic = [[] for _ in range(source.size)]
+        for name, arity in source.signature.ops:
+            if arity == 0:
+                continue
+            table = target.tables[name]
+            cells = itertools.product(range(source.size), repeat=arity)
+            for args, result in zip(cells, source.tables[name]):
+                constraint = (table, args, result)
+                for e in set(args):
+                    self.generic[e].append(constraint)
+
+    def _assign_all(self, assignment, used, pending) -> bool:
+        touching, size, injective = self.generic, self.B.size, self.injective
+        queue = list(pending)
+        while queue:
+            x, v = queue.pop()
+            cur = assignment[x]
+            if cur is not None:
+                if cur != v:
+                    return False
+                continue
+            if injective and used[v]:
+                return False
+            assignment[x] = v
+            used[v] += 1
+            for table, args, result in touching[x]:
+                idx = 0
+                for a in args:
+                    w = assignment[a]
+                    if w is None:
+                        break
+                    idx = idx * size + w
+                else:
+                    forced = table[idx]
+                    res = assignment[result]
+                    if res is None:
+                        queue.append((result, forced))
+                    elif res != forced:
+                        return False
+        return True
+
+    def _candidates(self, assignment, used, x) -> list[int]:
+        touching, size, injective = self.generic[x], self.B.size, self.injective
+        out = []
+        for v in range(size):
+            if injective and used[v]:
+                continue
+            assignment[x] = v
+            for table, args, result in touching:
+                idx = 0
+                for a in args:
+                    w = assignment[a]
+                    if w is None:
+                        break
+                    idx = idx * size + w
+                else:
+                    res = assignment[result]
+                    if res is not None:
+                        if res != table[idx]:
+                            break
+                    elif injective and used[table[idx]]:
+                        break
+            else:
+                out.append(v)
+        assignment[x] = None
+        return out
+
+
+UNARY_MIXES = [
+    Signature((("a", 1), ("b", 1))),
+    Signature((("a", 1), ("m", 2))),
+    Signature((("c", 0), ("a", 1))),
+]
+
+
+@st.composite
+def unary_mix_pairs(draw):
+    """Two algebras over a signature with unary ops, some of whose cells are
+    made fixed points, alone or next to a binary op or a constant."""
+    sig = draw(st.sampled_from(UNARY_MIXES))
+    a, b = draw(small_algebra(sig)), draw(small_algebra(sig))
+    fixed = draw(st.lists(st.integers(0, a.size - 1), max_size=2))
+    tables = {name: list(t) for name, t in a.tables.items()}
+    for x in fixed:
+        tables["a"][x] = x
+    return FiniteAlgebra(sig, a.size, tables), b
+
+
+def pulled(search, seed):
+    """The mappings a search yields before it ends or overruns its nodes."""
+    out = []
+    try:
+        out.extend(search.iterate(seed))
+    except BudgetExceededError as e:
+        return out, str(e)
+    return out, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(unary_mix_pairs(), st.booleans(), st.integers(1, 12), st.data())
+def test_unary_cells_match_the_generic_constraints(pair, injective, max_nodes, data):
+    a, b = pair
+    search, generic = _Search(a, b, injective, 10**6), GenericSearch(a, b, injective, 10**6)
+    partial = data.draw(st.lists(st.one_of(st.none(), st.integers(0, b.size - 1)),
+                                 min_size=a.size, max_size=a.size))
+    used = [partial.count(v) for v in range(b.size)]
+    for x in range(a.size):
+        if partial[x] is None:
+            assert search._candidates(list(partial), list(used), x) == \
+                generic._candidates(list(partial), list(used), x)
+    x, v = data.draw(st.integers(0, a.size - 1)), data.draw(st.integers(0, b.size - 1))
+    mine, theirs = (list(partial), list(used)), (list(partial), list(used))
+    ok = search._assign_all(*mine, [(x, v)])
+    assert ok == generic._assign_all(*theirs, [(x, v)])
+    if ok:
+        assert mine == theirs
+    seed = data.draw(st.dictionaries(st.integers(0, a.size - 1), st.integers(0, b.size - 1),
+                                     max_size=1))
+    for nodes in (10**6, max_nodes):
+        assert pulled(_Search(a, b, injective, nodes), seed) == \
+            pulled(GenericSearch(a, b, injective, nodes), seed)

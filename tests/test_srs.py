@@ -6,7 +6,7 @@ import sys
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prevar.algcore import AlgebraError, Budget
@@ -288,6 +288,28 @@ class TestAlphabetChecks:
                       lambda: parse_word("1", ("a", ""))):
             with pytest.raises(AlgebraError, match="^alphabet letters must be nonempty$"):
                 build()
+
+    @pytest.mark.parametrize("letter", ["a b", "a\tb", "1", "=", "a=b", "#x", "a\nb"])
+    def test_letters_the_text_format_cannot_carry_are_rejected(self, letter):
+        # with "#x" the relation line "#x = c" would read back as a comment
+        for build in (lambda: Presentation((letter, "c"), (((letter,), ("c",)),)),
+                      lambda: RewriteSystem(("c", letter), ())):
+            with pytest.raises(AlgebraError, match="starts with '#' or holds '=' or whitespace"):
+                build()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepted_alphabets_round_trip_through_the_text_format(self, data):
+        letters = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4,
+                                     unique=True))
+        try:
+            Presentation(tuple(letters), ())
+        except AlgebraError:
+            assume(False)
+        word = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+        pres = Presentation(tuple(letters), tuple(data.draw(st.lists(st.tuples(word, word),
+                                                                     max_size=3))))
+        assert parse_presentation(format_presentation(pres)) == pres
 
     def test_foreign_letters_rejected_by_reduce(self):
         rs = RewriteSystem(("x", "y"), ((("x", "y"), ()),))
