@@ -16,7 +16,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class AlgebraError(ValueError):
@@ -45,6 +45,7 @@ class Budget:
     max_table_cells: int = 4 * 10**6  # closure: cells of one op table
     max_enumeration: int = 10**6  # prevariety: raw tables when enumerating members
     max_congruence_size: int = 12  # congruences: largest algebra enumerated
+    max_congruences: int = 50_000  # congruences: congruences listed
     max_rules: int = 64  # srs: rules during Knuth-Bendix completion
     max_word_len: int = 64  # srs: longest rule side during completion
 
@@ -208,18 +209,33 @@ Term = Var | App
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, assignment: dict[int, int]) -> int:
-    """Evaluate a term by recursive table lookup under a variable assignment."""
+    """Evaluate a term under a variable assignment, through ``_compile_term``."""
+
+    def known(i: int) -> bool:
+        if i in assignment and not 0 <= assignment[i] < alg.size:
+            raise AlgebraError(f"assignment of variable {i} is off the carrier")
+        return i in assignment
+
+    return _compile_term(alg, t, known)(assignment)
+
+
+def _compile_term(alg: FiniteAlgebra, t: Term, known: Callable[[int], bool]):
+    """``t`` as a function of one values container, read at each variable's
+    index: one table read per op, and nothing tested when it runs.  A
+    variable that is not ``known``, an unknown symbol or an arity mismatch
+    raises here, before anything is evaluated."""
     if isinstance(t, Var):
-        if t.index not in assignment:
+        if not known(t.index):
             raise AlgebraError(f"variable {t.index} is unassigned")
-        value = assignment[t.index]
-        if not (0 <= value < alg.size):
-            raise AlgebraError(f"assignment of variable {t.index} is off the carrier")
-        return value
-    arity = alg.signature.arity(t.op)
-    if arity != len(t.args):
+        return operator.itemgetter(t.index)
+    if alg.signature.arity(t.op) != len(t.args):
         raise AlgebraError(f"arity mismatch for {t.op!r}")
-    return alg.op(t.op, *(eval_term(alg, a, assignment) for a in t.args))
+    table, args = alg.tables[t.op], [_compile_term(alg, a, known) for a in t.args]
+    if len(args) == 1:
+        f, = args
+        return lambda values: table[f(values)]
+    weights = [alg.size**k for k in reversed(range(len(args)))]
+    return lambda values: table[sum(w * f(values) for w, f in zip(weights, args))]
 
 
 # -- homomorphisms and congruences ---------------------------------------
@@ -648,31 +664,41 @@ def _require_congruence_size(alg: FiniteAlgebra, budget: Budget) -> None:
 
 def all_congruences(alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET) -> list[Congruence]:
     """Complete congruence list, coarsest first: the joins of the distinct
-    principal congruences Cg(a, b).
-
-    Close-by-one (Kuznetsov 1993) lists each join once: a congruence found
-    by adding principal i is joined, by ``_merge`` of the witness pairs,
-    with each principal j > i outside it, and the join is kept iff no
-    principal before j outside the congruence lies below it.  Guarded by
-    ``max_congruence_size`` since the lattice can blow up (the identity on
-    n: Bell(n)).
+    principal congruences Cg(a, b), each found once by fast close-by-one
+    (Outrata & Vychodil 2012).  A congruence found by adding principal i is
+    joined (``_merge`` of the witness pairs) with each principal j > i
+    outside it, and the join is kept iff no earlier principal outside the
+    congruence lies below it.  Joins only grow, so the bitmask of the
+    principals before j below the last join with Cg(j) at an ancestor
+    refutes j without a merge when it holds one outside the congruence.
+    Guarded by ``max_congruence_size`` (the identity on n has Bell(n)
+    congruences) and, as they are found, by ``max_congruences``.
     """
     _require_congruence_size(alg, budget)
     principal = {roots: (a, b) for a, b, roots in _principals(alg)}
-    gens = [(a, b, _witness(roots)) for roots, (a, b) in principal.items()]
-    found, todo = [], [(tuple(range(alg.size)), -1)]
+    gens = [_witness(roots) for roots in principal]
+    pairs = [(a, b, 1 << j) for j, (a, b) in enumerate(principal.values())]
+
+    def below(roots) -> int:  # the mask of the principals Cg(a, b) with a, b joined in roots
+        return sum(bit for a, b, bit in pairs if roots[a] == roots[b])
+
+    found, low = [], [below(roots) & (1 << j) - 1 for j, roots in enumerate(principal)]
+    todo = [(range(alg.size), 0, -1, low)]
     while todo:
-        roots, last = todo.pop()
+        roots, mask, last, stored = todo.pop()
         found.append(_labels(roots))
-        outside = [(j, a, b) for j, (a, b, _) in enumerate(gens) if roots[a] != roots[b]]
-        for i, (j, _, _) in enumerate(outside):
-            if j > last:
-                joined = _merge(roots, (), gens[j][2])
-                for _, a, b in outside[:i]:
-                    if joined[a] == joined[b]:
-                        break
-                else:
-                    todo.append((tuple(joined), j))
+        if len(found) > budget.max_congruences:
+            raise BudgetExceededError(
+                f"congruence lattice exceeds max_congruences {budget.max_congruences}")
+        stored, children = stored[:], []
+        for j in range(last + 1, len(gens)):
+            if not (mask >> j & 1 or stored[j] & ~mask):
+                joined = _merge(roots, (), gens[j])
+                cover = below(joined)
+                stored[j] = cover & (1 << j) - 1
+                if not stored[j] & ~mask:
+                    children.append((joined, cover, j, stored))
+        todo += children  # after the loop, so that they inherit every stored join
     return [Congruence._unchecked(alg, blocks, True)
             for blocks in sorted(found, key=lambda c: (-len(set(c)), c))]
 
@@ -687,7 +713,7 @@ def is_subdirectly_irreducible(
     monolith is the meet of the n(n-1)/2 principal congruences, taken on
     plain label tuples as ``_merge`` returns them (``_meet``); the
     congruence lattice is never built, and the meet stops at the first
-    diagonal one.  The size bound is that of ``all_congruences``.
+    diagonal one.  The size bound is ``all_congruences``' ``max_congruence_size``.
     """
     if alg.size < 2:
         raise AlgebraError("subdirect irreducibility needs a nontrivial algebra")

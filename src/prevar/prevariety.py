@@ -33,13 +33,13 @@ from .algcore import (
     Term,
     Var,
     _closure,
+    _compile_term,
     _mask_rows,
     _meet,
     _product_rows,
     _require_congruence_size,
     all_congruences,
     empty_algebra,
-    eval_term,
     generated_subalgebra,
     quotient,
     subalgebra_on,
@@ -611,8 +611,6 @@ class QuasiIdentity:
 def format_term(t: Term, variables: Sequence[str]) -> str:
     if isinstance(t, Var):
         return variables[t.index]
-    if not t.args:
-        return f"{t.op}()"
     return f"{t.op}({','.join(format_term(a, variables) for a in t.args)})"
 
 
@@ -626,23 +624,16 @@ def _parse_term(tokens: list[str], pos: int, variables: list[str], signature):
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
         raise AlgebraError(f"unexpected token {tok!r}")
     pos += 1
-    if pos < len(tokens) and tokens[pos] == "(":
-        pos += 1
-        args = []
-        if tokens[pos:pos + 1] == [")"]:
-            pos += 1
-        else:
-            while True:
-                arg, pos = _parse_term(tokens, pos, variables, signature)
-                args.append(arg)
-                if tokens[pos:pos + 1] == [","]:
-                    pos += 1
-                    continue
-                if tokens[pos:pos + 1] == [")"]:
-                    pos += 1
-                    break
-                raise AlgebraError("expected ',' or ')' in a term")
-        return App(tok, tuple(args)), pos
+    if tokens[pos:pos + 1] == ["("]:
+        args, pos = [], pos + 1
+        while tokens[pos:pos + 1] != [")"]:
+            if args:
+                if tokens[pos:pos + 1] != [","]:
+                    raise AlgebraError("expected ',' or ')' in a term")
+                pos += 1
+            arg, pos = _parse_term(tokens, pos, variables, signature)
+            args.append(arg)
+        return App(tok, tuple(args)), pos + 1
     if signature is not None and tok in signature.names and signature.arity(tok) == 0:
         return App(tok, ()), pos
     if tok not in variables:
@@ -685,19 +676,15 @@ def parse_quasi_identity(text: str, signature: Optional[Signature] = None) -> Qu
 
 
 def quasi_identity_holds(alg: FiniteAlgebra, q: QuasiIdentity) -> bool:
-    """Brute force over all assignments: premises all equal -> conclusion equal."""
-    if alg.size == 0:
-        return True
-    nvars = len(q.variables)
-    for values in itertools.product(range(alg.size), repeat=nvars):
-        assignment = dict(enumerate(values))
-        if all(
-            eval_term(alg, lhs, assignment) == eval_term(alg, rhs, assignment)
-            for lhs, rhs in q.premises
-        ):
-            lhs, rhs = q.conclusion
-            if eval_term(alg, lhs, assignment) != eval_term(alg, rhs, assignment):
-                return False
+    """Brute force over all assignments: premises all equal -> conclusion
+    equal.  Each term is compiled once (``_compile_term``) to read the
+    product's value tuples, so a malformed one raises before the walk."""
+    known = range(len(q.variables)).__contains__
+    *premises, (lhs, rhs) = [[_compile_term(alg, t, known) for t in eq]
+                             for eq in (*q.premises, q.conclusion)]
+    for values in itertools.product(range(alg.size), repeat=len(q.variables)):
+        if all(s(values) == t(values) for s, t in premises) and lhs(values) != rhs(values):
+            return False
     return True
 
 

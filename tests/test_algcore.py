@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prevar
+from prevar import algcore
 from prevar.algcore import (
     AlgebraError,
     App,
@@ -29,6 +30,7 @@ from prevar.algcore import (
     _closure,
     _labels,
     _meet,
+    _merge,
     _product_rows,
     all_congruences,
     apply_relabeling,
@@ -78,6 +80,11 @@ class TestEvalTerm:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(AlgebraError):
             eval_term(C2, App("a", (Var(0), Var(0))), {0: 0})
+
+    def test_only_the_variables_read_must_be_on_the_carrier(self):
+        with pytest.raises(AlgebraError, match="^assignment of variable 0 is off the carrier$"):
+            eval_term(C2, a_power(1), {0: 2})
+        assert eval_term(C2, a_power(1), {0: 1, 1: 5}) == 0
 
 
 class TestGeneratedSubalgebra:
@@ -453,6 +460,23 @@ class TestAllCongruences:
     def test_matches_frontier_join_loop(self, alg):
         assert all_congruences(alg) == _frontier_join_congruences(alg)
 
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_algebras(min_size=1))
+    def test_matches_plain_close_by_one_with_no_more_merges(self, alg):
+        fast, fast_merges = _counting_merges(all_congruences, alg)
+        plain, plain_merges = _counting_merges(_plain_close_by_one, alg)
+        assert fast == plain
+        assert fast_merges <= plain_merges
+
+    def test_stored_joins_refute_candidates_before_merging(self):
+        # the identity on 7: 877 congruences from 4,954 merges on the plain
+        # walk; the stored join masks skip most of the rejected candidates
+        alg = FiniteAlgebra(UNARY_SIGNATURE, 7, {"a": list(range(7))})
+        fast, fast_merges = _counting_merges(all_congruences, alg)
+        plain, plain_merges = _counting_merges(_plain_close_by_one, alg)
+        assert fast == plain and plain_merges == 4_954
+        assert fast_merges < plain_merges / 2
+
     @pytest.mark.parametrize("n", range(8))
     def test_identity_has_bell_many(self, n):
         # every partition is a congruence: a skipped or repeated join shows
@@ -500,6 +524,36 @@ def _frontier_join_congruences(alg):
                     fresh.append(j)
         frontier = fresh
     return [Congruence._unchecked(alg, blocks)
+            for blocks in sorted(found, key=lambda c: (-len(set(c)), c))]
+
+
+def _counting_merges(walk, alg):
+    """``walk(alg)`` and the number of ``_merge`` calls it made."""
+    merges = []
+    algcore._merge = lambda *args: merges.append(1) or _merge(*args)
+    try:
+        return walk(alg), len(merges)
+    finally:
+        algcore._merge = _merge
+
+
+def _plain_close_by_one(alg):
+    """The walk fast close-by-one replaced (Kuznetsov 1993), on the private
+    kernel: every candidate principal outside the congruence is merged in,
+    and the join is kept iff no earlier principal outside it lies below."""
+    principal = {roots: (a, b) for a, b, roots in algcore._principals(alg)}
+    gens = [(a, b, algcore._witness(roots)) for roots, (a, b) in principal.items()]
+    found, todo = [], [(tuple(range(alg.size)), -1)]
+    while todo:
+        roots, last = todo.pop()
+        found.append(_labels(roots))
+        outside = [(j, a, b) for j, (a, b, _) in enumerate(gens) if roots[a] != roots[b]]
+        for i, (j, _, _) in enumerate(outside):
+            if j > last:
+                joined = algcore._merge(roots, (), gens[j][2])
+                if all(joined[a] != joined[b] for _, a, b in outside[:i]):
+                    todo.append((tuple(joined), j))
+    return [Congruence._unchecked(alg, blocks, True)
             for blocks in sorted(found, key=lambda c: (-len(set(c)), c))]
 
 
@@ -817,7 +871,7 @@ class TestBudget:
 
     def test_defaults(self):
         assert dataclasses.astuple(Budget()) == (
-            2_000_000, 10**6, 10**4, 4 * 10**6, 10**6, 12, 64, 64)
+            2_000_000, 10**6, 10**4, 4 * 10**6, 10**6, 12, 50_000, 64, 64)
 
     @pytest.mark.parametrize("field", INT_FIELDS)
     @pytest.mark.parametrize("value", [0, -1, 1.5, True, "3"])
@@ -835,6 +889,19 @@ class TestBudget:
         with pytest.raises(BudgetExceededError,
                            match="^congruence enumeration bound 3 exceeded by size 4$"):
             is_subdirectly_irreducible(C4, Budget(max_congruence_size=3))
+
+    def test_congruence_count_is_read(self):
+        # C4 has three congruences; the count is checked as each is found
+        assert len(all_congruences(C4, Budget(max_congruences=3))) == 3
+        with pytest.raises(BudgetExceededError,
+                           match="^congruence lattice exceeds max_congruences 2$"):
+            all_congruences(C4, Budget(max_congruences=2))
+
+    def test_default_congruence_count_admits_bell_9(self):
+        # the identity on 9 elements: every one of the Bell(9) partitions;
+        # on 10 the count stops the walk (tests/test_cli.py, verb si)
+        identity = FiniteAlgebra(UNARY_SIGNATURE, 9, {"a": list(range(9))})
+        assert len(all_congruences(identity)) == 21_147
 
     def test_no_public_function_takes_a_separate_limit(self):
         # these limits are fields of the one Budget parameter, never parameters

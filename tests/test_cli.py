@@ -175,6 +175,19 @@ class TestPropertyVerbs:
         for argv, code, expected in cases:
             assert run(capsys, *argv) == (code, expected, "")
 
+    def test_si_on_a_large_lattice_exits_with_the_budget(self, tmp_path):
+        # the identity on 10 elements has Bell(10) = 115,975 congruences: the
+        # report's count stops at max_congruences instead of walking them all
+        path = tmp_path / "id10.alg"
+        FiniteAlgebra(Signature((("a", 1),)), 10, {"a": list(range(10))}).save(path)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prevar.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "prevar.cli", "--json", "si", str(path)],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 3
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout) == {
+            "error": "budget", "message": "congruence lattice exceeds max_congruences 50000"}
+
     def test_si_trivial_algebra_is_a_usage_error(self, capsys, tmp_path):
         c1 = tmp_path / "c1.alg"
         cyclic_unary(1).save(c1)
@@ -402,6 +415,14 @@ class TestMalformedInput:
         proc = _prevar("--json", "qid", algebra_files["c2"], "=> a(x = x")
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"] == "usage"
+
+    def test_unknown_symbol_is_refused_where_no_assignment_reaches_it(self, capsys,
+                                                                       algebra_files):
+        # the 2-cycle has no fixed point: the conclusion is never evaluated,
+        # but its terms are compiled before the walk
+        code, out, _ = run(capsys, "--json", "qid", algebra_files["c2"], "a(x) = x => b(x) = x")
+        assert code == 2
+        assert json.loads(out) == {"error": "usage", "message": "unknown operation symbol 'b'"}
 
     @pytest.mark.parametrize("text, char", [
         ("=> a(a(x)) = x + 1", "+"), ("=> a(x) = 3x", "3"), ("=> a(x)$ = x", "$"),

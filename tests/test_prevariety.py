@@ -21,11 +21,13 @@ from prevar.algcore import (
     Homomorphism,
     Signature,
     UNARY_SIGNATURE,
+    Var,
     are_isomorphic,
     cyclic_unary,
     direct_product,
     disjoint_union,
     empty_algebra,
+    eval_term,
     generated_subalgebra,
     subalgebra_on,
     trivial_algebra,
@@ -35,6 +37,7 @@ from prevar.prevariety import (
     AmalgamationCounterexample,
     ChainHypothesisError,
     PrevarietyCtx,
+    QuasiIdentity,
     amalgamated_coproduct,
     chain_independence,
     check_amalgamation_bounded,
@@ -69,7 +72,114 @@ def a_word(k):
     return "a(" * k + "x" + ")" * k
 
 
+def _recursive_eval(alg, t, assignment):
+    """The recursive evaluator that compiled terms replaced: the oracle."""
+    if isinstance(t, Var):
+        if t.index not in assignment:
+            raise AlgebraError(f"variable {t.index} is unassigned")
+        value = assignment[t.index]
+        if not (0 <= value < alg.size):
+            raise AlgebraError(f"assignment of variable {t.index} is off the carrier")
+        return value
+    arity = alg.signature.arity(t.op)
+    if arity != len(t.args):
+        raise AlgebraError(f"arity mismatch for {t.op!r}")
+    return alg.op(t.op, *(_recursive_eval(alg, a, assignment) for a in t.args))
+
+
+def _recursive_holds(alg, q):
+    """The quasi-identity walk on the recursive evaluator: a dict per assignment."""
+    if alg.size == 0:
+        return True
+    for values in itertools.product(range(alg.size), repeat=len(q.variables)):
+        assignment = dict(enumerate(values))
+        if all(_recursive_eval(alg, lhs, assignment) == _recursive_eval(alg, rhs, assignment)
+               for lhs, rhs in q.premises):
+            lhs, rhs = q.conclusion
+            if _recursive_eval(alg, lhs, assignment) != _recursive_eval(alg, rhs, assignment):
+                return False
+    return True
+
+
+# unary, binary, a constant with a unary op, and a constant with a binary op
+QI_SIGNATURES = [
+    UNARY_SIGNATURE,
+    Signature((("g", 2),)),
+    Signature((("c", 0), ("a", 1))),
+    Signature((("c", 0), ("g", 2))),
+]
+
+
+@st.composite
+def quasi_identity_cases(draw):
+    """An algebra of size <= 5 and a quasi-identity in 1-3 variables over it,
+    with up to two premises, and one assignment of its variables."""
+    sig = draw(st.sampled_from(QI_SIGNATURES))
+    size = draw(st.integers(1, 5))
+    element = st.integers(0, size - 1)
+    alg = FiniteAlgebra(sig, size, {
+        name: draw(st.lists(element, min_size=size**arity, max_size=size**arity))
+        for name, arity in sig.ops})
+    nvars = draw(st.integers(1, 3))
+    leaves = st.builds(Var, st.integers(0, nvars - 1))
+    if sig.has_zeroary():
+        leaves |= st.just(App("c", ()))
+    terms = st.recursive(leaves, lambda inner: st.one_of([
+        st.builds(App, st.just(name), st.lists(inner, min_size=arity, max_size=arity))
+        for name, arity in sig.ops if arity]), max_leaves=5)
+    equation = st.tuples(terms, terms)
+    q = QuasiIdentity(("x", "y", "z")[:nvars], tuple(draw(st.lists(equation, max_size=2))),
+                      draw(equation))
+    return alg, q, draw(st.lists(element, min_size=nvars, max_size=nvars))
+
+
 class TestQuasiIdentity:
+    @settings(max_examples=400, deadline=None)
+    @given(quasi_identity_cases())
+    def test_compiled_walk_matches_the_recursive_one(self, case):
+        alg, q, values = case
+        assert quasi_identity_holds(alg, q) == _recursive_holds(alg, q)
+        assignment = dict(enumerate(values))
+        for t in (*itertools.chain(*q.premises), *q.conclusion):
+            assert eval_term(alg, t, assignment) == _recursive_eval(alg, t, assignment)
+
+    @settings(max_examples=200, deadline=None)
+    @given(quasi_identity_cases())
+    def test_text_round_trip(self, case):
+        alg, q, _ = case
+        assert str(parse_quasi_identity(str(q), alg.signature)) == str(q)
+
+    @pytest.mark.parametrize("text, message", [
+        ("=> a(x = x", "expected ',' or ')' in a term"),
+        ("=> a(x y) = x", "expected ',' or ')' in a term"),
+        ("=> a( = x", "unexpected end of term"),
+        ("=> a(x,) = x", "unexpected token ')'"),
+        ("=> a(,x) = x", "unexpected token ','"),
+        ("=> g(x,,y) = x", "unexpected token ','"),
+        ("=> a(x)) = x", "trailing tokens in ' a(x)) = x'"),
+    ])
+    def test_malformed_term_texts(self, text, message):
+        with pytest.raises(AlgebraError) as info:
+            parse_quasi_identity(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("term, message", [
+        (App("a", (Var(0), Var(0))), "^arity mismatch for 'a'$"),
+        (App("b", (Var(0),)), "^unknown operation symbol 'b'$"),
+        (Var(1), "^variable 1 is unassigned$"),
+        (Var(-1), "^variable -1 is unassigned$"),
+    ])
+    def test_a_malformed_term_raises_before_the_walk(self, term, message):
+        # the 2-cycle has no fixed point, so the premise never holds and the
+        # recursive walk never evaluated the conclusion: it answered True
+        q = QuasiIdentity(("x",), ((App("a", (Var(0),)), Var(0)),), (term, Var(0)))
+        assert _recursive_holds(C2, q)
+        for alg in (C2, empty_algebra(UNARY_SIGNATURE)):
+            with pytest.raises(AlgebraError, match=message):
+                quasi_identity_holds(alg, q)
+        with pytest.raises(AlgebraError, match=message):
+            _recursive_eval(C2, term, {0: 0})
+
     @pytest.mark.parametrize("text", ["=> a(x) = x + 1", "=> a(x) = 3x", "=> a(x)$ = x"])
     def test_characters_outside_the_grammar_refused(self, text):
         with pytest.raises(AlgebraError, match="^unexpected character"):
