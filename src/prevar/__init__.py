@@ -28,7 +28,6 @@ from .algcore import (
 )
 from .homsearch import (
     MembershipError,
-    exists_embedding,
     find_homomorphisms,
     in_sp,
     sp_embedding,
@@ -39,7 +38,6 @@ from .prevariety import (
     QuasiIdentity,
     chain_independence,
     check_amalgamation_bounded,
-    check_coproduct_monotone_bounded,
     constants_si_census,
     coproduct,
     free_algebra,

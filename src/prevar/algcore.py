@@ -312,13 +312,12 @@ class Congruence:
                 raise AlgebraError(f"partition is not compatible with {name!r}")
 
     @classmethod
-    def _unchecked(cls, alg: FiniteAlgebra, labels: Sequence,
-                   canonical: bool = False) -> "Congruence":
-        """A congruence that is valid by construction: the labels are
-        canonicalised (unless they already are) but not re-validated."""
+    def _unchecked(cls, alg: FiniteAlgebra, labels: Sequence[int]) -> "Congruence":
+        """A congruence that is valid by construction, from labels that are
+        already canonical (see ``_labels``): neither is re-checked."""
         c = object.__new__(cls)
         object.__setattr__(c, "algebra", alg)
-        object.__setattr__(c, "blocks", tuple(labels) if canonical else _labels(labels))
+        object.__setattr__(c, "blocks", tuple(labels))
         return c
 
     @classmethod
@@ -341,7 +340,7 @@ class Congruence:
     def meet(self, other: "Congruence") -> "Congruence":
         if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraError("congruences on different algebras")
-        return Congruence._unchecked(self.algebra, list(zip(self.blocks, other.blocks)))
+        return Congruence._unchecked(self.algebra, _labels(list(zip(self.blocks, other.blocks))))
 
     def join(self, other: "Congruence") -> "Congruence":
         # the transitive closure of the union of two congruences is again
@@ -349,7 +348,7 @@ class Congruence:
         if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraError("congruences on different algebras")
         roots = _merge(range(self.algebra.size), (), _witness(self.blocks) + _witness(other.blocks))
-        return Congruence._unchecked(self.algebra, _labels(roots), True)
+        return Congruence._unchecked(self.algebra, _labels(roots))
 
 
 def _witness(labels: Sequence) -> list[tuple[int, int]]:
@@ -652,7 +651,7 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -
         if not (0 <= x < alg.size):
             raise AlgebraError(f"pair element {x} is off the carrier")
     roots = _merge(range(alg.size), _translation_rows(alg), pairs)
-    return Congruence._unchecked(alg, _labels(roots), True)
+    return Congruence._unchecked(alg, _labels(roots))
 
 
 def _require_congruence_size(alg: FiniteAlgebra, budget: Budget) -> None:
@@ -699,7 +698,7 @@ def all_congruences(alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET) -> list
                 if not stored[j] & ~mask:
                     children.append((joined, cover, j, stored))
         todo += children  # after the loop, so that they inherit every stored join
-    return [Congruence._unchecked(alg, blocks, True)
+    return [Congruence._unchecked(alg, blocks)
             for blocks in sorted(found, key=lambda c: (-len(set(c)), c))]
 
 
@@ -721,7 +720,7 @@ def is_subdirectly_irreducible(
     meet = _meet(alg.size, (roots for _, _, roots in _principals(alg)))
     if meet is None:
         return False, None
-    return True, Congruence._unchecked(alg, meet, True)
+    return True, Congruence._unchecked(alg, meet)
 
 
 def cyclic_unary(d: int) -> FiniteAlgebra:

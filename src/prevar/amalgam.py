@@ -80,29 +80,6 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.size})"
 
 
-def group_from_table(mul_table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Build a group from its multiplication table, deriving e and inverses."""
-    n = len(mul_table)
-    if any(len(row) != n for row in mul_table):
-        raise AlgebraError("the multiplication table is not square")
-    flat = [mul_table[i][j] for i in range(n) for j in range(n)]
-    identity = None
-    for e in range(n):
-        if all(mul_table[e][x] == x and mul_table[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise AlgebraError("no identity element in the table")
-    inv = []
-    for x in range(n):
-        found = [y for y in range(n) if mul_table[x][y] == identity]
-        if len(found) != 1:
-            raise AlgebraError("missing or ambiguous inverse")
-        inv.append(found[0])
-    alg = FiniteAlgebra(GROUP_SIGNATURE, n, {"mul": flat, "inv": inv, "e": [identity]})
-    return FiniteGroup(alg)
-
-
 def symmetric_group(n: int) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """Sym(n) on the points 0..n-1; carrier indices follow the
     lexicographic order of the permutation tuples, so the identity is 0.

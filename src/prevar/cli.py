@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 = property verified / computation done, 1 = property
-refuted (a witness is reported), 2 = usage error, 3 = a budget was
-exhausted before an answer was known.  ``--json`` switches every verb to
-a machine-readable report; reports are byte-stable for fixed inputs.
+refuted (a witness is reported), 2 = usage error, 3 = a budget or the
+stack was exhausted before an answer was known.  ``--json`` switches
+every verb to a machine-readable report; reports are byte-stable for
+fixed inputs.
 Under ``--json`` a failure also prints ``{"error": "budget" | "membership"
 | "usage", "message": ...}`` to stdout, next to its stderr line.
 """
@@ -13,10 +14,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 from typing import Optional, Sequence
 
-from . import freeness
 from .algcore import (
     AlgebraError,
     Budget,
@@ -26,6 +27,7 @@ from .algcore import (
     all_congruences,
     are_isomorphic,
     cyclic_unary,
+    disjoint_union,
     is_subdirectly_irreducible,
 )
 from .amalgam import (
@@ -37,10 +39,23 @@ from .amalgam import (
     stabilizer_coset_survey,
     sym_stab_amalgam,
 )
+from .freeness import (
+    CollapseRule,
+    FreeTermContext,
+    Tag,
+    Word,
+    Zero,
+    make_tag,
+    no_free_triple_bounded,
+    verify_free_pair,
+    witness_triple_hom,
+)
 from .homsearch import MembershipError, separating_family
 from .prevariety import (
     PrevarietyCtx,
+    chain_independence,
     check_amalgamation_bounded,
+    constants_si_census,
     coproduct,
     free_algebra,
     is_comfortable,
@@ -50,13 +65,17 @@ from .prevariety import (
     minimum_compatible_cover,
     parse_quasi_identity,
     quasi_identity_holds,
+    subfamily_independence_check,
 )
 from .srs import (
+    Presentation,
+    coproduct_presentation,
     format_word,
     knuth_bendix,
     parse_presentation,
     parse_word,
     reduce as srs_reduce,
+    words_equal,
 )
 
 EXIT_OK = 0
@@ -315,15 +334,6 @@ def cmd_amalgam_scan(args) -> int:
 
 
 def _suite_prop_2_1():
-    from .freeness import (
-        CollapseRule,
-        FreeTermContext,
-        Word,
-        make_tag,
-        no_free_triple_bounded,
-        verify_free_pair,
-    )
-
     checks = []
     cert = no_free_triple_bounded(3)
     checks.append(("free1:one-generator-word-triples-vanish", cert.all_word_triples_vanish))
@@ -332,26 +342,15 @@ def _suite_prop_2_1():
     checks.append(("free1:px-qx-pair-free-depth-3", not pair.failures and pair.collisions == 0))
     one = FreeTermContext(CollapseRule.TWO_GENERATED, 1)
     killed = make_tag(one, Word("p", 0), Word("pq", 0), Word("qq", 0))
-    checks.append(("free1:px-pqx-qqx-not-free", isinstance(killed, freeness.Zero)))
+    checks.append(("free1:px-pqx-qqx-not-free", isinstance(killed, Zero)))
     return checks
 
 
 def _suite_prop_2_2():
-    from .freeness import (
-        CollapseRule,
-        FreeTermContext,
-        Tag,
-        Word,
-        make_tag,
-        verify_free_pair,
-        witness_triple_hom,
-    )
-    import random
-
     checks = []
     ctx = FreeTermContext(CollapseRule.STEM_SPLIT, 1)
     killed = make_tag(ctx, Word("p", 0), Word("pq", 0), Word("qq", 0))
-    checks.append(("free0:px-pqx-qqx-collapses", isinstance(killed, freeness.Zero)))
+    checks.append(("free0:px-pqx-qqx-collapses", isinstance(killed, Zero)))
     survivor = make_tag(ctx, Word("", 0), Word("q", 0), Word("p", 0))
     checks.append(("free0:x-qx-px-tag-survives", isinstance(survivor, Tag)))
     pair = verify_free_pair(CollapseRule.STEM_SPLIT, 3)
@@ -367,8 +366,6 @@ def _suite_prop_2_2():
 def _suite_cd_family():
     checks = []
     c2, c3 = cyclic_unary(2), cyclic_unary(3)
-    from .algcore import disjoint_union
-
     ctx = PrevarietyCtx((c2, c3))
     alg, _ = free_algebra(ctx, 1)
     checks.append(("cyclic:free-rank-1-has-6-elements", alg.size == 6))
@@ -390,8 +387,6 @@ def _suite_cd_family():
 
 
 def _suite_monoid_amalgam():
-    from .srs import Presentation, coproduct_presentation, words_equal
-
     checks = []
     inverses = Presentation(("x", "y", "z"), ((("x", "y"), ()), (("z", "x"), ())))
     done = knuth_bendix(inverses)
@@ -428,8 +423,6 @@ def _suite_amalgam_torsion():
 
 
 def _suite_constants_census():
-    from .prevariety import constants_si_census
-
     checks = []
     census = constants_si_census(3)
     checks.append(("constants:census-count-is-4", census.count == 4))
@@ -440,9 +433,6 @@ def _suite_constants_census():
 
 
 def _suite_chain_theorem():
-    from .algcore import disjoint_union
-    from .prevariety import chain_independence
-
     checks = []
     c3 = cyclic_unary(3)
     a0 = disjoint_union([c3, c3])
@@ -455,6 +445,22 @@ def _suite_chain_theorem():
     return checks
 
 
+def _suite_subfamily():
+    """Subfamilies of an independent family stay independent over one
+    generator (``subfamily_independence_check``): every pair out of three
+    3-cycle summands, and the empty subfamily.  The paper's abstract does
+    not state this lemma, and whether its body does is unchecked."""
+    c3 = cyclic_unary(3)
+    ctx, triple = PrevarietyCtx((c3,)), disjoint_union([c3, c3, c3])
+    family = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    checks = [(f"subfamily:summands-{i}-{j}-independent",
+               subfamily_independence_check(ctx, triple, family, [i, j]))
+              for i, j in ((0, 1), (0, 2), (1, 2))]
+    checks.append(("subfamily:empty-subfamily-independent",
+                   subfamily_independence_check(ctx, triple, family, [])))
+    return checks
+
+
 SUITES = {
     "prop-2-1": _suite_prop_2_1,
     "prop-2-2": _suite_prop_2_2,
@@ -463,14 +469,13 @@ SUITES = {
     "amalgam-torsion": _suite_amalgam_torsion,
     "constants-census": _suite_constants_census,
     "chain-theorem": _suite_chain_theorem,
+    "subfamily": _suite_subfamily,
 }
 
 
 def cmd_paperlab(args) -> int:
     if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise AlgebraError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
     checks = SUITES[args.suite]()
     report = {"suite": args.suite,
               "checks": [{"anchor": a, "ok": ok} for a, ok in checks]}
@@ -613,7 +618,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code != 0 else EXIT_OK
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, RecursionError) as exc:
+        # a recursion that runs out of stack has no answer yet, as with a budget
         return _fail(args, "budget", "budget exhausted", exc, EXIT_BUDGET)
     except MembershipError as exc:
         return _fail(args, "membership", "membership failure", exc, EXIT_REFUTED)

@@ -24,6 +24,7 @@ from .algcore import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
+    direct_product,
 )
 
 
@@ -235,18 +236,6 @@ def find_homomorphisms(
     return [Homomorphism._unchecked(source, target, m) for m in found]
 
 
-def exists_embedding(
-    a: FiniteAlgebra, b: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET
-) -> bool:
-    """True iff an injective homomorphism a -> b exists; the search stops
-    at the first one."""
-    if a.size > b.size:
-        return False
-    if a.signature != b.signature:
-        raise AlgebraError("search between different signatures")
-    return _Search(a, b, True, budget.max_nodes).first([]) is not None
-
-
 def separating_family(
     a: FiniteAlgebra,
     generators: Sequence[FiniteAlgebra],
@@ -323,8 +312,6 @@ def sp_embedding(
     A product over ``max_carrier`` elements or ``max_table_cells`` cells in
     an op table raises ``BudgetExceededError`` before it is built.
     """
-    from .algcore import direct_product
-
     ok, witness, homs = separating_family(a, generators, budget)
     if not ok:
         raise MembershipError("algebra is not in SP of the generators", witness)

@@ -851,37 +851,6 @@ def check_amalgamation_bounded(
     return True, None
 
 
-def check_coproduct_monotone_bounded(
-    ctx: PrevarietyCtx,
-    base: FiniteAlgebra,
-    instances: Sequence[tuple[FiniteAlgebra, FiniteAlgebra, Homomorphism, Homomorphism]],
-    budget: Budget = DEFAULT_BUDGET,
-) -> bool:
-    """Whether embeddings A_i >-> B_i induce an embedding of amalgamated coproducts.
-
-    Each instance is (A_i, B_i, base->A_i, A_i->B_i), all maps injective.
-    Builds both coproducts over the base canonically and checks the
-    injectivity of the induced map.
-    """
-    for a, b, e, f in instances:
-        if e.source != base or e.target != a or f.source != a or f.target != b:
-            raise AlgebraError("instance maps are inconsistent")
-        if not e.is_injective() or not f.is_injective():
-            raise AlgebraError("instance maps must be one-to-one")
-    qa = amalgamated_coproduct(ctx, base, [(a, e) for a, _, e, _ in instances], budget)
-    qb = amalgamated_coproduct(ctx, base, [(b, f.compose(e)) for _, b, e, f in instances], budget)
-    pairs = [
-        (qa.coprojections[i](x), qb.coprojections[i](f(x)))
-        for i, (a, _, _, f) in enumerate(instances)
-        for x in range(a.size)
-    ]
-    induced = _Search(qa.algebra, qb.algebra, False, budget.max_nodes).first(pairs)
-    if induced is None:
-        raise AlgebraError("no induced map between amalgamated coproducts; "
-                           "contradicts their universal property")
-    return len(set(induced)) == len(induced)
-
-
 def subfamily_independence_check(
     ctx: PrevarietyCtx,
     ambient: FiniteAlgebra,

@@ -553,7 +553,7 @@ def _plain_close_by_one(alg):
                 joined = algcore._merge(roots, (), gens[j][2])
                 if all(joined[a] != joined[b] for _, a, b in outside[:i]):
                     todo.append((tuple(joined), j))
-    return [Congruence._unchecked(alg, blocks, True)
+    return [Congruence._unchecked(alg, blocks)
             for blocks in sorted(found, key=lambda c: (-len(set(c)), c))]
 
 

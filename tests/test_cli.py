@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import prevar
 from prevar.algcore import FiniteAlgebra, Signature, cyclic_unary, disjoint_union
@@ -331,6 +336,13 @@ class TestPaperlab:
         code, _, err = run(capsys, "paperlab", "no-such-suite")
         assert code == 2
 
+    def test_unknown_suite_under_json_is_one_usage_object(self):
+        proc = _prevar("--json", "paperlab", "bogus")
+        message = f"unknown suite 'bogus'; known: {', '.join(sorted(SUITES))}"
+        assert proc.returncode == 2 and proc.stderr == f"error: {message}\n"
+        assert proc.stdout == json.dumps({"error": "usage", "message": message},
+                                         sort_keys=True) + "\n"
+
     def test_reports_are_byte_stable(self, capsys):
         _, first, _ = run(capsys, "--json", "paperlab", "cd-family")
         _, second, _ = run(capsys, "--json", "paperlab", "cd-family")
@@ -494,6 +506,31 @@ class TestMalformedInput:
             "error": "usage", "message": "--max-len must be a natural number"}
 
 
+class TestStackExhaustion:
+    """A recursion that runs out of stack has no answer yet: like a budget,
+    it exits 3 with one stderr line and, under ``--json``, one object."""
+
+    def _assert_budget(self, proc):
+        assert proc.returncode == 3 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("budget exhausted: maximum recursion depth exceeded")
+        assert proc.stderr.count("\n") == 1 and proc.stdout.count("\n") == 1
+        report = json.loads(proc.stdout)
+        assert report["error"] == "budget"
+        assert report["message"].startswith("maximum recursion depth exceeded")
+
+    def test_deep_homomorphism_search(self, tmp_path):
+        # identity ops propagate nothing: the search recurses once per element
+        paths = []
+        for n in (2, 1100):
+            paths.append(str(tmp_path / f"id{n}.alg"))
+            FiniteAlgebra(Signature((("a", 1),)), n, {"a": list(range(n))}).save(paths[-1])
+        self._assert_budget(_prevar("--json", "member", "--gen", *paths))
+
+    def test_deep_quasi_identity_term(self, algebra_files):
+        term = "a(" * 500 + "x" + ")" * 500
+        self._assert_budget(_prevar("--json", "qid", algebra_files["c2"], f"=> {term} = x"))
+
+
 class TestSymmetricAmalgam:
     def test_sym_six_answers_and_sym_seven_is_refused(self):
         # Sym(6) is built once, unchecked; Sym(7)'s 25.4M-cell table is
@@ -505,3 +542,156 @@ class TestSymmetricAmalgam:
         assert proc.returncode == 3 and proc.stdout.count("\n") == 1
         assert json.loads(proc.stdout) == {
             "error": "budget", "message": "Sym(7) has 25401600 table cells, over the budget 4000000"}
+
+
+# -- the exit and JSON contract under generated argv ---------------------------
+
+SIGNATURES = [(("a", 1),), (("m", 2),), (("a", 1), ("c", 0)), (("a", 1), ("m", 2))]
+FLAWS = ["float", "array", "negative-arity", "off-carrier", "short-table"]
+
+
+@st.composite
+def algebra_documents(draw, ops):
+    """An algebra file's text over ``ops``: size <= 3, and valid but for at
+    most one flaw."""
+    size = draw(st.integers(0, 3))
+    entry = st.integers(0, max(size - 1, 0))
+    tables = {n: draw(st.lists(entry, min_size=size**a, max_size=size**a)) for n, a in ops}
+    doc = {"signature": [{"name": n, "arity": a} for n, a in ops], "size": size, "ops": tables}
+    flaw, first = draw(st.sampled_from([None] * 10 + FLAWS)), ops[0][0]
+    if flaw == "float":
+        tables[first] = [float(v) for v in tables[first]]
+    elif flaw == "array":
+        tables[first] = [[v] for v in tables[first]]
+    elif flaw == "negative-arity":
+        doc["signature"][0]["arity"] = -1
+    elif flaw == "off-carrier":
+        tables[first] = [size] * len(tables[first])
+    elif flaw == "short-table":
+        tables[first] = tables[first][1:]
+    return json.dumps(doc)
+
+
+def terms(ops):
+    """Terms over the variables x, y and the symbols ``ops``."""
+    leaves = ["x", "y", *(n for n, a in ops if a == 0)]
+    return st.recursive(st.sampled_from(leaves), lambda t: st.one_of(
+        [st.builds(f"{n}({', '.join(['{}'] * a)})".format, *[t] * a) for n, a in ops if a]),
+        max_leaves=4)
+
+
+def quasi_identities(ops):
+    t = terms(ops)
+    return st.one_of(st.builds("{} = {} => {} = {}".format, t, t, t, t),
+                     st.builds("=> {} = {}".format, t, t),
+                     st.text(alphabet="axym(),=>& $3", max_size=14))
+
+
+WORDS = st.one_of(st.just("1"), st.lists(st.sampled_from("xyz"), min_size=1, max_size=4).map(
+    " ".join), st.lists(st.sampled_from("xy"), min_size=1, max_size=4).map("".join),
+    st.text(alphabet="xyzw =1", max_size=6))
+PRESENTATIONS = st.one_of(
+    st.builds(lambda letters, rels: "\n".join([letters, *(f"{l} = {r}" for l, r in rels)]),
+              st.sampled_from(["x y", "x y z"]), st.lists(st.tuples(WORDS, WORDS), max_size=3)),
+    st.text(alphabet="xy=1 \n#", max_size=16))
+AMALGAM_WORDS = st.lists(st.builds("{}:{}".format, st.sampled_from(["0", "1", "1", "2", "x"]),
+                                   st.sampled_from(["0", "1", "3", "5", "30", "-1", "y"])),
+                         max_size=4).map(" ".join)
+VERBS = ["free", "coproduct", "compatible", "comfortable", "independent", "si", "rel-si",
+         "member", "cover", "qid", "amalg-check", "kb", "reduce", "amalgam-nf", "amalgam-scan",
+         "paperlab"]
+
+
+@st.composite
+def cli_calls(draw):
+    """``(argv, files)``: an argv whose paths start with ``DIR/``, and the
+    text of each file it names; the algebras mostly share one signature."""
+    files, ops = {}, draw(st.sampled_from(SIGNATURES))
+
+    def path(text):
+        files[f"f{len(files)}"] = text
+        return f"DIR/f{len(files) - 1}"
+
+    def alg():
+        mixed = draw(st.integers(0, 9)) == 0
+        return path(draw(algebra_documents(draw(st.sampled_from(SIGNATURES)) if mixed else ops)))
+
+    def algs(low, high):
+        return [alg() for _ in range(draw(st.integers(low, high)))]
+
+    def gens():
+        return [arg for g in algs(1, 2) for arg in ("--gen", g)]
+
+    def num(low, high):
+        return str(draw(st.integers(low, high)))
+
+    verb = draw(st.sampled_from(VERBS))
+    if verb == "free":
+        args = [*gens(), "-n", num(-1, 2)]
+    elif verb in ("coproduct", "compatible", "cover"):
+        args = [*gens(), *algs(1, 2 if verb == "coproduct" else 3)]
+    elif verb == "comfortable":
+        args = [*gens(), *algs(2, 2)]
+    elif verb == "independent":
+        subsets = draw(st.lists(st.sampled_from(["0", "1", "0,1", "1,2", "0,1,2", "3", "-1",
+                                                 "x", ""]), min_size=1, max_size=3))
+        args = [*gens(), alg(), *(arg for s in subsets for arg in ("--subset", s))]
+    elif verb == "si":
+        args = [alg()]
+    elif verb in ("rel-si", "member"):
+        args = [*gens(), alg()]
+    elif verb == "qid":
+        args = [alg(), draw(quasi_identities(ops))]
+    elif verb == "amalg-check":
+        args = [*gens(), "-k", num(-1, 2)]
+    elif verb in ("kb", "reduce"):
+        args = [path(draw(PRESENTATIONS)), *([draw(WORDS)] if verb == "reduce" else []),
+                "--max-rules", num(1, 20), "--max-word-len", num(1, 8)]
+    elif verb in ("amalgam-nf", "amalgam-scan"):
+        if draw(st.integers(0, 3)):
+            args = ["--sym", num(-1, 4)]
+        else:  # algebra files standing for the groups, none of them a group
+            args = ["--g1", alg(), "--g2", alg(), "--base", alg(), "--emb1",
+                    draw(st.sampled_from(["0", "0,1", "x"])), "--emb2", "0"]
+        args += [draw(AMALGAM_WORDS)] if verb == "amalgam-nf" else ["--max-len", num(-1, 3)]
+    else:
+        args = [draw(st.sampled_from([*SUITES, "bogus"]))]
+    argv = [verb, *args]
+    if draw(st.integers(0, 9)) == 0:  # an argv argparse may refuse
+        argv = draw(st.sampled_from([argv[:-1], [*argv, "--bogus"], [*argv, "extra"]]))
+    return ["--json", *argv] if draw(st.booleans()) else argv, files
+
+
+def _quietly(fn, argv):
+    """``fn(argv)``'s result, or the code argparse exits with, and the
+    text written to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            result = fn(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_calls())
+@example((["--json", "paperlab", "bogus"], {}))
+def test_main_keeps_the_exit_and_json_contract(call):
+    # every exit code is one of the four documented; no exception escapes;
+    # under --json stdout is exactly one object, except when argparse itself
+    # refuses argv, which prints its usage text to stderr only
+    template, files = call
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        argv = [a.replace("DIR", tmp, 1) if a.startswith("DIR/") else a for a in template]
+        parsed, _ = _quietly(cli.build_parser().parse_args, argv)
+        code, out = _quietly(main, argv)
+    assert code in (0, 1, 2, 3)
+    if isinstance(parsed, int):
+        assert code == 2 and out == ""
+    elif "--json" in argv:
+        lines = out.splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), out

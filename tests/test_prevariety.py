@@ -32,7 +32,7 @@ from prevar.algcore import (
     subalgebra_on,
     trivial_algebra,
 )
-from prevar.homsearch import MembershipError, exists_embedding, find_homomorphisms, in_sp
+from prevar.homsearch import MembershipError, _Search, find_homomorphisms, in_sp
 from prevar.prevariety import (
     AmalgamationCounterexample,
     ChainHypothesisError,
@@ -41,7 +41,6 @@ from prevar.prevariety import (
     amalgamated_coproduct,
     chain_independence,
     check_amalgamation_bounded,
-    check_coproduct_monotone_bounded,
     constants_si_census,
     coproduct,
     enumerate_members,
@@ -530,7 +529,10 @@ def compatible_common_target(ctx, algebras, max_total_factors):
             target, _ = direct_product(
                 [ctx.generators[i] for i in combo], signature=ctx.signature
             )
-            if all(exists_embedding(a, target) for a in algebras):
+            # one embedding of each: every search stops at its first
+            if all(a.size <= target.size
+                   and _Search(a, target, True, Budget().max_nodes).first([]) is not None
+                   for a in algebras):
                 return target
     return None
 
@@ -942,28 +944,7 @@ class TestAmalgamation:
         assert memoised < len(calls)
 
 
-class TestCoproductMonotone:
-    def test_embedding_of_factors_embeds_coproducts(self):
-        ctx = sp(C2)
-        empty = empty_algebra(UNARY_SIGNATURE)
-        square = disjoint_union([C2, C2])
-        to_a1 = Homomorphism(empty, C2, ())
-        a1_to_b1 = Homomorphism(C2, square, (0, 1))
-        to_a2 = Homomorphism(empty, C2, ())
-        a2_to_b2 = Homomorphism(C2, C2, (0, 1))
-        assert check_coproduct_monotone_bounded(
-            ctx, empty, [(C2, square, to_a1, a1_to_b1), (C2, C2, to_a2, a2_to_b2)]
-        )
-
-    def test_identity_maps_give_isomorphism_onto_image(self):
-        ctx = sp(C3)
-        empty = empty_algebra(UNARY_SIGNATURE)
-        ident = Homomorphism(C3, C3, (0, 1, 2))
-        emb = Homomorphism(empty, C3, ())
-        assert check_coproduct_monotone_bounded(
-            ctx, empty, [(C3, C3, emb, ident), (C3, C3, emb, ident)]
-        )
-
+class TestTransitivity:
     def test_nested_independent_families_flatten(self):
         # two independent subalgebras, each split into two independent
         # halves; the four halves are independent in the ambient algebra

@@ -2,7 +2,9 @@
 names of each public function, class constructor and method.  A removed
 name or a new option changes ``public_surface()`` and fails here, so it
 shows up as a reviewed edit of ``SURFACE``.  Each module is also checked
-for a top-level import it never uses, as the project runs no linter.
+for a top-level import it never uses, as the project runs no linter, and
+every public function or class needs a caller outside the tests unless
+``TEST_ONLY`` names it with the reason it stays.
 
 Print the current surface with ``python tests/test_surface.py``.
 """
@@ -75,11 +77,10 @@ SURFACE = {
     "prevar.__all__": "AlgebraError, App, Budget, BudgetExceededError, Congruence, "
                       "CoproductResult, FiniteAlgebra, Homomorphism, MembershipError, "
                       "PrevarietyCtx, QuasiIdentity, Signature, Var, algcore, all_congruences, "
-                      "chain_independence, check_amalgamation_bounded, "
-                      "check_coproduct_monotone_bounded, congruence_generated, "
+                      "chain_independence, check_amalgamation_bounded, congruence_generated, "
                       "constants_si_census, coproduct, cyclic_unary, direct_product, "
-                      "disjoint_union, empty_algebra, eval_term, exists_embedding, "
-                      "find_homomorphisms, free_algebra, generated_subalgebra, "
+                      "disjoint_union, empty_algebra, eval_term, find_homomorphisms, "
+                      "free_algebra, generated_subalgebra, "
                       "has_trivial_subalgebra, homsearch, in_sp, is_comfortable, is_compatible, "
                       "is_coproduct, is_independent, is_p_subdirectly_irreducible, "
                       "is_subdirectly_irreducible, minimum_compatible_cover, "
@@ -163,7 +164,6 @@ SURFACE = {
     "prevar.amalgam.alternating_strings": "(ctx, length)",
     "prevar.amalgam.coset_torsion_scan": "(ctx, string)",
     "prevar.amalgam.cyclically_reduce": "(ctx, el)",
-    "prevar.amalgam.group_from_table": "(mul_table)",
     "prevar.amalgam.identity_element": "(ctx)",
     "prevar.amalgam.inverse": "(ctx, el)",
     "prevar.amalgam.is_torsion": "(ctx, el)",
@@ -232,7 +232,6 @@ SURFACE = {
     "prevar.freeness.verify_free_pair": "(rule, depth)",
     "prevar.freeness.witness_triple_hom": "(a, b, c)",
     "prevar.homsearch.MembershipError": "(message, witness)",
-    "prevar.homsearch.exists_embedding": "(a, b, budget)",
     "prevar.homsearch.find_homomorphisms": "(source, target, seed, budget, injective)",
     "prevar.homsearch.in_sp": "(a, generators, budget)",
     "prevar.homsearch.separating_family": "(a, generators, budget)",
@@ -254,7 +253,6 @@ SURFACE = {
     "prevar.prevariety.amalgamated_coproduct": "(ctx, base, arms, budget)",
     "prevar.prevariety.chain_independence": "(a0, chain, components, budget)",
     "prevar.prevariety.check_amalgamation_bounded": "(ctx, max_size, budget, include_empty_base)",
-    "prevar.prevariety.check_coproduct_monotone_bounded": "(ctx, base, instances, budget)",
     "prevar.prevariety.constants_si_census": "(kappa)",
     "prevar.prevariety.coproduct": "(ctx, factors, budget)",
     "prevar.prevariety.enumerate_members": "(ctx, max_size, budget)",
@@ -316,11 +314,64 @@ def test_no_module_keeps_an_unused_import():
     assert {p.name: unused_imports(p) for p in modules} == {p.name: [] for p in modules}
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# The public functions and classes that nothing outside the tests calls,
+# each with the reason it stays in the package
+TEST_ONLY = {
+    "congruence_generated": "Cg(X), the reference for the join and lattice tests",
+    "relative_congruences": "the reference for is_p_subdirectly_irreducible, golden-pinned; "
+                            "to be rebuilt from hom kernels or given a verb",
+    "eval_term": "the term evaluation the README promises",
+    "power": "amalgam arithmetic the README lists",
+    "cyclically_reduce": "amalgam arithmetic the README lists",
+    "shortlex_key": "the order every rewrite rule decreases",
+    "subst_hom": "free-algebra endomorphisms",
+    "embed": "the inverse of freeness.normal_form",
+    "collapses_by_schema_instances": "the one-triple entry to the schema oracle",
+    "format_presentation": "the writer for the documented presentation format, "
+                           "and parse_presentation's round-trip oracle",
+}
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in ``node``'s code."""
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.alias):
+            read.add(n.name.rsplit(".", 1)[-1])
+    return read
+
+
+def uncalled_public_names(root: pathlib.Path) -> set[str]:
+    """The top-level public functions and classes of ``src/prevar`` (its
+    ``__init__`` aside) that no code reads outside their own definition, in
+    the package (re-exports aside), ``bench``, ``demos`` or the acceptance
+    criteria."""
+    trees = [ast.parse(p.read_text()) for p in sorted((root / "src/prevar").glob("*.py"))
+             if p.name != "__init__.py"]
+    outside = [root / "tests/test_acceptance.py", *sorted((root / "bench").glob("*.py")),
+               *sorted((root / "demos").glob("*.py"))]
+    read = set().union(*(_names_read(ast.parse(p.read_text())) for p in outside))
+    statements = [(node, _names_read(node)) for tree in trees for node in tree.body]
+    return {node.name for node, _ in statements
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read
+            and not any(node.name in names for other, names in statements if other is not node)}
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    assert uncalled_public_names(ROOT) == set(TEST_ONLY)
+
+
 def test_every_source_file_parses_as_python_3_10():
     # pyproject promises 3.10: a newer form such as ``except*`` fails to parse
     # here on any interpreter that runs the tests
-    root = pathlib.Path(__file__).resolve().parent.parent
-    files = sorted(p for d in ("src/prevar", "tests", "bench") for p in (root / d).rglob("*.py"))
+    files = sorted(p for d in ("src/prevar", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
