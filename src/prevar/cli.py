@@ -109,22 +109,13 @@ def _emit(args, report: dict, lines: Sequence[str]) -> None:
             print(ln)
 
 
-def _maybe_cyclic_order(alg: FiniteAlgebra) -> Optional[int]:
-    if alg.signature.ops != (("a", 1),) or alg.size < 1:
-        return None
-    x, steps = alg.tables["a"][0], 1
-    while x != 0 and steps < alg.size:  # the n-cycle: the orbit of 0 returns after n steps
-        x, steps = alg.tables["a"][x], steps + 1
-    return alg.size if x == 0 and steps == alg.size else None
-
-
 # -- verbs -------------------------------------------------------------------
 
 
 def cmd_free(args) -> int:
     ctx = _ctx(args)
     alg, gens = free_algebra(ctx, args.n)
-    cyc = _maybe_cyclic_order(alg)
+    cyc = alg.size if alg.size and are_isomorphic(alg, cyclic_unary(alg.size)) else None
     report = {"size": alg.size, "generators": gens, "cyclic_order": cyc}
     lines = [f"free algebra on {args.n} generators: {alg.size} elements"]
     if cyc is not None:

@@ -4,11 +4,11 @@ Backtracking constraint satisfaction with a fixed, reproducible order:
 the next variable is the least-index unassigned element among those with
 the smallest candidate set, and values are tried in ascending order.
 Assigning an element propagates forward through every operation whose
-arguments are now all assigned.  Injectivity, when requested, is
-enforced during search by tracking used targets rather than by
-post-filtering.  A search lists every solution, stops at the first, or
-tests a product of seed choices, propagating each prefix once; past
-``max_nodes`` it raises, never truncates.  Results are not re-validated.
+arguments are now all assigned.  Injectivity, when requested, is read
+from the assignment during search rather than checked by post-filtering.
+A search lists every solution, stops at the first, or tests a product of
+seed choices, propagating each prefix once; past ``max_nodes`` it raises,
+never truncates.  Results are not re-validated.
 """
 
 from __future__ import annotations
@@ -69,15 +69,15 @@ class _Search:
                         self.touching[e].append(constraint)
 
     def iterate(self, seed: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        state = self._start(sorted(seed.items()))
-        if state is not None:
-            yield from self._extend(*state)
+        assignment = self._start(sorted(seed.items()))
+        if assignment is not None:
+            yield from self._extend(assignment)
 
     def first(self, pairs) -> Optional[tuple[int, ...]]:
         """The first mapping extending the seed ``pairs``, or None when two
         pairs conflict or nothing extends them."""
-        state = self._start(pairs)
-        return None if state is None else next(self._extend(*state), None)
+        assignment = self._start(pairs)
+        return None if assignment is None else next(self._extend(assignment), None)
 
     def every_choice_extends(self, fixed, stages) -> bool:
         """True iff ``fixed`` plus each choice of one seed-pair list per stage
@@ -85,19 +85,18 @@ class _Search:
         a leaf left with unassigned elements is searched from a fresh node count."""
         if not all(stages):
             return True  # an empty stage leaves no choice to test
-        state = self._start(fixed)
-        return state is not None and self._walk(stages, *state)
+        assignment = self._start(fixed)
+        return assignment is not None and self._walk(stages, assignment)
 
-    def _walk(self, stages, assignment, used) -> bool:
+    def _walk(self, stages, assignment) -> bool:
         if not stages:
             if None not in assignment:
                 return True  # a complete leaf is its own extension
             self.nodes = 0
-            return next(self._extend(assignment, used), None) is not None
+            return next(self._extend(assignment), None) is not None
         for pairs in stages[0]:
-            below, below_used = list(assignment), list(used)
-            if not (self._assign_all(below, below_used, pairs)
-                    and self._walk(stages[1:], below, below_used)):
+            below = list(assignment)
+            if not (self._assign_all(below, pairs) and self._walk(stages[1:], below)):
                 return False
         return True
 
@@ -105,7 +104,6 @@ class _Search:
         # a fresh state with the seed pairs propagated, or None on a contradiction
         self.nodes = 0
         assignment: list[Optional[int]] = [None] * self.A.size
-        used = [0] * self.B.size
         pending = list(seed_pairs)
         if any(not (0 <= x < self.A.size and 0 <= v < self.B.size) for x, v in pending):
             raise AlgebraError("seed assignment is off a carrier")
@@ -113,11 +111,11 @@ class _Search:
             if arity == 0:
                 # constants are hard constraints; conflicts kill the branch
                 pending.append((self.A.tables[name][0], self.B.tables[name][0]))
-        return (assignment, used) if self._assign_all(assignment, used, pending) else None
+        return assignment if self._assign_all(assignment, pending) else None
 
     # assign the pending pairs plus everything they force through determined
     # constraints; False means a contradiction (this branch has no extension)
-    def _assign_all(self, assignment, used, pending) -> bool:
+    def _assign_all(self, assignment, pending) -> bool:
         unary, touching, size, injective = self.unary, self.touching, self.B.size, self.injective
         queue = list(pending)
         while queue:
@@ -127,10 +125,9 @@ class _Search:
                 if cur != v:
                     return False
                 continue
-            if injective and used[v]:
+            if injective and v in assignment:
                 return False
             assignment[x] = v
-            used[v] += 1
             for table, result in unary[x]:
                 res = assignment[result]
                 if res is None:
@@ -153,12 +150,15 @@ class _Search:
                         return False
         return True
 
-    def _candidates(self, assignment, used, x) -> list[int]:
+    def _candidates(self, assignment, x) -> list[int]:
         # x is unassigned; each unary cell on x narrows the ascending values
         # with one table read per value, then each value left is tried
-        # against the wider cells by assigning it in place
+        # against the wider cells by assigning it in place.  An injective
+        # search reads the targets taken before x, so x's own trial value
+        # never counts as taken here; _assign_all refutes that clash
         touching, size, injective = self.touching[x], self.B.size, self.injective
-        values = [v for v in range(size) if not used[v]] if injective else range(size)
+        taken = set(assignment) if injective else ()
+        values = [v for v in range(size) if v not in taken] if injective else range(size)
         for table, result in self.unary[x]:
             res = assignment[result]
             if result == x:
@@ -166,7 +166,7 @@ class _Search:
             elif res is not None:
                 values = [v for v in values if table[v] == res]
             elif injective:  # the result would be forced onto a taken target
-                values = [v for v in values if not used[table[v]]]
+                values = [v for v in values if table[v] not in taken]
         if not touching:
             return list(values)
         out = []
@@ -184,7 +184,7 @@ class _Search:
                     if res is not None:
                         if res != table[idx]:
                             break
-                    elif injective and used[table[idx]]:
+                    elif injective and table[idx] in taken:
                         # result would be forced onto an already-taken target
                         break
             else:
@@ -192,14 +192,14 @@ class _Search:
         assignment[x] = None
         return out
 
-    def _extend(self, assignment, used) -> Iterator[tuple[int, ...]]:
+    def _extend(self, assignment) -> Iterator[tuple[int, ...]]:
         unassigned = [x for x in range(self.A.size) if assignment[x] is None]
         if not unassigned:
             yield tuple(assignment)
             return
         best = None
         for x in unassigned:
-            cands = self._candidates(assignment, used, x)
+            cands = self._candidates(assignment, x)
             if best is None or len(cands) < len(best[1]):
                 best = (x, cands)
             if not cands:
@@ -209,10 +209,10 @@ class _Search:
             self.nodes += 1
             if self.nodes > self.max_nodes:
                 raise BudgetExceededError(f"homomorphism search exceeded {self.max_nodes} nodes")
-            trail = list(assignment), list(used)
-            if self._assign_all(assignment, used, [(x, v)]):
-                yield from self._extend(assignment, used)
-            assignment[:], used[:] = trail
+            trail = list(assignment)
+            if self._assign_all(assignment, [(x, v)]):
+                yield from self._extend(assignment)
+            assignment[:] = trail
 
 
 def find_homomorphisms(

@@ -591,7 +591,7 @@ class GenericSearch(_Search):
                 for e in set(args):
                     self.generic[e].append(constraint)
 
-    def _assign_all(self, assignment, used, pending) -> bool:
+    def _assign_all(self, assignment, pending) -> bool:
         touching, size, injective = self.generic, self.B.size, self.injective
         queue = list(pending)
         while queue:
@@ -601,10 +601,9 @@ class GenericSearch(_Search):
                 if cur != v:
                     return False
                 continue
-            if injective and used[v]:
+            if injective and v in assignment:
                 return False
             assignment[x] = v
-            used[v] += 1
             for table, args, result in touching[x]:
                 idx = 0
                 for a in args:
@@ -621,11 +620,12 @@ class GenericSearch(_Search):
                         return False
         return True
 
-    def _candidates(self, assignment, used, x) -> list[int]:
+    def _candidates(self, assignment, x) -> list[int]:
         touching, size, injective = self.generic[x], self.B.size, self.injective
+        taken = set(assignment)
         out = []
         for v in range(size):
-            if injective and used[v]:
+            if injective and v in taken:
                 continue
             assignment[x] = v
             for table, args, result in touching:
@@ -640,7 +640,7 @@ class GenericSearch(_Search):
                     if res is not None:
                         if res != table[idx]:
                             break
-                    elif injective and used[table[idx]]:
+                    elif injective and table[idx] in taken:
                         break
             else:
                 out.append(v)
@@ -685,15 +685,13 @@ def test_unary_cells_match_the_generic_constraints(pair, injective, max_nodes, d
     search, generic = _Search(a, b, injective, 10**6), GenericSearch(a, b, injective, 10**6)
     partial = data.draw(st.lists(st.one_of(st.none(), st.integers(0, b.size - 1)),
                                  min_size=a.size, max_size=a.size))
-    used = [partial.count(v) for v in range(b.size)]
     for x in range(a.size):
         if partial[x] is None:
-            assert search._candidates(list(partial), list(used), x) == \
-                generic._candidates(list(partial), list(used), x)
+            assert search._candidates(list(partial), x) == generic._candidates(list(partial), x)
     x, v = data.draw(st.integers(0, a.size - 1)), data.draw(st.integers(0, b.size - 1))
-    mine, theirs = (list(partial), list(used)), (list(partial), list(used))
-    ok = search._assign_all(*mine, [(x, v)])
-    assert ok == generic._assign_all(*theirs, [(x, v)])
+    mine, theirs = list(partial), list(partial)
+    ok = search._assign_all(mine, [(x, v)])
+    assert ok == generic._assign_all(theirs, [(x, v)])
     if ok:
         assert mine == theirs
     seed = data.draw(st.dictionaries(st.integers(0, a.size - 1), st.integers(0, b.size - 1),
@@ -701,3 +699,17 @@ def test_unary_cells_match_the_generic_constraints(pair, injective, max_nodes, d
     for nodes in (10**6, max_nodes):
         assert pulled(_Search(a, b, injective, nodes), seed) == \
             pulled(GenericSearch(a, b, injective, nodes), seed)
+
+
+def test_a_result_forced_onto_the_trial_value_is_refuted_on_assignment():
+    # m(0, 0) = 1 in the source and m(v, v) = v in the target, so trying v
+    # for 0 forces 1 onto v too.  Candidates count only the targets taken
+    # before 0, so both values stay; assigning either clashes there
+    sig = Signature((("m", 2),))
+    a = FiniteAlgebra(sig, 2, {"m": [1, 1, 1, 1]})
+    b = FiniteAlgebra(sig, 2, {"m": [0, 0, 1, 1]})
+    search = _Search(a, b, True, 10**6)
+    assert search._candidates([None, None], 0) == [0, 1]
+    for v in (0, 1):
+        assert not search._assign_all([None, None], [(0, v)])
+    assert find_homomorphisms(a, b, injective=True) == eager_search(a, b, {}, True) == []

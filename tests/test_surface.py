@@ -4,7 +4,8 @@ name or a new option changes ``public_surface()`` and fails here, so it
 shows up as a reviewed edit of ``SURFACE``.  Each module is also checked
 for a top-level import it never uses, as the project runs no linter, and
 every public function or class needs a caller outside the tests unless
-``TEST_ONLY`` names it with the reason it stays.
+``TEST_ONLY`` names it with the reason it stays; ``TEST_ONLY_METHODS`` does
+the same for the public methods and properties of public classes.
 
 Print the current surface with ``python tests/test_surface.py``.
 """
@@ -333,6 +334,15 @@ TEST_ONLY = {
                            "and parse_presentation's round-trip oracle",
 }
 
+# The public methods and properties that nothing outside the tests calls,
+# each with the reason it stays
+TEST_ONLY_METHODS = {
+    "Congruence.diagonal": "the bottom of the lattice, vocabulary of the lattice oracles",
+    "Congruence.full": "the top of the lattice, vocabulary of the lattice oracles",
+    "Congruence.is_diagonal": "vocabulary of the lattice oracles",
+    "Congruence.related": "membership of a pair, vocabulary of the lattice oracles",
+}
+
 
 def _names_read(node: ast.AST) -> set[str]:
     """Every name, attribute and imported name in ``node``'s code."""
@@ -347,25 +357,66 @@ def _names_read(node: ast.AST) -> set[str]:
     return read
 
 
+def _package_and_outside(root: pathlib.Path) -> tuple[list[ast.Module], set[str]]:
+    """The parsed modules of ``src/prevar`` (its ``__init__`` aside), and
+    every name read in ``bench``, ``demos`` and the acceptance criteria."""
+    trees = [ast.parse(p.read_text()) for p in sorted((root / "src/prevar").glob("*.py"))
+             if p.name != "__init__.py"]
+    outside = [root / "tests/test_acceptance.py", *sorted((root / "bench").glob("*.py")),
+               *sorted((root / "demos").glob("*.py"))]
+    return trees, set().union(*(_names_read(ast.parse(p.read_text())) for p in outside))
+
+
+def _uncalled(units: list[ast.AST], candidates, read: set[str]) -> set:
+    """The ``candidates`` (a key and a definition among ``units``) whose
+    name is read neither in ``read`` nor by any other unit."""
+    named = [(unit, _names_read(unit)) for unit in units]
+    return {key for key, node in candidates
+            if node.name not in read
+            and not any(node.name in names for other, names in named if other is not node)}
+
+
+def _public(node: ast.AST, kinds) -> bool:
+    return isinstance(node, kinds) and not node.name.startswith("_")
+
+
 def uncalled_public_names(root: pathlib.Path) -> set[str]:
     """The top-level public functions and classes of ``src/prevar`` (its
     ``__init__`` aside) that no code reads outside their own definition, in
     the package (re-exports aside), ``bench``, ``demos`` or the acceptance
     criteria."""
-    trees = [ast.parse(p.read_text()) for p in sorted((root / "src/prevar").glob("*.py"))
-             if p.name != "__init__.py"]
-    outside = [root / "tests/test_acceptance.py", *sorted((root / "bench").glob("*.py")),
-               *sorted((root / "demos").glob("*.py"))]
-    read = set().union(*(_names_read(ast.parse(p.read_text())) for p in outside))
-    statements = [(node, _names_read(node)) for tree in trees for node in tree.body]
-    return {node.name for node, _ in statements
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in read
-            and not any(node.name in names for other, names in statements if other is not node)}
+    trees, read = _package_and_outside(root)
+    statements = [node for tree in trees for node in tree.body]
+    candidates = [(node.name, node) for node in statements
+                  if _public(node, (ast.FunctionDef, ast.ClassDef))]
+    return _uncalled(statements, candidates, read)
+
+
+def uncalled_public_methods(root: pathlib.Path) -> set[str]:
+    """``Class.method`` for each public method or property of a public
+    top-level class of ``src/prevar`` whose name no code reads outside the
+    method itself, where ``uncalled_public_names`` looks.  The scan goes by
+    name alone, so it cannot tell ``Congruence.join`` from ``str.join``: a
+    method that shares its name with any attribute read anywhere passes."""
+    trees, read = _package_and_outside(root)
+    units, candidates = [], []
+    for node in (node for tree in trees for node in tree.body):
+        if not isinstance(node, ast.ClassDef):
+            units.append(node)
+            continue
+        units += node.body
+        if _public(node, ast.ClassDef):
+            candidates += [(f"{node.name}.{member.name}", member) for member in node.body
+                           if _public(member, ast.FunctionDef)]
+    return _uncalled(units, candidates, read)
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
     assert uncalled_public_names(ROOT) == set(TEST_ONLY)
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    assert uncalled_public_methods(ROOT) == set(TEST_ONLY_METHODS)
 
 
 def test_every_source_file_parses_as_python_3_10():
