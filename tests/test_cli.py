@@ -349,6 +349,135 @@ class TestPaperlab:
         assert first == second
 
 
+@pytest.fixture
+def verb_files(algebra_files, tmp_path):
+    """``algebra_files`` with the trivial algebra, Sym(3) and its last-point
+    stabilizer with the inclusion as an ``--emb`` argument, a presentation of
+    one-sided inverses, and the directory they sit in."""
+    from prevar.amalgam import point_stabilizer, symmetric_group
+
+    files = {**algebra_files, "dir": str(tmp_path), "c1": str(tmp_path / "c1.alg"),
+             "inv": str(tmp_path / "inv.txt")}
+    cyclic_unary(1).save(files["c1"])
+    (tmp_path / "inv.txt").write_text("x y z\nx y = 1\nz x = 1\n")
+    group, perms = symmetric_group(3)
+    stab, inclusion = point_stabilizer(group, perms, 2)
+    files["emb"] = ",".join(map(str, inclusion))
+    for name, g in (("g", group), ("base", stab)):
+        files[name] = str(tmp_path / f"{name}.alg")
+        g.alg.save(files[name])
+    return files
+
+
+# Each row: the argv (its ``{name}`` fields filled from ``verb_files``, then
+# split at spaces), arguments appended as they are, the exit code, and the
+# exact stdout in text and under --json; stderr is empty on every row.
+PINNED_VERBS = [
+    pytest.param(
+        "free --gen {c2} --gen {c3} -n 1 --out {dir}/free.alg", [], 0,
+        "free algebra on 1 generators: 6 elements\nisomorphic to the 6-element cycle: true\n"
+        "written to {dir}/free.alg\n",
+        '{"cyclic_order": 6, "generators": [0], "size": 6}\n', id="free-out"),
+    pytest.param(
+        "coproduct --gen {u23} {c2} {c3} --out {dir}/coproduct.alg", [], 0,
+        "coproduct of 2 factors: 5 elements\ncoprojections injective: [True, True]\n"
+        "written to {dir}/coproduct.alg\n",
+        '{"coprojections_injective": [true, true], "index_entries": 6, "size": 5}\n',
+        id="coproduct-out"),
+    pytest.param("compatible --gen {u23} {c2} {c3}", [], 0,
+                 "compatible: True\n", '{"compatible": true}\n', id="compatible"),
+    pytest.param("compatible --gen {c2} --gen {c3} {c2} {c3}", [], 1,
+                 "compatible: False\n", '{"compatible": false}\n', id="incompatible"),
+    pytest.param("comfortable --gen {c2} {c1} {c2}", [], 0,
+                 "comfortable: True\n", '{"comfortable": true}\n', id="comfortable"),
+    pytest.param("comfortable --gen {c2} {c2} {c1}", [], 1,
+                 "comfortable: False\n", '{"comfortable": false}\n', id="uncomfortable"),
+    pytest.param("independent --gen {u23} {u23} --subset 0,1 --subset 2,3,4", [], 0,
+                 "independent: True\n", '{"independent": true}\n', id="independent"),
+    pytest.param("rel-si --gen {c2} --gen {c3} {c2}", [], 0,
+                 "relatively subdirectly irreducible: True\n",
+                 '{"relatively_subdirectly_irreducible": true}\n', id="rel-si"),
+    pytest.param("rel-si --gen {c2} --gen {c3} {c6}", [], 1,
+                 "relatively subdirectly irreducible: False\n",
+                 '{"relatively_subdirectly_irreducible": false}\n', id="rel-si-refuted"),
+    pytest.param("qid {c6}", ["=> a(a(a(a(a(a(x)))))) = x"], 0, "holds: True\n",
+                 '{"holds": true, "quasi_identity": "=> a(a(a(a(a(a(x)))))) = x"}\n',
+                 id="qid"),
+    pytest.param("qid {u23}", ["a(a(x)) = x => a(a(y)) = y"], 1, "holds: False\n",
+                 '{"holds": false, "quasi_identity": "a(a(x)) = x => a(a(y)) = y"}\n',
+                 id="qid-refuted"),
+    pytest.param("member --gen {c2} --gen {c3} {u23}", [], 1,
+                 "member of the generated prevariety: False\nunseparated pair: (0, 1)\n",
+                 '{"member": false, "unseparated_pair": [0, 1]}\n', id="member-unseparated"),
+    pytest.param("cover --gen {c2} --gen {c3} {c2} {c3}", [], 0,
+                 "minimum compatible cover: 2 blocks [[0], [1]]\n",
+                 '{"blocks": [[0], [1]], "count": 2}\n', id="cover"),
+    pytest.param("amalg-check --gen {c2} -k 3", [], 0,
+                 "amalgamation up to size 3: True\n", '{"amalgamation": true}\n',
+                 id="amalg-check"),
+    pytest.param("kb {inv}", [], 0, "completed: True\n  x y -> 1\n  z -> y\n  y x -> 1\n",
+                 '{"completed": true, "reason": null, '
+                 '"rules": [["x y", "1"], ["z", "y"], ["y x", "1"]]}\n', id="kb"),
+    pytest.param("kb {inv} --max-rules 1", [], 3,
+                 "completed: False\n  x y -> 1\n  z x -> 1\nreason: rule budget exhausted\n",
+                 '{"completed": false, "reason": "rule budget exhausted", '
+                 '"rules": [["x y", "1"], ["z x", "1"]]}\n', id="kb-rule-budget"),
+    pytest.param("reduce {inv}", ["z x"], 0, "normal form: 1\n",
+                 '{"input": "z x", "normal_form": "1"}\n', id="reduce"),
+    pytest.param("reduce {inv} --max-rules 1", ["z x"], 3,
+                 "completion failed: rule budget exhausted\n",
+                 '{"completed": false, "reason": "rule budget exhausted"}\n',
+                 id="reduce-completion-failed"),
+    pytest.param("amalgam-nf --sym 3", ["1:3 0:2"], 0, "normal form: reps=[(1, 3)] tail=1\n",
+                 '{"reps": [[1, 3]], "tail": 1}\n', id="amalgam-nf-sym"),
+    pytest.param("amalgam-nf --g1 {g} --g2 {g} --base {base} --emb1 {emb} --emb2 {emb}",
+                 ["1:3 0:2"], 0, "normal form: reps=[(1, 3)] tail=1\n",
+                 '{"reps": [[1, 3]], "tail": 1}\n', id="amalgam-nf-files"),
+    pytest.param(
+        "amalgam-scan --sym 3 --max-len 1", [], 0,
+        "len=0 torsion=True string=[]\nlen=1 torsion=True string=[[0, 1]]\n"
+        "len=1 torsion=True string=[[0, 3]]\nlen=1 torsion=True string=[[1, 1]]\n"
+        "len=1 torsion=True string=[[1, 3]]\n"
+        "even cosets torsion-free, odd and empty cosets torsion: True\n",
+        '{"cosets": [{"has_torsion": true, "length": 0, "string": []}, '
+        '{"has_torsion": true, "length": 1, "string": [[0, 1]]}, '
+        '{"has_torsion": true, "length": 1, "string": [[0, 3]]}, '
+        '{"has_torsion": true, "length": 1, "string": [[1, 1]]}, '
+        '{"has_torsion": true, "length": 1, "string": [[1, 3]]}], '
+        '"matches_parity_rule": true}\n', id="amalgam-scan"),
+    pytest.param(
+        "paperlab constants-census", [], 0,
+        "PASS [constants:census-count-is-4]\nPASS [constants:distinct-partitions-incompatible]\n",
+        '{"checks": [{"anchor": "constants:census-count-is-4", "ok": true}, '
+        '{"anchor": "constants:distinct-partitions-incompatible", "ok": true}], '
+        '"suite": "constants-census"}\n', id="paperlab"),
+]
+
+
+@pytest.mark.parametrize("head, tail, code, text, report", PINNED_VERBS)
+def test_verb_outputs_pinned(capsys, verb_files, head, tail, code, text, report):
+    argv = [*head.format(**verb_files).split(), *tail]
+    assert run(capsys, *argv) == (code, text.format(**verb_files), "")
+    assert run(capsys, "--json", *argv) == (code, report, "")
+
+
+def test_out_files_hold_the_built_algebra(capsys, verb_files):
+    # --out writes the algebra's to_json() and a newline, which loads back
+    from prevar.prevariety import PrevarietyCtx, coproduct, free_algebra
+
+    f = verb_files
+    c2, c3, u23 = (FiniteAlgebra.load(f[name]) for name in ("c2", "c3", "u23"))
+    free = free_algebra(PrevarietyCtx((c2, c3)), 1)[0]
+    built = coproduct(PrevarietyCtx((u23,)), [c2, c3]).algebra
+    for argv, alg in ((["free", "--gen", f["c2"], "--gen", f["c3"], "-n", "1"], free),
+                      (["coproduct", "--gen", f["u23"], f["c2"], f["c3"]], built)):
+        out = os.path.join(f["dir"], "out.alg")
+        assert run(capsys, "--json", *argv, "--out", out)[0] == 0
+        with open(out) as fh:
+            assert fh.read() == alg.to_json() + "\n"
+        assert FiniteAlgebra.load(out) == alg
+
+
 class TestUsage:
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
