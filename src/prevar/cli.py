@@ -1,5 +1,8 @@
 """Command-line surface.
 
+Each verb is a private function that returns its exit code, its ``--json``
+report and its text lines; ``main`` prints that one report, as JSON or as
+text, so a successful ``--json`` run prints exactly one object.
 Exit codes: 0 = property verified / computation done, 1 = property
 refuted (a witness is reported), 2 = usage error, 3 = a budget or the
 stack was exhausted before an answer was known.  ``--json`` switches
@@ -101,18 +104,20 @@ def _int_list(text: str, sep: str, usage: str) -> list[int]:
         raise AlgebraError(f"{usage}: {exc}") from None
 
 
-def _emit(args, report: dict, lines: Sequence[str]) -> None:
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for ln in lines:
-            print(ln)
-
-
 # -- verbs -------------------------------------------------------------------
 
+# what each verb returns: its exit code, its --json report and its text lines
+_Outcome = tuple[int, dict, list[str]]
 
-def cmd_free(args) -> int:
+
+def _verdict(ok: bool, key: str, **extra) -> _Outcome:
+    """A refutable verb's outcome: the report ``{key: ok}`` with ``extra``,
+    and one text line, ``key`` with spaces."""
+    line = f"{key.replace('_', ' ')}: {ok}"
+    return EXIT_OK if ok else EXIT_REFUTED, {key: ok, **extra}, [line]
+
+
+def _cmd_free(args) -> _Outcome:
     ctx = _ctx(args)
     alg, gens = free_algebra(ctx, args.n)
     cyc = alg.size if alg.size and are_isomorphic(alg, cyclic_unary(alg.size)) else None
@@ -123,11 +128,10 @@ def cmd_free(args) -> int:
     if args.out:
         alg.save(args.out)
         lines.append(f"written to {args.out}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
-def cmd_coproduct(args) -> int:
+def _cmd_coproduct(args) -> _Outcome:
     ctx = _ctx(args)
     factors = _load_algebras(args.factors)
     result = coproduct(ctx, factors)
@@ -141,61 +145,45 @@ def cmd_coproduct(args) -> int:
     if args.out:
         result.algebra.save(args.out)
         lines.append(f"written to {args.out}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
-def cmd_compatible(args) -> int:
+def _cmd_compatible(args) -> _Outcome:
     ctx = _ctx(args)
-    algebras = _load_algebras(args.factors)
-    ok = is_compatible(ctx, algebras)
-    _emit(args, {"compatible": ok}, [f"compatible: {ok}"])
-    return EXIT_OK if ok else EXIT_REFUTED
+    return _verdict(is_compatible(ctx, _load_algebras(args.factors)), "compatible")
 
 
-def cmd_comfortable(args) -> int:
+def _cmd_comfortable(args) -> _Outcome:
     ctx = _ctx(args)
-    a, b = _load_algebras([args.a, args.b])
-    ok = is_comfortable(ctx, a, b)
-    _emit(args, {"comfortable": ok}, [f"comfortable: {ok}"])
-    return EXIT_OK if ok else EXIT_REFUTED
+    return _verdict(is_comfortable(ctx, *_load_algebras([args.a, args.b])), "comfortable")
 
 
-def cmd_independent(args) -> int:
+def _cmd_independent(args) -> _Outcome:
     ctx = _ctx(args)
     ambient = FiniteAlgebra.load(args.ambient)
     subsets = [_int_list(s, ",", "--subset takes comma-separated carrier indices")
                for s in args.subset]
-    ok = is_independent(ctx, ambient, subsets)
-    _emit(args, {"independent": ok}, [f"independent: {ok}"])
-    return EXIT_OK if ok else EXIT_REFUTED
+    return _verdict(is_independent(ctx, ambient, subsets), "independent")
 
 
-def cmd_si(args) -> int:
+def _cmd_si(args) -> _Outcome:
     alg = FiniteAlgebra.load(args.algebra)
     ok, monolith = is_subdirectly_irreducible(alg)
-    report = {
-        "subdirectly_irreducible": ok,
-        "monolith": list(monolith.blocks) if monolith else None,
-        "congruences": len(all_congruences(alg)),
-    }
-    lines = [f"subdirectly irreducible: {ok}"]
+    blocks = list(monolith.blocks) if monolith else None
+    code, report, lines = _verdict(ok, "subdirectly_irreducible", monolith=blocks,
+                                   congruences=len(all_congruences(alg)))
     if monolith:
-        lines.append(f"monolith blocks: {list(monolith.blocks)}")
-    _emit(args, report, lines)
-    return EXIT_OK if ok else EXIT_REFUTED
+        lines.append(f"monolith blocks: {blocks}")
+    return code, report, lines
 
 
-def cmd_rel_si(args) -> int:
+def _cmd_rel_si(args) -> _Outcome:
     ctx = _ctx(args)
     alg = FiniteAlgebra.load(args.algebra)
-    ok = is_p_subdirectly_irreducible(ctx, alg)
-    _emit(args, {"relatively_subdirectly_irreducible": ok},
-          [f"relatively subdirectly irreducible: {ok}"])
-    return EXIT_OK if ok else EXIT_REFUTED
+    return _verdict(is_p_subdirectly_irreducible(ctx, alg), "relatively_subdirectly_irreducible")
 
 
-def cmd_member(args) -> int:
+def _cmd_member(args) -> _Outcome:
     ctx = _ctx(args)
     alg = FiniteAlgebra.load(args.algebra)
     ok, witness, _ = separating_family(alg, ctx.generators)
@@ -203,28 +191,23 @@ def cmd_member(args) -> int:
     lines = [f"member of the generated prevariety: {ok}"]
     if witness:
         lines.append(f"unseparated pair: {witness}")
-    _emit(args, report, lines)
-    return EXIT_OK if ok else EXIT_REFUTED
+    return EXIT_OK if ok else EXIT_REFUTED, report, lines
 
 
-def cmd_cover(args) -> int:
+def _cmd_cover(args) -> _Outcome:
     ctx = _ctx(args)
-    algebras = _load_algebras(args.factors)
-    blocks = minimum_compatible_cover(ctx, algebras)
-    report = {"blocks": blocks, "count": len(blocks)}
-    _emit(args, report, [f"minimum compatible cover: {len(blocks)} blocks {blocks}"])
-    return EXIT_OK
+    blocks = minimum_compatible_cover(ctx, _load_algebras(args.factors))
+    return (EXIT_OK, {"blocks": blocks, "count": len(blocks)},
+            [f"minimum compatible cover: {len(blocks)} blocks {blocks}"])
 
 
-def cmd_qid(args) -> int:
+def _cmd_qid(args) -> _Outcome:
     alg = FiniteAlgebra.load(args.algebra)
     q = parse_quasi_identity(args.quasi_identity, alg.signature)
-    ok = quasi_identity_holds(alg, q)
-    _emit(args, {"holds": ok, "quasi_identity": str(q)}, [f"holds: {ok}"])
-    return EXIT_OK if ok else EXIT_REFUTED
+    return _verdict(quasi_identity_holds(alg, q), "holds", quasi_identity=str(q))
 
 
-def cmd_amalg_check(args) -> int:
+def _cmd_amalg_check(args) -> _Outcome:
     ctx = _ctx(args)
     ok, counterexample = check_amalgamation_bounded(ctx, args.k)
     report = {"amalgamation": ok}
@@ -233,40 +216,36 @@ def cmd_amalg_check(args) -> int:
         sizes = [counterexample.base.size, counterexample.left.size, counterexample.right.size]
         report["counterexample_sizes"] = sizes
         lines.append(f"counterexample sizes (base, left, right): {sizes}")
-    _emit(args, report, lines)
-    return EXIT_OK if ok else EXIT_REFUTED
+    return EXIT_OK if ok else EXIT_REFUTED, report, lines
 
 
-def cmd_kb(args) -> int:
+def _completion(args):
+    """The presentation file ``kb`` and ``reduce`` read, and its completion
+    under their ``--max-rules`` and ``--max-word-len``."""
     with open(args.presentation) as fh:
         pres = parse_presentation(fh.read())
-    result = knuth_bendix(pres, Budget(max_rules=args.max_rules, max_word_len=args.max_word_len))
-    report = {
-        "completed": result.completed,
-        "rules": [[format_word(l), format_word(r)] for l, r in result.system.rules],
-        "reason": result.reason,
-    }
-    lines = [f"completed: {result.completed}"]
-    lines += [f"  {format_word(l)} -> {format_word(r)}" for l, r in result.system.rules]
+    return pres, knuth_bendix(pres, Budget(max_rules=args.max_rules,
+                                           max_word_len=args.max_word_len))
+
+
+def _cmd_kb(args) -> _Outcome:
+    result = _completion(args)[1]
+    rules = [[format_word(l), format_word(r)] for l, r in result.system.rules]
+    report = {"completed": result.completed, "rules": rules, "reason": result.reason}
+    lines = [f"completed: {result.completed}", *(f"  {l} -> {r}" for l, r in rules)]
     if result.reason:
         lines.append(f"reason: {result.reason}")
-    _emit(args, report, lines)
-    return EXIT_OK if result.completed else EXIT_BUDGET
+    return EXIT_OK if result.completed else EXIT_BUDGET, report, lines
 
 
-def cmd_reduce(args) -> int:
-    with open(args.presentation) as fh:
-        pres = parse_presentation(fh.read())
-    result = knuth_bendix(pres, Budget(max_rules=args.max_rules, max_word_len=args.max_word_len))
+def _cmd_reduce(args) -> _Outcome:
+    pres, result = _completion(args)
     if not result.completed:
-        _emit(args, {"completed": False, "reason": result.reason},
-              [f"completion failed: {result.reason}"])
-        return EXIT_BUDGET
+        return (EXIT_BUDGET, {"completed": False, "reason": result.reason},
+                [f"completion failed: {result.reason}"])
     word = parse_word(args.word, pres.alphabet)
-    nf = srs_reduce(result.system, word)
-    _emit(args, {"input": format_word(word), "normal_form": format_word(nf)},
-          [f"normal form: {format_word(nf)}"])
-    return EXIT_OK
+    nf = format_word(srs_reduce(result.system, word))
+    return EXIT_OK, {"input": format_word(word), "normal_form": nf}, [f"normal form: {nf}"]
 
 
 def _amalgam_ctx_from_args(args) -> AmalgamCtx:
@@ -291,13 +270,11 @@ def _parse_amalgam_word(text: str) -> list[tuple[int, int]]:
     return word
 
 
-def cmd_amalgam_nf(args) -> int:
+def _cmd_amalgam_nf(args) -> _Outcome:
     ctx = _amalgam_ctx_from_args(args)
-    word = _parse_amalgam_word(args.word)
-    el = amalgam_normal_form(ctx, word)
-    report = {"reps": [list(r) for r in el.reps], "tail": el.tail}
-    _emit(args, report, [f"normal form: reps={list(el.reps)} tail={el.tail}"])
-    return EXIT_OK
+    el = amalgam_normal_form(ctx, _parse_amalgam_word(args.word))
+    return (EXIT_OK, {"reps": [list(r) for r in el.reps], "tail": el.tail},
+            [f"normal form: reps={list(el.reps)} tail={el.tail}"])
 
 
 def _parity_scan(ctx: AmalgamCtx, max_len: int):
@@ -311,14 +288,13 @@ def _parity_scan(ctx: AmalgamCtx, max_len: int):
     return rows, all(t == (length % 2 == 1 or length == 0) for length, _, t in rows)
 
 
-def cmd_amalgam_scan(args) -> int:
+def _cmd_amalgam_scan(args) -> _Outcome:
     rows, ok = _parity_scan(_amalgam_ctx_from_args(args), args.max_len)
     cosets = [{"length": length, "string": [list(s) for s in string], "has_torsion": t}
               for length, string, t in rows]
     lines = [f"len={c['length']} torsion={c['has_torsion']} string={c['string']}" for c in cosets]
     lines.append(f"even cosets torsion-free, odd and empty cosets torsion: {ok}")
-    _emit(args, {"cosets": cosets, "matches_parity_rule": ok}, lines)
-    return EXIT_OK if ok else EXIT_REFUTED
+    return EXIT_OK if ok else EXIT_REFUTED, {"cosets": cosets, "matches_parity_rule": ok}, lines
 
 
 # -- curated experiment suites -------------------------------------------------
@@ -464,15 +440,14 @@ SUITES = {
 }
 
 
-def cmd_paperlab(args) -> int:
+def _cmd_paperlab(args) -> _Outcome:
     if args.suite not in SUITES:
         raise AlgebraError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
     checks = SUITES[args.suite]()
     report = {"suite": args.suite,
               "checks": [{"anchor": a, "ok": ok} for a, ok in checks]}
     lines = [f"{'PASS' if ok else 'FAIL'} [{anchor}]" for anchor, ok in checks]
-    _emit(args, report, lines)
-    return EXIT_OK if all(ok for _, ok in checks) else EXIT_REFUTED
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_REFUTED, report, lines
 
 
 # -- parser --------------------------------------------------------------------
@@ -489,83 +464,75 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def verb(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
+
     def with_generators(p):
         p.add_argument("--gen", action="append", required=True,
                        help="generator algebra file (repeatable)")
 
-    p = sub.add_parser("free", help="canonical free algebra on n generators")
+    p = verb("free", _cmd_free, "canonical free algebra on n generators")
     with_generators(p)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_free)
 
-    p = sub.add_parser("coproduct", help="canonical coproduct of algebra files")
+    p = verb("coproduct", _cmd_coproduct, "canonical coproduct of algebra files")
     with_generators(p)
     p.add_argument("factors", nargs="+")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_coproduct)
 
-    p = sub.add_parser("compatible", help="are all factors jointly embeddable")
+    p = verb("compatible", _cmd_compatible, "are all factors jointly embeddable")
     with_generators(p)
     p.add_argument("factors", nargs="+")
-    p.set_defaults(func=cmd_compatible)
 
-    p = sub.add_parser("comfortable", help="is the first coprojection one-to-one")
+    p = verb("comfortable", _cmd_comfortable, "is the first coprojection one-to-one")
     with_generators(p)
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=cmd_comfortable)
 
-    p = sub.add_parser("independent", help="do the subsets form a coproduct")
+    p = verb("independent", _cmd_independent, "do the subsets form a coproduct")
     with_generators(p)
     p.add_argument("ambient")
     p.add_argument("--subset", action="append", required=True,
                    help="comma-separated carrier indices (repeatable)")
-    p.set_defaults(func=cmd_independent)
 
-    p = sub.add_parser("si", help="subdirect irreducibility and monolith")
+    p = verb("si", _cmd_si, "subdirect irreducibility and monolith")
     p.add_argument("algebra")
-    p.set_defaults(func=cmd_si)
 
-    p = sub.add_parser("rel-si", help="subdirect irreducibility relative to SP(Y)")
+    p = verb("rel-si", _cmd_rel_si, "subdirect irreducibility relative to SP(Y)")
     with_generators(p)
     p.add_argument("algebra")
-    p.set_defaults(func=cmd_rel_si)
 
-    p = sub.add_parser("member", help="membership in SP(Y) by point separation")
+    p = verb("member", _cmd_member, "membership in SP(Y) by point separation")
     with_generators(p)
     p.add_argument("algebra")
-    p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("cover", help="minimum partition into compatible blocks")
+    p = verb("cover", _cmd_cover, "minimum partition into compatible blocks")
     with_generators(p)
     p.add_argument("factors", nargs="+")
-    p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("qid", help="does a quasi-identity hold")
+    p = verb("qid", _cmd_qid, "does a quasi-identity hold")
     p.add_argument("algebra")
     p.add_argument("quasi_identity")
-    p.set_defaults(func=cmd_qid)
 
-    p = sub.add_parser("amalg-check", help="bounded amalgamation property check")
+    p = verb("amalg-check", _cmd_amalg_check, "bounded amalgamation property check")
     with_generators(p)
     p.add_argument("-k", type=int, required=True, help="member size bound")
-    p.set_defaults(func=cmd_amalg_check)
 
     def with_completion_budget(p):
         p.add_argument("--max-rules", type=int, default=DEFAULT_BUDGET.max_rules)
         p.add_argument("--max-word-len", type=int, default=DEFAULT_BUDGET.max_word_len)
 
-    p = sub.add_parser("kb", help="Knuth-Bendix completion of a presentation file")
+    p = verb("kb", _cmd_kb, "Knuth-Bendix completion of a presentation file")
     p.add_argument("presentation")
     with_completion_budget(p)
-    p.set_defaults(func=cmd_kb)
 
-    p = sub.add_parser("reduce", help="normal form of a word after completion")
+    p = verb("reduce", _cmd_reduce, "normal form of a word after completion")
     p.add_argument("presentation")
     p.add_argument("word")
     with_completion_budget(p)
-    p.set_defaults(func=cmd_reduce)
 
     def with_amalgam(p):
         p.add_argument("--sym", type=int, help="use Sym(n) over the last-point stabilizer")
@@ -575,19 +542,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emb1", help="comma-separated images of the base in g1")
         p.add_argument("--emb2", help="comma-separated images of the base in g2")
 
-    p = sub.add_parser("amalgam-nf", help="normal form in an amalgamated product")
+    p = verb("amalgam-nf", _cmd_amalgam_nf, "normal form in an amalgamated product")
     with_amalgam(p)
     p.add_argument("word", help="space-separated factor:element letters")
-    p.set_defaults(func=cmd_amalgam_nf)
 
-    p = sub.add_parser("amalgam-scan", help="torsion scan over coset strings")
+    p = verb("amalgam-scan", _cmd_amalgam_scan, "torsion scan over coset strings")
     with_amalgam(p)
     p.add_argument("--max-len", type=int, default=4)
-    p.set_defaults(func=cmd_amalgam_scan)
 
-    p = sub.add_parser("paperlab", help="run a curated experiment suite")
+    p = verb("paperlab", _cmd_paperlab, "run a curated experiment suite")
     p.add_argument("suite")
-    p.set_defaults(func=cmd_paperlab)
 
     return parser
 
@@ -608,7 +572,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code != 0 else EXIT_OK
     try:
-        return args.func(args)
+        code, report, lines = args.func(args)
+        print(json.dumps(report, sort_keys=True) if args.json else "\n".join(lines))
+        return code
     except (BudgetExceededError, RecursionError) as exc:
         # a recursion that runs out of stack has no answer yet, as with a budget
         return _fail(args, "budget", "budget exhausted", exc, EXIT_BUDGET)

@@ -540,11 +540,11 @@ def chain_independence(
         if not set(components[i - 1]) <= set(levels[i - 1]):
             raise ChainHypothesisError(i, "component leaves the previous level")
     # each distinct subset's subalgebra is built, and its homs into A_n are
-    # listed on the first pull, once per call: with one generator every check
-    # drains a part's stream in full, so keeping the listing loses no laziness
+    # listed from its _streams stream on the first pull, once per call: with
+    # one generator every check drains a part's stream in full, so keeping
+    # the listing loses no laziness
     subalgebra = functools.cache(lambda subset: subalgebra_on(a0, subset)[0])
-    listing = functools.cache(lambda subset: list(
-        _Search(subalgebra(subset), last_alg, False, budget.max_nodes).iterate({})))
+    listing = functools.cache(lambda subset: list(_streams(ctx, subalgebra(subset), budget)[0]))
 
     def part(subset):
         def stream():

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -476,6 +478,17 @@ def test_out_files_hold_the_built_algebra(capsys, verb_files):
         with open(out) as fh:
             assert fh.read() == alg.to_json() + "\n"
         assert FiniteAlgebra.load(out) == alg
+
+
+def test_only_main_and_fail_print():
+    # each verb returns its report and main prints it; _fail prints errors
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+
+    def prints(node):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "print" for n in ast.walk(node))
+
+    assert {getattr(node, "name", None) for node in tree.body if prints(node)} == {"main", "_fail"}
 
 
 class TestUsage:

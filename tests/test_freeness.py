@@ -300,15 +300,16 @@ class TestFreePair:
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_injected_collapses_reported_alike(self, monkeypatch, depth):
-        # kill the one-generator tags whose first argument has two letters
-        real = freeness.make_tag
+        # kill the triples over generator 0 whose first word has two letters;
+        # the sweep reads the predicate, the reference reads it through make_tag
+        real = freeness.tag_survives
 
-        def faulty(ctx, u, v, w):
-            if ctx.num_gens == 1 and isinstance(u, Word) and len(u.letters) == 2:
-                return ZERO
-            return real(ctx, u, v, w)
+        def faulty(rule, u, v, w):
+            if u.gen == v.gen == w.gen == 0 and len(u.letters) == 2:
+                return False
+            return real(rule, u, v, w)
 
-        monkeypatch.setattr(freeness, "make_tag", faulty)
+        monkeypatch.setattr(freeness, "tag_survives", faulty)
         cert = verify_free_pair(STEM, depth)
         assert cert.failures
         assert cert == _reference_free_pair(STEM, depth)

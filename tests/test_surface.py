@@ -183,22 +183,6 @@ SURFACE = {
     "prevar.cli.EXIT_USAGE": "",
     "prevar.cli.SUITES": "",
     "prevar.cli.build_parser": "",
-    "prevar.cli.cmd_amalg_check": "(args)",
-    "prevar.cli.cmd_amalgam_nf": "(args)",
-    "prevar.cli.cmd_amalgam_scan": "(args)",
-    "prevar.cli.cmd_comfortable": "(args)",
-    "prevar.cli.cmd_compatible": "(args)",
-    "prevar.cli.cmd_coproduct": "(args)",
-    "prevar.cli.cmd_cover": "(args)",
-    "prevar.cli.cmd_free": "(args)",
-    "prevar.cli.cmd_independent": "(args)",
-    "prevar.cli.cmd_kb": "(args)",
-    "prevar.cli.cmd_member": "(args)",
-    "prevar.cli.cmd_paperlab": "(args)",
-    "prevar.cli.cmd_qid": "(args)",
-    "prevar.cli.cmd_reduce": "(args)",
-    "prevar.cli.cmd_rel_si": "(args)",
-    "prevar.cli.cmd_si": "(args)",
     "prevar.cli.main": "(argv)",
     "prevar.freeness.CollapseRule": "members: TWO_GENERATED, STEM_SPLIT",
     "prevar.freeness.FreeElement": "",
