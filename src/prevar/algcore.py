@@ -442,17 +442,20 @@ def _closure(
     """Close ``seeds`` under the ops: elements in discovery order and each op
     table over their indices, recorded as found.
 
-    ``row(name, prefix, lasts)`` gives the op's values at ``(*prefix, y)``
-    for each ``y`` in ``lasts``; ``row(name, (), None)`` gives a constant.
+    ``row(name, prefix)`` gives the prefix's cut: a callable from a list of
+    last arguments ``y`` to the op's values at ``(*prefix, y)``; for a
+    zeroary op, the cut of ``()`` called on None gives the constant.
     Order: zeroary results, the seeds, then rounds of each op over the
-    elements known when the round began.  A round skips argument tuples
-    whose arguments all predate the previous round (semi-naive): their
-    results are already known, so the order is the naive loop's.  Each
-    table row is kept under its prefix's indices and only ever extended.
+    elements known when the round began.  A prefix is cut once, in the
+    round where it first appears, and its cut reads every known last
+    argument; in later rounds the same cut reads only the elements the
+    previous round found (semi-naive): the other results are already
+    known, so the order is the naive loop's.  Each table row is kept under
+    its prefix's indices and only ever extended.
     """
     elems: list = []
     index: dict = {}
-    rows: dict[str, dict] = {name: {} for name in signature.names}
+    rows, cuts = {name: {} for name in signature.names}, {name: {} for name in signature.names}
 
     def add(v) -> int:
         i = index.get(v)
@@ -467,7 +470,7 @@ def _closure(
 
     for name, arity in signature.ops:
         if arity == 0:
-            rows[name][()] = [add(row(name, (), None))]
+            rows[name][()] = [add(row(name, ())(None))]
     for s in seeds:
         add(s)
     old = 0
@@ -481,9 +484,13 @@ def _closure(
         for name, arity in signature.ops:
             if arity == 0:
                 continue
+            made = cuts[name]
             for at in itertools.product(range(n), repeat=arity - 1):
-                lasts = known if at and max(at) >= old else new
-                vals = row(name, map(known.__getitem__, at), lasts)
+                if at in made:
+                    vals = made[at](new)
+                else:  # the prefix's first round: its cut reads every known last argument
+                    made[at] = row(name, map(known.__getitem__, at))
+                    vals = made[at](known)
                 got = list(map(index.get, vals))  # every value already known: no add
                 rows[name].setdefault(at, []).extend(map(add, vals) if None in got else got)
         if len(elems) == n:
@@ -497,18 +504,20 @@ def _closure(
 
 def _product_rows(factors: Sequence[FiniteAlgebra]):
     """The ``row`` of ``_closure`` over tuples in the product of ``factors``:
-    a row cuts each factor's table at the offset its prefix coordinates fix,
-    and a cell reads one entry of each cut."""
-    sizes = [f.size for f in factors]
+    a cut slices each factor's table at the offset its prefix coordinates
+    fix, once, and a cell reads one entry of each slice.  Equal slices of
+    one table are shared by all cuts, so a cut over many coordinates of few
+    distinct factors holds references, not copies."""
+    sizes, shared = [f.size for f in factors], {}
 
-    def row(name, prefix, lasts):
+    def row(name, prefix):
         base = [0] * len(sizes)
         for p in prefix:
             base = list(map(operator.mul, map(operator.add, base, p), sizes))
-        segs = [f.tables[name][b:b + s] for f, b, s in zip(factors, base, sizes)]
-        if lasts is None:
-            return tuple(seg[0] for seg in segs)
-        return [tuple(map(operator.getitem, segs, y)) for y in lasts]
+        segs = [shared.setdefault((id(t), b), t[b:b + s])
+                for t, b, s in zip([f.tables[name] for f in factors], base, sizes)]
+        return lambda lasts: (tuple(seg[0] for seg in segs) if lasts is None
+                              else [tuple(map(operator.getitem, segs, y)) for y in lasts])
 
     return row
 
@@ -518,19 +527,19 @@ def _mask_rows(factors: Sequence[FiniteAlgebra]):
     an element is one int whose bit c is coordinate c.  Per op, bit c of
     ``masks[t]`` is factor c's entry at flat cell t; each prefix argument,
     most significant first, selects per bit one half of the masks, down to
-    the values p at y = 0 and q at y = 1."""
+    the values p at y = 0 and q at y = 1.  The cut keeps p and d = p ^ q
+    and reads each cell as ``p ^ (d & y)``; a zeroary op's one mask is p,
+    with d = 0."""
     masks = {name: [sum(f.tables[name][t] << c for c, f in enumerate(factors))
                     for t in range(2**arity)] for name, arity in factors[0].signature.ops}
 
-    def row(name, prefix, lasts):
+    def row(name, prefix):
         m = masks[name]
         for x in prefix:
             half = len(m) // 2
             m = [a ^ ((a ^ b) & x) for a, b in zip(m[:half], m[half:])]
-        if lasts is None:
-            return m[0]
-        p, d = m[0], m[0] ^ m[1]
-        return [p ^ (d & y) for y in lasts]
+        p, d = m[0], m[0] ^ m[-1]
+        return lambda lasts: p if lasts is None else [p ^ (d & y) for y in lasts]
 
     return row
 

@@ -9,13 +9,17 @@ stack was exhausted before an answer was known.  ``--json`` switches
 every verb to a machine-readable report; reports are byte-stable for
 fixed inputs.
 Under ``--json`` a failure also prints ``{"error": "budget" | "membership"
-| "usage", "message": ...}`` to stdout, next to its stderr line.
+| "usage", "message": ...}`` to stdout, next to its stderr line; so does
+an argv that argparse refuses, with argparse's own message.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
+import itertools
 import json
 import random
 import sys
@@ -566,11 +570,24 @@ def _fail(args, kind: str, prefix: str, exc: Exception, code: int) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    refusal = io.StringIO()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stderr(refusal):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code != 0 else EXIT_OK
+        # argparse refused argv (or printed --help): its text goes to stderr as
+        # it was written; under --json, which the top-level parser reads before
+        # the verb and also takes abbreviated (--j, --js, --jso), the message
+        # of its last line is also one usage object
+        sys.stderr.write(refusal.getvalue())
+        if exc.code == 0:
+            return EXIT_OK
+        if any(len(a) > 2 and "--json".startswith(a)
+               for a in itertools.takewhile(lambda a: a.startswith("-"), argv)):
+            message = refusal.getvalue().splitlines()[-1].partition(": error: ")[2]
+            print(json.dumps({"error": "usage", "message": message}, sort_keys=True))
+        return EXIT_USAGE
     try:
         code, report, lines = args.func(args)
         print(json.dumps(report, sort_keys=True) if args.json else "\n".join(lines))

@@ -119,24 +119,23 @@ def _closed_tuple_algebra(
     factors: Sequence[FiniteAlgebra],
     seeds: Sequence[tuple[int, ...]],
     budget: Budget,
-) -> tuple[FiniteAlgebra, list[tuple[int, ...]]]:
-    """Subalgebra of the product of ``factors`` generated by ``seeds``.
+) -> tuple[FiniteAlgebra, list[int]]:
+    """Subalgebra of the product of ``factors`` generated by ``seeds``, and
+    the position of each seed in its carrier.
 
     The ambient product is never materialized: ``_closure`` works directly
     on tuples, in its discovery order, looking each coordinate up in its
     factor's table.  When every factor has two elements, it works on
-    bitmasks instead (``_mask_rows``), and the elements are decoded back to
-    tuples in the same order.
+    bitmasks instead (``_mask_rows``), which are never decoded: the seeds
+    are found right after the constants, so their positions are read off
+    the front of the discovery order.
     """
-    bits = len(factors) > 0 and all(f.size == 2 for f in factors)
-    if bits:
+    if len(factors) > 0 and all(f.size == 2 for f in factors):
         row, seeds = _mask_rows(factors), [sum(v << c for c, v in enumerate(s)) for s in seeds]
     else:
         row, seeds = _product_rows(factors), [tuple(s) for s in seeds]
     elems, tables = _closure(signature, row, seeds, budget.max_carrier, budget.max_table_cells)
-    if bits:
-        elems = [tuple((e >> c) & 1 for c in range(len(factors))) for e in elems]
-    return FiniteAlgebra(signature, len(elems), tables), elems
+    return FiniteAlgebra(signature, len(elems), tables), [elems.index(s) for s in seeds]
 
 
 # -- free algebras ---------------------------------------------------------
@@ -166,9 +165,7 @@ def free_algebra(
     ]
     factors = [ctx.generators[a_idx] for a_idx, _ in pairs]
     seeds = [tuple(v[k] for _, v in pairs) for k in range(n)]
-    alg, elems = _closed_tuple_algebra(ctx.signature, factors, seeds, budget)
-    gens = [elems.index(s) for s in seeds]
-    return alg, gens
+    return _closed_tuple_algebra(ctx.signature, factors, seeds, budget)
 
 
 # -- coproducts ------------------------------------------------------------
@@ -232,16 +229,16 @@ def _indexed_coproduct(ctx: PrevarietyCtx, sources: Sequence[FiniteAlgebra], key
         [tuple(family[i][x] for _, family in entries) for x in range(src.size)]
         for i, src in enumerate(sources)
     ]
-    alg, elems = _closed_tuple_algebra(
+    alg, positions = _closed_tuple_algebra(
         ctx.signature,
         [ctx.generators[a_idx] for a_idx, _ in entries],
         [t for per_source in images for t in per_source],
         budget,
     )
-    position = {t: i for i, t in enumerate(elems)}
+    seeded = iter(positions)  # source by source, as the images were seeded
     coprojections = [
-        Homomorphism._unchecked(src, alg, [position[t] for t in per_source])
-        for src, per_source in zip(sources, images)
+        Homomorphism._unchecked(src, alg, itertools.islice(seeded, src.size))
+        for src in sources
     ]
     return CoproductResult(alg, coprojections, tuple(entries))
 

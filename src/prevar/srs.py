@@ -153,7 +153,9 @@ def knuth_bendix(presentation: Presentation, budget: Budget = DEFAULT_BUDGET) ->
     """Orient by shortlex and resolve critical pairs to a fixpoint.
 
     Exhausting ``max_rules`` or ``max_word_len`` returns the partial system
-    with a reason instead of a completed one.  The alphabet order of the
+    with a reason instead of a completed one.  The rule budget is compared
+    after the new rule joins the system, so the partial system includes
+    the rule that crossed the limit: ``max_rules + 1`` rules.  The alphabet order of the
     presentation fixes the orientation, so results are reproducible.
     """
     alphabet = presentation.alphabet

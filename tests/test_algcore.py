@@ -104,6 +104,13 @@ class TestGeneratedSubalgebra:
         sub, _ = generated_subalgebra(C2, set())
         assert sub.size == 0
 
+    @pytest.mark.parametrize("sig", [UNARY_SIGNATURE, Signature((("g", 2), ("a", 1)))])
+    def test_empty_algebra_generates_itself(self, sig):
+        # a closure with no elements still cuts the unary prefix ()
+        empty = empty_algebra(sig)
+        sub, inclusion = generated_subalgebra(empty, [])
+        assert sub == empty and inclusion.mapping == ()
+
     def test_monotone_and_idempotent(self):
         rng = random.Random(7)
         for _ in range(20):

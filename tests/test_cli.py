@@ -565,6 +565,22 @@ class TestMalformedInput:
                 "error": "usage", "message": "malformed algebra document: TypeError: "
                                              "the size and every table entry must be integers"}
 
+    def test_argv_argparse_refuses(self, algebra_files):
+        # argparse's usage text stays on stderr; under --json stdout also
+        # carries its message as one usage object, and --help still exits 0
+        proc = _prevar("--json", "si", "--bogus", algebra_files["c2"])
+        assert proc.returncode == 2 and proc.stderr.startswith("usage: prevar")
+        assert proc.stderr.endswith("\nprevar: error: unrecognized arguments: --bogus\n")
+        assert proc.stdout == json.dumps(
+            {"error": "usage", "message": "unrecognized arguments: --bogus"}, sort_keys=True) + "\n"
+        plain = _prevar("si", "--bogus", algebra_files["c2"])
+        assert (plain.returncode, plain.stdout, plain.stderr) == (2, "", proc.stderr)
+        # argparse takes --json abbreviated, and so does the refusal
+        assert _prevar("--js", "si", "--bogus", algebra_files["c2"]).stdout == proc.stdout
+        proc = _prevar("--json", "--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: prevar")
+
     def test_unclosed_term_in_a_quasi_identity(self, algebra_files):
         proc = _prevar("--json", "qid", algebra_files["c2"], "=> a(x = x")
         assert proc.returncode == 2
@@ -819,10 +835,11 @@ def _quietly(fn, argv):
 @settings(max_examples=120, deadline=None)
 @given(cli_calls())
 @example((["--json", "paperlab", "bogus"], {}))
+@example((["--json", "si", "--bogus", "DIR/f0"], {"f0": cyclic_unary(2).to_json()}))
 def test_main_keeps_the_exit_and_json_contract(call):
     # every exit code is one of the four documented; no exception escapes;
-    # under --json stdout is exactly one object, except when argparse itself
-    # refuses argv, which prints its usage text to stderr only
+    # under --json stdout is exactly one object, also when argparse itself
+    # refuses argv (a usage error object then)
     template, files = call
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
@@ -833,7 +850,11 @@ def test_main_keeps_the_exit_and_json_contract(call):
         code, out = _quietly(main, argv)
     assert code in (0, 1, 2, 3)
     if isinstance(parsed, int):
-        assert code == 2 and out == ""
-    elif "--json" in argv:
+        assert code == 2
+    if "--json" in argv:
         lines = out.splitlines()
         assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), out
+        if isinstance(parsed, int):
+            assert json.loads(lines[0])["error"] == "usage"
+    elif isinstance(parsed, int):
+        assert out == ""

@@ -45,6 +45,7 @@ digests pin ``normal_form``, ``multiply``, ``is_torsion`` and
 word list.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -65,6 +66,8 @@ from prevar.algcore import (
     Homomorphism,
     Signature,
     _closure,
+    _mask_rows,
+    _product_rows,
     all_congruences,
     apply_relabeling,
     canonical_form,
@@ -578,9 +581,10 @@ def algebras_with_seeds(draw):
 
 def _op_rows(alg: FiniteAlgebra):
     """``alg.op`` as a ``_closure`` row, one call per cell."""
-    def row(name, prefix, lasts):
+    def row(name, prefix):
         prefix = list(prefix)
-        return alg.op(name) if lasts is None else [alg.op(name, *prefix, y) for y in lasts]
+        return lambda lasts: (alg.op(name) if lasts is None
+                              else [alg.op(name, *prefix, y) for y in lasts])
     return row
 
 
@@ -663,14 +667,19 @@ def tuple_closures(draw):
     return sig, factors, seeds
 
 
+def _positions(elems, seeds):
+    return [elems.index(s) for s in seeds]
+
+
 @settings(max_examples=200, deadline=None)
 @given(tuple_closures())
 def test_tuple_closure_matches_per_cell_loop(case):
     sig, factors, seeds = case
-    alg, elems = _closed_tuple_algebra(sig, factors, seeds, Budget())
     want_elems, want_tables = _per_cell_closure(sig, _per_cell_product(factors), seeds)
-    assert elems == want_elems
+    assert _closure(sig, _product_rows(factors), seeds) == (want_elems, want_tables)
+    alg, positions = _closed_tuple_algebra(sig, factors, seeds, Budget())
     assert alg.tables == {name: tuple(table) for name, table in want_tables.items()}
+    assert positions == _positions(want_elems, seeds)
 
 
 def _elements_or_error(run):
@@ -691,6 +700,25 @@ def two_element_closures(draw):
     return sig, factors, seeds
 
 
+def _decoded_mask_closure(sig, factors, seeds, budget):
+    """``_closure`` on ``_mask_rows``, each element decoded to its tuple."""
+    masks = [sum(v << c for c, v in enumerate(s)) for s in seeds]
+    elems, tables = _closure(sig, _mask_rows(factors), masks, budget.max_carrier,
+                             budget.max_table_cells)
+    return [tuple(e >> c & 1 for c in range(len(factors))) for e in elems], tables
+
+
+def _tables_and_positions(sig, factors, seeds, budget):
+    alg, positions = _closed_tuple_algebra(sig, factors, seeds, budget)
+    return {name: list(table) for name, table in alg.tables.items()}, positions
+
+
+def _per_cell_tables_and_positions(sig, factors, seeds, budget):
+    elems, tables = _per_cell_closure(sig, _per_cell_product(factors), seeds,
+                                      budget.max_carrier, budget.max_table_cells)
+    return tables, _positions(elems, seeds)
+
+
 # the cell bound keeps the per-cell loop short on ternary ops, and lets some
 # examples stop on it
 @settings(max_examples=300, deadline=None)
@@ -698,13 +726,11 @@ def two_element_closures(draw):
 def test_two_element_closure_matches_per_cell_loop(case):
     sig, factors, seeds = case
     budget = Budget(max_table_cells=2**14)
-
-    def ours():
-        alg, elems = _closed_tuple_algebra(sig, factors, seeds, budget)
-        return elems, {name: list(table) for name, table in alg.tables.items()}
-
-    assert _elements_or_error(ours) == _elements_or_error(lambda: _per_cell_closure(
+    want = _elements_or_error(lambda: _per_cell_closure(
         sig, _per_cell_product(factors), seeds, budget.max_carrier, budget.max_table_cells))
+    assert _elements_or_error(lambda: _decoded_mask_closure(sig, factors, seeds, budget)) == want
+    got = _elements_or_error(lambda: _tables_and_positions(sig, factors, seeds, budget))
+    assert got == (want if isinstance(want, str) else (want[1], _positions(want[0], seeds)))
 
 
 # NOR's free algebra on 3 generators: 256 elements, the last round starting
@@ -721,14 +747,63 @@ def test_budgets_fire_as_in_the_per_cell_loop(limits, message):
     factors = [NOR] * 8
     seeds = list(zip(*itertools.product(range(2), repeat=3)))
     budget = Budget(**limits)
-    got = _elements_or_error(lambda: _closed_tuple_algebra(NOR.signature, factors, seeds, budget)[1])
-    want = _elements_or_error(lambda: _per_cell_closure(
-        NOR.signature, _per_cell_product(factors), seeds, budget.max_carrier,
-        budget.max_table_cells,
-    )[0])
+    got = _elements_or_error(lambda: _tables_and_positions(NOR.signature, factors, seeds, budget))
+    want = _elements_or_error(lambda: _per_cell_tables_and_positions(
+        NOR.signature, factors, seeds, budget))
     assert got == want
     if message is not None:
         assert got == message
+
+
+class _CountedRows:
+    """A ``_closure`` row that counts the cuts asked of it, per op and
+    prefix, and the cells its cuts read."""
+
+    def __init__(self, row):
+        self.row, self.cuts, self.cells = row, collections.Counter(), 0
+
+    def __call__(self, name, prefix):
+        prefix = tuple(prefix)
+        self.cuts[name, prefix] += 1
+        cut = self.row(name, prefix)
+
+        def counted(lasts):
+            self.cells += 1 if lasts is None else len(lasts)
+            return cut(lasts)
+
+        return counted
+
+
+def _cases_for_counted_cuts():
+    """(signature, row, seeds): closures over several rounds, so that a
+    prefix cut again in each round it survives would be counted more than
+    once."""
+    cycle = FiniteAlgebra(Signature((("c", 0), ("a", 1))), 5, {"c": [0], "a": [1, 2, 3, 4, 0]})
+    minus = FiniteAlgebra(Signature((("g", 2),)), 7,
+                          {"g": [(x - 2 * y) % 7 for x in range(7) for y in range(7)]})
+    mixed = FiniteAlgebra(Signature((("f", 1), ("t", 3))), 6, {
+        "f": [1, 2, 0, 4, 5, 3],
+        "t": [(x + y * z) % 6 for x in range(6) for y in range(6) for z in range(6)]})
+    return [
+        (cycle.signature, _product_rows([cycle]), [(2,)]),
+        (minus.signature, _product_rows([minus]), [(1,)]),
+        (mixed.signature, _product_rows([mixed]), [(3,)]),
+        (NOR.signature, _mask_rows([NOR] * 8),
+         [sum(v << c for c, v in enumerate(s)) for s in zip(*itertools.product(range(2), repeat=3))]),
+    ]
+
+
+@pytest.mark.parametrize("sig, row, seeds", _cases_for_counted_cuts(),
+                         ids=["unary-cycle", "binary", "ternary", "masks"])
+def test_closure_cuts_each_prefix_once(sig, row, seeds):
+    counted = _CountedRows(row)
+    elems, tables = _closure(sig, counted, seeds)
+    prefixes = [(name, prefix) for name, arity in sig.ops
+                for prefix in itertools.product(elems, repeat=max(arity - 1, 0))]
+    assert counted.cuts == collections.Counter(prefixes)
+    # and every cell is read once, in whichever round its arguments are known
+    assert counted.cells == sum(map(len, tables.values())) == sum(
+        len(elems) ** arity for _, arity in sig.ops)
 
 
 # unary; two unary; constant plus unary; binary; constant plus binary, each

@@ -146,6 +146,19 @@ class TestKnuthBendix:
         assert result.reason is not None
         assert result.system.rules  # partial progress is reported
 
+    @pytest.mark.parametrize("max_rules, rules", [
+        (1, ((("x", "y"), ()), (("z", "x"), ()))),
+        (2, ((("x", "y"), ()), (("z",), ("y",)), (("y", "x"), ()))),
+    ])
+    def test_partial_system_includes_the_rule_that_crossed_the_limit(self, max_rules, rules):
+        # the budget is compared after the new rule joins, so the partial
+        # system holds max_rules + 1 rules, the crossing one last
+        result = knuth_bendix(INVERSES, Budget(max_rules=max_rules))
+        assert (result.completed, result.reason) == (False, "rule budget exhausted")
+        assert result.system.rules == rules
+        # the complete system has three rules, so a limit of three is enough
+        assert knuth_bendix(INVERSES, Budget(max_rules=3)).completed
+
     def test_completed_systems_have_joinable_pairs(self):
         for pres in (
             INVERSES,
