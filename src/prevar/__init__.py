@@ -50,7 +50,6 @@ from .prevariety import (
     minimum_compatible_cover,
     parse_quasi_identity,
     quasi_identity_holds,
-    relative_congruences,
     sp,
     subfamily_independence_check,
 )

@@ -38,9 +38,10 @@ class MembershipError(AlgebraError):
 
 class _Search:
     """``iterate`` yields each homomorphism's mapping only when it is pulled,
-    so a caller that stops pulling stops the search.  One instance serves
-    any number of seeds, one ``iterate`` at a time; each starts its node
-    count afresh, so ``max_nodes`` bounds every seeded search on its own."""
+    so a caller that stops pulling stops the search.  A seed is given as
+    (source element, target value) pairs.  One instance serves any number
+    of seeds, one ``iterate`` at a time; each starts its node count afresh,
+    so ``max_nodes`` bounds every seeded search on its own."""
 
     def __init__(self, source, target, injective, max_nodes):
         self.A = source
@@ -68,8 +69,8 @@ class _Search:
                     for e in set(args):
                         self.touching[e].append(constraint)
 
-    def iterate(self, seed: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        assignment = self._start(sorted(seed.items()))
+    def iterate(self, pairs) -> Iterator[tuple[int, ...]]:
+        assignment = self._start(pairs)
         if assignment is not None:
             yield from self._extend(assignment)
 
@@ -79,13 +80,14 @@ class _Search:
         assignment = self._start(pairs)
         return None if assignment is None else next(self._extend(assignment), None)
 
-    def every_choice_extends(self, fixed, stages) -> bool:
-        """True iff ``fixed`` plus each choice of one seed-pair list per stage
-        extends, in product order; each choice prefix is propagated once, and
-        a leaf left with unassigned elements is searched from a fresh node count."""
+    def every_choice_extends(self, stages) -> bool:
+        """True iff each choice of one seed-pair list per stage extends, in
+        product order (a map held fixed is a stage with one choice); each
+        choice prefix is propagated once, and a leaf left with unassigned
+        elements is searched from a fresh node count."""
         if not all(stages):
             return True  # an empty stage leaves no choice to test
-        assignment = self._start(fixed)
+        assignment = self._start([])
         return assignment is not None and self._walk(stages, assignment)
 
     def _walk(self, stages, assignment) -> bool:
@@ -232,7 +234,7 @@ def find_homomorphisms(
     """
     if source.signature != target.signature:
         raise AlgebraError("search between different signatures")
-    found = _Search(source, target, injective, budget.max_nodes).iterate(seed or {})
+    found = _Search(source, target, injective, budget.max_nodes).iterate((seed or {}).items())
     return [Homomorphism._unchecked(source, target, m) for m in found]
 
 
@@ -276,7 +278,7 @@ def _separate(a, generators, budget):
     for g in generators:
         if not pending:
             break
-        pulled, search = [], _Search(a, g, False, budget.max_nodes).iterate({})
+        pulled, search = [], _Search(a, g, False, budget.max_nodes).iterate([])
         walked.append((pulled, search))
         for mapping in search:
             pulled.append(mapping)

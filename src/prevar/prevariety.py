@@ -25,7 +25,6 @@ from .algcore import (
     App,
     Budget,
     BudgetExceededError,
-    Congruence,
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
@@ -38,10 +37,8 @@ from .algcore import (
     _meet,
     _product_rows,
     _require_congruence_size,
-    all_congruences,
     empty_algebra,
     generated_subalgebra,
-    quotient,
     subalgebra_on,
 )
 from .homsearch import (
@@ -95,7 +92,7 @@ def _streams(ctx: PrevarietyCtx, alg: FiniteAlgebra, budget: Budget, walked=()):
 
     def stream(k: int) -> Iterator[tuple[int, ...]]:
         yield from (itertools.chain(*walked[k]) if k < len(walked) else
-                    _Search(alg, ctx.generators[k], False, budget.max_nodes).iterate({}))
+                    _Search(alg, ctx.generators[k], False, budget.max_nodes).iterate([]))
 
     return [stream(k) for k in range(len(ctx.generators))]
 
@@ -275,17 +272,17 @@ def coproduct(
     return _indexed_coproduct(ctx, factors, None, budget, _member_hom_lists(ctx, factors, budget))
 
 
-def _every_family_extends(ctx: PrevarietyCtx, source: FiniteAlgebra, fixed: list[tuple[int, int]],
-                          parts: Sequence[tuple[FiniteAlgebra, list[Iterator], Sequence[int]]],
+def _every_family_extends(ctx: PrevarietyCtx, source: FiniteAlgebra,
+                          parts: Sequence[tuple[list[Iterable], Sequence[int]]],
                           budget: Budget) -> bool:
     """True iff, for each generator Y_k, each family of homs h_i: part_i -> Y_k
-    extends to a hom ``source -> Y_k`` sending image_i[x] to h_i(x) and agreeing
-    with ``fixed``; ``parts`` holds (part_i, one hom stream per generator,
-    image_i), and stream k is drained only when Y_k is reached.  One search of
-    ``source -> Y_k`` walks the families in product order, propagating each prefix once."""
+    extends to a hom ``source -> Y_k`` sending image_i[x] to h_i(x); ``parts``
+    holds (one hom stream per generator, image_i) per part, and stream k is
+    drained only when Y_k is reached.  One search of ``source -> Y_k`` walks
+    the families in product order, propagating each prefix once."""
     for k, target in enumerate(ctx.generators):
-        stages = [[list(zip(image, h)) for h in streams[k]] for _, streams, image in parts]
-        if not _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages):
+        stages = [[list(zip(image, h)) for h in streams[k]] for streams, image in parts]
+        if not _Search(source, target, False, budget.max_nodes).every_choice_extends(stages):
             return False
     return True
 
@@ -307,7 +304,7 @@ def is_coproduct(
         if m.target != b:
             raise AlgebraError("a candidate coprojection does not target b")
         try:
-            parts.append((m.source, _member_homs(ctx, m.source, budget), m.mapping))
+            parts.append((_member_homs(ctx, m.source, budget), m.mapping))
         except MembershipError:
             raise MembershipError("a coproduct factor is not in SP of the generators") from None
     if not ctx.contains(b, budget):
@@ -315,7 +312,7 @@ def is_coproduct(
     gen, _ = generated_subalgebra(b, sorted({v for m in maps for v in m.mapping}))
     if gen.size != b.size:
         return False
-    return _every_family_extends(ctx, b, [], parts, budget)
+    return _every_family_extends(ctx, b, parts, budget)
 
 
 def is_compatible(
@@ -348,22 +345,7 @@ def is_comfortable(
     return _injective_coprojections(_member_hom_lists(ctx, [a, b], budget), [a, b], [0])
 
 
-# -- relative congruences and subdirect irreducibility ---------------------
-
-
-def relative_congruences(
-    ctx: PrevarietyCtx,
-    alg: FiniteAlgebra,
-    budget: Budget = DEFAULT_BUDGET,
-) -> list[Congruence]:
-    """All congruences whose quotient stays inside SP(Y)."""
-    ctx.require_member(alg, budget)
-    out = []
-    for c in all_congruences(alg, budget):
-        q, _ = quotient(alg, c)
-        if ctx.contains(q, budget):
-            out.append(c)
-    return out
+# -- relative subdirect irreducibility -------------------------------------
 
 
 def is_p_subdirectly_irreducible(
@@ -468,24 +450,18 @@ def _independent(ctx: PrevarietyCtx, ambient: FiniteAlgebra, subalgebras, budget
     union generates the span by construction, so only extension is tested.
     With no subalgebras the span is the closure of the constants, and it is
     the initial algebra exactly when every generator receives a hom from it."""
-
-    def part(subset):
-        sub = subalgebra_on(ambient, subset)[0]
-        return sub, _streams(ctx, sub, budget)
-
-    span, parts = _span(ambient, subalgebras, part)
-    return _every_family_extends(ctx, span, [], parts, budget)
+    subsets = [sorted(set(s)) for s in subalgebras]
+    span, positions = _span(ambient, subsets)
+    streams = [_streams(ctx, subalgebra_on(ambient, s)[0], budget) for s in subsets]
+    return _every_family_extends(ctx, span, list(zip(streams, positions)), budget)
 
 
-def _span(ambient: FiniteAlgebra, subsets, part):
-    """The subalgebra of ``ambient`` that the union of ``subsets`` generates,
-    and per subset (*``part(subset)``, its positions in the span), where
-    ``part`` takes a sorted tuple and gives the subalgebra on it and its
-    streams; ``subalgebra_on`` raises on a subset that is not closed."""
-    subsets = [tuple(sorted(set(s))) for s in subsets]
+def _span(ambient: FiniteAlgebra, subsets):
+    """The subalgebra of ``ambient`` that the union of ``subsets`` (each sorted,
+    without repeats) generates, and each subset's positions in it."""
     span, inclusion = generated_subalgebra(ambient, sorted({x for s in subsets for x in s}))
     position = {x: j for j, x in enumerate(inclusion.mapping)}
-    return span, [(*part(s), [position[x] for x in s]) for s in subsets]
+    return span, [[position[x] for x in s] for s in subsets]
 
 
 class ChainHypothesisError(AlgebraError):
@@ -523,42 +499,42 @@ def chain_independence(
     per-step retraction of <A_i, B_i> onto A_i that drives the inductive
     proof.  Also verifies the stronger "almost independent" form: every
     family of homomorphisms B_i -> A_n extends to <A_n, B_1, ..., B_n>
-    fixing A_n pointwise.
+    fixing A_n pointwise, that is, with A_n's identity as one more part.
     """
-    chain = [sorted(set(s)) for s in chain]
-    components = [sorted(set(s)) for s in components]
+    chain = [tuple(sorted(set(s))) for s in chain]
+    components = [tuple(sorted(set(s))) for s in components]
     n = len(chain)
     if len(components) != n:
         raise AlgebraError("chain and component lists differ in length")
-    levels = [list(range(a0.size))] + chain
+    levels = [tuple(range(a0.size)), *chain]
     for i in range(1, n + 1):
         if not set(levels[i]) <= set(levels[i - 1]):
             raise ChainHypothesisError(i, "chain is not descending")
         if not set(components[i - 1]) <= set(levels[i - 1]):
             raise ChainHypothesisError(i, "component leaves the previous level")
     # each distinct subset's subalgebra is built, and its homs into A_n are
-    # listed from its _streams stream on the first pull, once per call: with
-    # one generator every check drains a part's stream in full, so keeping
-    # the listing loses no laziness
+    # listed, once per call: with one generator every check drains a part's
+    # homs in full, so keeping the listing loses no laziness
     subalgebra = functools.cache(lambda subset: subalgebra_on(a0, subset)[0])
     listing = functools.cache(lambda subset: list(_streams(ctx, subalgebra(subset), budget)[0]))
 
-    def part(subset):
-        def stream():
-            yield from listing(subset)
-        return subalgebra(subset), [stream()]
+    def parts(subsets, images):
+        # every subalgebra is built before any is listed, so an unclosed
+        # subset raises ahead of a search that would overrun its budget
+        list(map(subalgebra, subsets))
+        return [([listing(s)], image) for s, image in zip(subsets, images)]
 
-    last_alg = subalgebra(tuple(levels[n]))
-    ctx = PrevarietyCtx((last_alg,))
+    ctx = PrevarietyCtx((subalgebra(levels[n]),))
     ctx.require_member(a0, budget)
 
     # A_{i-1} is closed, so <A_i, B_i> is the same in a0 as in A_{i-1}
     retractions: list[Optional[Homomorphism]] = []
     for i in range(1, n + 1):
-        span, parts = _span(a0, [levels[i], components[i - 1]], part)
-        if not _every_family_extends(ctx, span, [], parts, budget):
+        pair = (levels[i], components[i - 1])
+        span, (a_pos, b_pos) = _span(a0, pair)
+        if not _every_family_extends(ctx, span, parts(pair, [a_pos, b_pos]), budget):
             raise ChainHypothesisError(i, "the pair (A_i, B_i) is not independent")
-        (a_sub, _, a_pos), (b_sub, _, b_pos) = parts
+        a_sub, b_sub = map(subalgebra, pair)
         f_i = _Search(b_sub, a_sub, False, budget.max_nodes).first([])
         if f_i is None:
             retractions.append(None)
@@ -570,13 +546,13 @@ def chain_independence(
                                "contradicts the verified independence")
         retractions.append(Homomorphism._unchecked(span, a_sub, retraction))
 
-    span, parts = _span(a0, components, part)
-    independent = _every_family_extends(ctx, span, [], parts, budget)
+    span, images = _span(a0, components)
+    independent = _every_family_extends(ctx, span, parts(components, images), budget)
 
     # stronger form: families into the distinguished last level extend
-    span_all, [(_, _, last_pos), *parts] = _span(a0, [levels[n], *components], part)
-    fixed = [(p, k) for k, p in enumerate(last_pos)]
-    almost = _every_family_extends(ctx, span_all, fixed, parts, budget)
+    span_all, [last_pos, *images] = _span(a0, [levels[n], *components])
+    identity = ([[tuple(range(len(last_pos)))]], last_pos)
+    almost = _every_family_extends(ctx, span_all, [identity, *parts(components, images)], budget)
     return ChainReport(independent, almost, retractions)
 
 

@@ -94,7 +94,7 @@ def old_rel_si(ctx, alg, budget=DEFAULT_BUDGET):
     old_require_member(ctx, alg, budget)
     _require_congruence_size(alg, budget)
     kernels = (mapping for g in ctx.generators
-               for mapping in _Search(alg, g, False, budget.max_nodes).iterate({})
+               for mapping in _Search(alg, g, False, budget.max_nodes).iterate([])
                if len(set(mapping)) < alg.size)
     return _meet(alg.size, kernels) is not None
 

@@ -381,6 +381,18 @@ def test_chain_refuses_unclosed_subsets():
         assert (got[0] if isinstance(expected, str) else got) == expected, (chain, components)
 
 
+def test_chain_refuses_an_unclosed_component_before_listing_a_part():
+    # under 10 nodes the walk of a0 into A_1 ends but listing Hom(A_1, A_1)
+    # overruns; a step builds both its subalgebras before it lists either,
+    # so the unclosed B_1 is the error
+    a0 = disjoint_union([cyclic_unary(3)] * 3)
+    budget = Budget(max_nodes=10)
+    assert outcome(lambda: chain_independence(a0, [list(range(6))], [[6, 7]], budget)) == \
+        ("AlgebraError", "subset is not closed under 'a'", None, None)
+    assert budgeted(lambda: chain_independence(a0, [list(range(6))], [[6, 7, 8]], budget)) == \
+        ("BudgetExceededError", "homomorphism search exceeded 10 nodes")
+
+
 # -- node budgets: the extension test fed by the membership walk --------------------
 #
 # The routes the checks took before every hom stream into the generators came
@@ -394,9 +406,9 @@ def test_chain_refuses_unclosed_subsets():
 def listed_every_family_extends(source, targets, fixed, parts, budget):
     for target in targets:
         stages = [[list(zip(image, h))
-                   for h in _Search(part, target, False, budget.max_nodes).iterate({})]
+                   for h in _Search(part, target, False, budget.max_nodes).iterate([])]
                   for part, image in parts]
-        if not _Search(source, target, False, budget.max_nodes).every_choice_extends(fixed, stages):
+        if not _Search(source, target, False, budget.max_nodes).every_choice_extends([[fixed], *stages]):
             return False
     return True
 
@@ -578,3 +590,13 @@ def test_chain_independence_lists_each_part_once(monkeypatch):
     assert chain_independence(a0, chain, components) == want
     walk, *parts = starts
     assert walk[0] == id(a0) and len(parts) == len({source for source, _ in parts}) == 4
+
+
+def test_the_almost_independent_form_holds_the_last_level_fixed(monkeypatch):
+    # with n = 0 the last level is a0 itself; the strong form passes its
+    # identity as one more part, so the only search to start is the walk of
+    # a0 into A_0: listing Hom(A_0, A_0) would leave A_0 free and start another
+    a0 = disjoint_union([cyclic_unary(3)] * 2)
+    starts = count_search_starts(monkeypatch)
+    assert chain_independence(a0, [], []) == ChainReport(True, True, [])
+    assert len(starts) == 1 and starts[0][0] == id(a0)

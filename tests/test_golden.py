@@ -19,9 +19,10 @@ Independence digests pin ``is_independent`` verdicts and whole
 3-cycles shaped like the benchmark's separate stream, and on a union with a
 fixed point; an error is pinned by its type, message, witness and step.
 
-Congruence digests pin the lists ``all_congruences`` and
-``relative_congruences`` return (every block vector, in order) and the
-verdicts and monoliths of the (relative) irreducibility checks.
+Congruence digests pin the lists ``all_congruences`` and the
+``relative_congruences`` oracle of test_prevariety return (every block
+vector, in order) and the verdicts and monoliths of the (relative)
+irreducibility checks.
 
 Canonical-form digests pin ``canonical_form`` on fixed algebras, and on
 every unary table of size 5 as one digest over the set of forms.
@@ -99,10 +100,10 @@ from prevar.prevariety import (
     free_algebra,
     is_independent,
     is_p_subdirectly_irreducible,
-    relative_congruences,
     sp,
 )
 from prevar.srs import Presentation, coproduct_presentation, knuth_bendix, parse_presentation
+from test_prevariety import relative_congruences
 
 
 def _chain(size: int, sig: Signature) -> FiniteAlgebra:

@@ -382,7 +382,7 @@ def test_search_generator_matches_eager_order_and_brute_force(pair, injective, d
     a, b = pair
     seed = data.draw(st.dictionaries(st.integers(0, a.size - 1), st.integers(0, b.size - 1),
                                      max_size=1))
-    found = list(_Search(a, b, injective, 10**6).iterate(seed))
+    found = list(_Search(a, b, injective, 10**6).iterate(seed.items()))
     assert found == eager_search(a, b, seed, injective)
     if not seed and not injective:
         assert sorted(found) == brute_force_homs(a, b)
@@ -416,7 +416,7 @@ def table_separating_family(a, generators, budget):
     for g in generators:
         if not pending:
             break
-        for mapping in _Search(a, g, False, budget.max_nodes).iterate({}):
+        for mapping in _Search(a, g, False, budget.max_nodes).iterate([]):
             separated = [(x, y) for x, y in pending if mapping[x] != mapping[y]]
             if separated:
                 chosen.update(dict.fromkeys(separated, Homomorphism._unchecked(a, g, mapping)))
@@ -509,11 +509,11 @@ def test_node_budget_applies_per_seed():
     two = FiniteAlgebra(UNARY_SIGNATURE, 2, {"a": [0, 1]})
     search = _Search(points, two, False, 3)
     for seed in ({0: 0, 1: 1, 2: 0}, {3: 1, 4: 1, 5: 0}, {0: 1, 2: 1, 4: 0}):
-        found = next(search.iterate(seed))
+        found = next(search.iterate(seed.items()))
         assert all(found[x] == v for x, v in seed.items())
         assert search.nodes == 3
     with pytest.raises(BudgetExceededError, match="exceeded 3 nodes"):
-        next(search.iterate({}))
+        next(search.iterate([]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -546,7 +546,7 @@ def per_choice_extends(a, b, max_nodes, fixed, stages):
         for x, v in fixed + [p for pairs in choice for p in pairs]:
             if seed.setdefault(x, v) != v:
                 return False
-        if next(_Search(a, b, False, max_nodes).iterate(seed), None) is None:
+        if next(_Search(a, b, False, max_nodes).iterate(seed.items()), None) is None:
             return False
     return True
 
@@ -566,7 +566,8 @@ def test_every_choice_extends_matches_one_search_per_choice(pair, max_nodes, dat
         except BudgetExceededError as e:
             return str(e)
 
-    assert outcome(lambda: _Search(a, b, False, max_nodes).every_choice_extends(fixed, stages)) \
+    library = _Search(a, b, False, max_nodes).every_choice_extends
+    assert outcome(lambda: library([[fixed], *stages])) \
         == outcome(lambda: per_choice_extends(a, b, max_nodes, fixed, stages))
 
 
@@ -672,7 +673,7 @@ def pulled(search, seed):
     """The mappings a search yields before it ends or overruns its nodes."""
     out = []
     try:
-        out.extend(search.iterate(seed))
+        out.extend(search.iterate(seed.items()))
     except BudgetExceededError as e:
         return out, str(e)
     return out, None

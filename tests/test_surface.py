@@ -86,7 +86,7 @@ SURFACE = {
                       "is_coproduct, is_independent, is_p_subdirectly_irreducible, "
                       "is_subdirectly_irreducible, minimum_compatible_cover, "
                       "parse_quasi_identity, prevariety, quasi_identity_holds, quotient, "
-                      "relative_congruences, sp, sp_embedding, subfamily_independence_check, "
+                      "sp, sp_embedding, subfamily_independence_check, "
                       "trivial_algebra",
     "prevar.algcore.AlgebraError": "(...)",
     "prevar.algcore.App": "(op, args)",
@@ -252,7 +252,6 @@ SURFACE = {
     "prevar.prevariety.minimum_compatible_cover": "(ctx, algebras, budget)",
     "prevar.prevariety.parse_quasi_identity": "(text, signature)",
     "prevar.prevariety.quasi_identity_holds": "(alg, q)",
-    "prevar.prevariety.relative_congruences": "(ctx, alg, budget)",
     "prevar.prevariety.sp": "(*generators)",
     "prevar.prevariety.subfamily_independence_check": "(ctx, ambient, family, subfamily, budget)",
     "prevar.srs.CompletionResult": "(system, completed, reason)",
@@ -305,8 +304,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # each with the reason it stays in the package
 TEST_ONLY = {
     "congruence_generated": "Cg(X), the reference for the join and lattice tests",
-    "relative_congruences": "the reference for is_p_subdirectly_irreducible, golden-pinned; "
-                            "to be rebuilt from hom kernels or given a verb",
     "eval_term": "the term evaluation the README promises",
     "power": "amalgam arithmetic the README lists",
     "cyclically_reduce": "amalgam arithmetic the README lists",
