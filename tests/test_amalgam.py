@@ -416,7 +416,52 @@ def _reference_normal_form(ctx, word):
     return el
 
 
-AMALGAMS = {n: sym_stab_amalgam(n) for n in (3, 4)}
+def _reference_multiply(ctx, e1, e2):
+    el = e2
+    for k, g in reversed(to_word(ctx, e1)):
+        el = _reference_prepend(ctx, k, g, el)
+    return el
+
+
+def _reference_inverse(ctx, el):
+    return _reference_normal_form(
+        ctx, [(k, ctx.factors[k].inv(g)) for k, g in reversed(to_word(ctx, el))])
+
+
+def _reference_power(ctx, el, k):
+    acc = identity_element(ctx)
+    for _ in range(k):
+        acc = _reference_multiply(ctx, acc, el)
+    return acc
+
+
+def _reference_cyclically_reduce(ctx, el):
+    while el.length() >= 2:
+        k, r = el.reps[0]
+        conj = _reference_multiply(
+            ctx, _reference_prepend(ctx, k, ctx.factors[k].inv(r), el),
+            _reference_normal_form(ctx, [(k, r)]))
+        if conj.length() >= el.length():
+            break
+        el = conj
+    return el
+
+
+def _reference_is_torsion(ctx, el):
+    return _reference_cyclically_reduce(ctx, el).length() <= 1
+
+
+def _mixed_amalgam():
+    """Sym(3) and Sym(4) over the 2-element subgroup of the transposition of
+    the points 0 and 1: the two factors differ, so a mix-up of their tables
+    shows."""
+    (s3, perms3), (s4, perms4) = symmetric_group(3), symmetric_group(4)
+    base, inclusion = subgroup(s3, [0, perms3.index((1, 0, 2))])
+    return AmalgamCtx((s3, s4), base, (inclusion, (0, perms4.index((1, 0, 2, 3)))))
+
+
+AMALGAMS = {"Sym(3)": sym_stab_amalgam(3), "Sym(4)": sym_stab_amalgam(4),
+            "Sym(3) * Sym(4)": _mixed_amalgam()}
 
 
 @st.composite
@@ -427,15 +472,32 @@ def amalgam_words(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(amalgam_words())
-def test_normal_forms_match_the_list_based_prepend(case):
+@given(amalgam_words(), st.integers(0, 4))
+def test_normal_forms_match_the_list_based_prepend(case, exponent):
+    # normal_form, multiply, inverse, power, cyclically_reduce, is_torsion and
+    # coset_torsion_scan, each against the right-to-left reference
     ctx, w1, w2 = case
     e1, e2 = normal_form(ctx, w1), normal_form(ctx, w2)
     assert e1 == _reference_normal_form(ctx, w1)
-    expected = e2
-    for k, g in reversed(to_word(ctx, e1)):
-        expected = _reference_prepend(ctx, k, g, expected)
-    assert multiply(ctx, e1, e2) == expected
+    assert multiply(ctx, e1, e2) == _reference_multiply(ctx, e1, e2)
+    assert inverse(ctx, e1) == _reference_inverse(ctx, e1)
+    assert power(ctx, e1, exponent) == _reference_power(ctx, e1, exponent)
+    assert cyclically_reduce(ctx, e1) == _reference_cyclically_reduce(ctx, e1)
+    assert is_torsion(ctx, e1) == _reference_is_torsion(ctx, e1)
+    assert coset_torsion_scan(ctx, e1.reps) == any(
+        _reference_is_torsion(ctx, AmalgamElement(e1.reps, b)) for b in range(ctx.base.size))
+
+
+def test_the_mixed_amalgam_keeps_its_factors_apart():
+    # a letter of Sym(4) outside Sym(3)'s carrier stays in factor 1, and the
+    # subgroup letter of either factor moves to the tail
+    ctx = AMALGAMS["Sym(3) * Sym(4)"]
+    assert [len(t) for t in ctx.transversals] == [3, 12]
+    assert normal_form(ctx, [(1, 23)]).reps == ((1, ctx._split_tables[1][23][0]),)
+    for k in (0, 1):
+        assert normal_form(ctx, [(k, ctx.embeddings[k][1])]) == AmalgamElement((), 1)
+    with pytest.raises(AlgebraError, match="^letter outside its factor$"):
+        normal_form(ctx, [(0, 6)])
 
 
 # -- the transversal the context derived in a pass of its own ---------------------
@@ -460,7 +522,7 @@ def _least_transversal(group, emb):
 
 @st.composite
 def derived_contexts(draw):
-    """``sym_stab_amalgam(3)`` / ``(4)``, or a subgroup of Sym(3) / Sym(4)
+    """One of ``AMALGAMS``, or a subgroup of Sym(3) / Sym(4)
     embedded into two copies of it by the inclusion conjugated by drawn elements."""
     if draw(st.booleans()):
         return AMALGAMS[draw(st.sampled_from(sorted(AMALGAMS)))]
