@@ -763,15 +763,17 @@ def apply_relabeling(alg: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     return FiniteAlgebra(alg.signature, alg.size, tables)
 
 
-def canonical_form(alg: FiniteAlgebra) -> tuple:
+def canonical_form(alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET) -> tuple:
     """The size and the least table vector (signature order, then row-major)
     of ``apply_relabeling(alg, perm)`` over all perms; an iso invariant.  An
     exact search hands out labels 0, 1, ... in reading order: a cell's
     unlabelled value gets the next label; a cell that needs it as an argument
     branches over the elements giving the cell its least value, skipping ``y``
     if swapping it with a kept ``x`` is an automorphism; a branch stops above
-    the best key.  ``n!`` leaves at worst (McKay & Piperno, 2014)."""
+    the best key.  ``n!`` leaves at worst (McKay & Piperno, 2014); a search
+    of more than ``budget.max_nodes`` nodes raises ``BudgetExceededError``."""
     n, best = alg.size, [alg.size]  # above every key: labels are below n
+    nodes, max_nodes = 0, budget.max_nodes
     cells = [(alg.tables[name], args, max(args, default=-1)) for name, arity in alg.signature.ops
              for args in itertools.product(range(n), repeat=arity)]
 
@@ -788,6 +790,10 @@ def canonical_form(alg: FiniteAlgebra) -> tuple:
                    for v, w in zip(alg._cells(name, swap), table))
 
     def search(start: int, order: list, key: list) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceededError(f"canonical form search exceeded {max_nodes} nodes")
         for pos in range(start, len(cells)):
             table, args, need = cells[pos]
             if need == len(order):

@@ -166,39 +166,39 @@ def identity_element(ctx: AmalgamCtx) -> AmalgamElement:
     return AmalgamElement((), ctx.base.identity)
 
 
-def _prepend(ctx: AmalgamCtx, k: int, g: int, el: AmalgamElement) -> AmalgamElement:
-    """Normal form of (g in factor k) * el, read from the flat tables."""
-    factors, base = ctx.factors, ctx.base
-    muls = (factors[0]._mul, factors[1]._mul)
-    sizes = (factors[0].size, factors[1].size)
-    splits, embs = ctx._split_tables, ctx.embeddings
-    reps = el.reps
-    n, i = len(reps), 0
-    mul, size = muls[k], sizes[k]
-    while i < n and reps[i][0] == k:
-        g = mul[g * size + reps[i][1]]
-        i += 1
-    rep, beta = splits[k][g]
-    out = [] if rep == factors[k].identity else [(k, rep)]
-    while i < n:
-        fi, ri = reps[i]
-        # pushing a subgroup element through never lands in the subgroup
-        rep_i, beta = splits[fi][muls[fi][embs[fi][beta] * sizes[fi] + ri]]
-        out.append((fi, rep_i))
-        i += 1
-    return AmalgamElement(tuple(out), base._mul[beta * base.size + el.tail])
+def _append(ctx: AmalgamCtx, reps: list, tail: int, k: int, g: int) -> int:
+    """Multiply ``reps · tail`` on the right by g in factor k: ``reps`` changes
+    in place, and the new tail is returned.  Only the last representative can
+    merge; after it is popped the new last one lies in the other factor."""
+    factor = ctx.factors[k]
+    mul, size = factor._mul, factor.size
+    x = mul[ctx.embeddings[k][tail] * size + g]
+    if reps and reps[-1][0] == k:
+        x = mul[reps.pop()[1] * size + x]
+    rep, beta = ctx._split_tables[k][x]
+    if rep != factor.identity:
+        reps.append((k, rep))
+    return beta
+
+
+def _fold(ctx: AmalgamCtx, el: AmalgamElement, word: Iterable[tuple[int, int]]) -> AmalgamElement:
+    """The normal form of el times the word, one ``_append`` per letter."""
+    reps, tail = list(el.reps), el.tail
+    for k, g in word:
+        tail = _append(ctx, reps, tail, k, g)
+    return AmalgamElement(tuple(reps), tail)
 
 
 def normal_form(ctx: AmalgamCtx, word: Sequence[tuple[int, int]]) -> AmalgamElement:
-    """Fold the letters right to left, splitting each against the transversal."""
-    el = identity_element(ctx)
-    for k, g in reversed(list(word)):
+    """Fold the letters left to right onto the identity, splitting each
+    against the transversal."""
+    word = list(word)
+    for k, g in word:
         if k not in (0, 1):
             raise AlgebraError("factor tags are 0 and 1")
         if not 0 <= g < ctx.factors[k].size:
             raise AlgebraError("letter outside its factor")
-        el = _prepend(ctx, k, g, el)
-    return el
+    return _fold(ctx, identity_element(ctx), word)
 
 
 def to_word(ctx: AmalgamCtx, el: AmalgamElement) -> list[tuple[int, int]]:
@@ -214,10 +214,7 @@ def multiply(ctx: AmalgamCtx, e1: AmalgamElement, e2: AmalgamElement) -> Amalgam
 
 
 def _multiply(ctx: AmalgamCtx, e1: AmalgamElement, e2: AmalgamElement) -> AmalgamElement:
-    el = e2
-    for k, g in reversed(to_word(ctx, e1)):
-        el = _prepend(ctx, k, g, el)
-    return el
+    return _fold(ctx, e1, to_word(ctx, e2))
 
 
 def inverse(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
@@ -245,9 +242,8 @@ def cyclically_reduce(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
 
 def _cyclically_reduce(ctx: AmalgamCtx, el: AmalgamElement) -> AmalgamElement:
     while el.length() >= 2:
-        k, r = el.reps[0]
-        letter = normal_form(ctx, [(k, r)])
-        conj = _multiply(ctx, _prepend(ctx, k, ctx.factors[k].inv(r), el), letter)
+        # r⁻¹·el is el without its first representative r
+        conj = _fold(ctx, AmalgamElement(el.reps[1:], el.tail), el.reps[:1])
         if conj.length() < el.length():
             el = conj
         else:
@@ -299,7 +295,7 @@ def _is_torsion(ctx: AmalgamCtx, el: AmalgamElement) -> bool:
         raise AlgebraError("structural torsion verdict failed the powers oracle")
     acc = reduced
     for k in range(2, 7):
-        acc = _multiply(ctx, reduced, acc)
+        acc = _multiply(ctx, acc, reduced)
         if acc.length() != k * length:
             raise AlgebraError("expected strict normal-form growth of powers")
     return False

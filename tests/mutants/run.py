@@ -59,6 +59,22 @@ MUTANTS = [
      "                push(zip(rows[x], rows[y]))",
      "                pass",
      ["tests/test_algcore.py::TestCongruenceGenerated::test_principal_pair_on_four_cycle"]),
+    ("an amalgam step never merges with the last representative", "amalgam.py",
+     "    if reps and reps[-1][0] == k:\n",
+     "    if False:\n",
+     ["tests/test_amalgam.py::TestNormalForm::test_cancellation_through_the_fold"]),
+    ("an amalgam step keeps an identity representative", "amalgam.py",
+     "    if rep != factor.identity:\n        reps.append((k, rep))",
+     "    reps.append((k, rep))",
+     ["tests/test_amalgam.py::TestNormalForm::test_subgroup_letter_has_empty_string"]),
+    ("no count check before a coset scan", "cli.py",
+     "    if strings * ctx.base.size > budget.max_enumeration:\n        raise",
+     "    if False:\n        raise",
+     ["tests/test_cli.py::TestAmalgamVerbs::test_scan_budget_is_exact"]),
+    ("a canonical form never counts its nodes", "algcore.py",
+     "        nodes += 1\n",
+     "",
+     ["tests/test_algcore.py::TestCanonicalForm::test_node_budget_is_exact"]),
 ]
 
 

@@ -872,6 +872,26 @@ class TestCanonicalForm:
         alg = FiniteAlgebra(UNARY_SIGNATURE, len(table), {"a": table})
         assert canonical_form(apply_relabeling(alg, perm)) == canonical_form(alg)
 
+    @staticmethod
+    def xor_group(bits):
+        n = 2 ** bits
+        return FiniteAlgebra(Signature((("g", 2),)), n,
+                             {"g": [x ^ y for x, y in itertools.product(range(n), repeat=2)]})
+
+    def test_node_budget_is_exact(self):
+        # the XOR table of Z2^3 takes 13,701 search nodes
+        alg = self.xor_group(3)
+        assert canonical_form(alg, Budget(max_nodes=13_701)) == canonical_form(alg)
+        with pytest.raises(BudgetExceededError,
+                           match="^canonical form search exceeded 13700 nodes$"):
+            canonical_form(alg, Budget(max_nodes=13_700))
+
+    def test_a_search_past_its_budget_stops(self):
+        # Z2^4 has no answer after 50,000 nodes, nor after 2,000,000 (20 s)
+        with pytest.raises(BudgetExceededError,
+                           match="^canonical form search exceeded 20000 nodes$"):
+            canonical_form(self.xor_group(4), Budget(max_nodes=20_000))
+
 
 class TestBudget:
     INT_FIELDS = [f.name for f in dataclasses.fields(Budget)]

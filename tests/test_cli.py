@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prevar
-from prevar.algcore import FiniteAlgebra, Signature, cyclic_unary, disjoint_union
+from prevar.algcore import (Budget, BudgetExceededError, FiniteAlgebra, Signature, cyclic_unary,
+                            disjoint_union)
+from prevar.amalgam import sym_stab_amalgam
 from prevar import cli
 from prevar.cli import SUITES, main
 
@@ -324,6 +326,18 @@ class TestAmalgamVerbs:
         )
         assert code == 0
         assert json.loads(out)["matches_parity_rule"] is True
+
+    @pytest.mark.parametrize("n, max_len, strings", [(3, 0, 1), (3, 4, 61), (4, 3, 79)])
+    def test_scan_budget_is_exact(self, n, max_len, strings):
+        # one torsion test per string and subgroup element: a budget of exactly
+        # that many answers, one less raises before any string is tested
+        ctx = sym_stab_amalgam(n)
+        count = strings * ctx.base.size
+        rows, _ = cli._parity_scan(ctx, max_len, Budget(max_enumeration=count))
+        assert len(rows) == strings
+        with pytest.raises(BudgetExceededError, match=f" {count} torsion tests, over the budget "
+                                                      f"{count - 1}$"):
+            cli._parity_scan(ctx, max_len, Budget(max_enumeration=count - 1))
 
 
 class TestPaperlab:
@@ -656,6 +670,15 @@ class TestMalformedInput:
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert proc.stdout.count("\n") == 1
         assert json.loads(proc.stdout) == {"error": "usage", "message": message}
+
+    def test_scan_past_the_enumeration_budget_exits_at_once(self):
+        # 39,061 strings up to length 6, each tested with 120 subgroup elements
+        proc = _prevar("--json", "amalgam-scan", "--sym", "6", "--max-len", "6")
+        assert proc.returncode == 3
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout) == {
+            "error": "budget", "message": "the coset scan up to length 6 runs at least "
+                                          "4687320 torsion tests, over the budget 1000000"}
 
     def test_negative_scan_length(self):
         proc = _prevar("--json", "amalgam-scan", "--sym", "3", "--max-len", "-1")
