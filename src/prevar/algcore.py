@@ -763,7 +763,7 @@ def apply_relabeling(alg: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     return FiniteAlgebra(alg.signature, alg.size, tables)
 
 
-def canonical_form(alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET) -> tuple:
+def canonical_form(alg: FiniteAlgebra) -> tuple:
     """The size and the least table vector (signature order, then row-major)
     of ``apply_relabeling(alg, perm)`` over all perms; an iso invariant.  An
     exact search hands out labels 0, 1, ... in reading order: a cell's
@@ -771,9 +771,10 @@ def canonical_form(alg: FiniteAlgebra, budget: Budget = DEFAULT_BUDGET) -> tuple
     branches over the elements giving the cell its least value, skipping ``y``
     if swapping it with a kept ``x`` is an automorphism; a branch stops above
     the best key.  ``n!`` leaves at worst (McKay & Piperno, 2014); a search
-    of more than ``budget.max_nodes`` nodes raises ``BudgetExceededError``."""
+    of more than ``DEFAULT_BUDGET.max_nodes`` nodes raises
+    ``BudgetExceededError``."""
     n, best = alg.size, [alg.size]  # above every key: labels are below n
-    nodes, max_nodes = 0, budget.max_nodes
+    nodes, max_nodes = 0, DEFAULT_BUDGET.max_nodes
     cells = [(alg.tables[name], args, max(args, default=-1)) for name, arity in alg.signature.ops
              for args in itertools.product(range(n), repeat=arity)]
 

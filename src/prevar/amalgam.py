@@ -166,26 +166,23 @@ def identity_element(ctx: AmalgamCtx) -> AmalgamElement:
     return AmalgamElement((), ctx.base.identity)
 
 
-def _append(ctx: AmalgamCtx, reps: list, tail: int, k: int, g: int) -> int:
-    """Multiply ``reps · tail`` on the right by g in factor k: ``reps`` changes
-    in place, and the new tail is returned.  Only the last representative can
-    merge; after it is popped the new last one lies in the other factor."""
-    factor = ctx.factors[k]
-    mul, size = factor._mul, factor.size
-    x = mul[ctx.embeddings[k][tail] * size + g]
-    if reps and reps[-1][0] == k:
-        x = mul[reps.pop()[1] * size + x]
-    rep, beta = ctx._split_tables[k][x]
-    if rep != factor.identity:
-        reps.append((k, rep))
-    return beta
-
-
 def _fold(ctx: AmalgamCtx, el: AmalgamElement, word: Iterable[tuple[int, int]]) -> AmalgamElement:
-    """The normal form of el times the word, one ``_append`` per letter."""
+    """The normal form of el times the word, one table step per letter g in
+    factor k: x = tail·g; if the last representative lies in factor k, it is
+    popped into x (the new last one lies in the other factor, so nothing else
+    can merge); x splits into a representative, pushed unless it is the
+    identity, and the new tail."""
+    factors, embs, splits = ctx.factors, ctx.embeddings, ctx._split_tables
     reps, tail = list(el.reps), el.tail
     for k, g in word:
-        tail = _append(ctx, reps, tail, k, g)
+        factor = factors[k]
+        mul, size = factor._mul, factor.size
+        x = mul[embs[k][tail] * size + g]
+        if reps and reps[-1][0] == k:
+            x = mul[reps.pop()[1] * size + x]
+        rep, tail = splits[k][x]
+        if rep != factor.identity:
+            reps.append((k, rep))
     return AmalgamElement(tuple(reps), tail)
 
 

@@ -281,26 +281,28 @@ def _cmd_amalgam_nf(args) -> _Outcome:
             [f"normal form: reps={list(el.reps)} tail={el.tail}"])
 
 
-def _parity_scan(ctx: AmalgamCtx, max_len: int, budget: Budget = DEFAULT_BUDGET):
+def _parity_scan(ctx: AmalgamCtx, max_len: int):
     """Each alternating coset string up to ``max_len`` with its torsion verdict,
     and whether all follow the rule: even cosets torsion-free, odd and empty
-    cosets torsion.  A scan that may run more than ``budget.max_enumeration``
-    torsion tests, one per string and subgroup element, raises before any."""
+    cosets torsion.  A scan that may run more than
+    ``DEFAULT_BUDGET.max_enumeration`` torsion tests, one per string and
+    subgroup element, raises before any."""
     if max_len < 0:
         raise AlgebraError("--max-len must be a natural number")
     # the strings of each next length, counted by the factor they end in; the
     # count stops growing once it is over the budget
+    limit = DEFAULT_BUDGET.max_enumeration
     t0, t1 = (len(t) - 1 for t in ctx.transversals)
     strings, ends = 1, (t0, t1)
     for _ in range(max_len):
-        if strings * ctx.base.size > budget.max_enumeration:
+        if strings * ctx.base.size > limit:
             break
         strings += sum(ends)
         ends = (ends[1] * t0, ends[0] * t1)
-    if strings * ctx.base.size > budget.max_enumeration:
+    if strings * ctx.base.size > limit:
         raise BudgetExceededError(
             f"the coset scan up to length {max_len} runs at least {strings * ctx.base.size} "
-            f"torsion tests, over the budget {budget.max_enumeration}")
+            f"torsion tests, over the budget {limit}")
     rows = [(length, string, coset_torsion_scan(ctx, string)) for length in range(max_len + 1)
             for string in alternating_strings(ctx, length)]
     return rows, all(t == (length % 2 == 1 or length == 0) for length, _, t in rows)

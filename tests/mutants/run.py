@@ -60,15 +60,15 @@ MUTANTS = [
      "                pass",
      ["tests/test_algcore.py::TestCongruenceGenerated::test_principal_pair_on_four_cycle"]),
     ("an amalgam step never merges with the last representative", "amalgam.py",
-     "    if reps and reps[-1][0] == k:\n",
-     "    if False:\n",
+     "        if reps and reps[-1][0] == k:\n",
+     "        if False:\n",
      ["tests/test_amalgam.py::TestNormalForm::test_cancellation_through_the_fold"]),
     ("an amalgam step keeps an identity representative", "amalgam.py",
-     "    if rep != factor.identity:\n        reps.append((k, rep))",
-     "    reps.append((k, rep))",
+     "        if rep != factor.identity:\n            reps.append((k, rep))",
+     "        reps.append((k, rep))",
      ["tests/test_amalgam.py::TestNormalForm::test_subgroup_letter_has_empty_string"]),
     ("no count check before a coset scan", "cli.py",
-     "    if strings * ctx.base.size > budget.max_enumeration:\n        raise",
+     "    if strings * ctx.base.size > limit:\n        raise",
      "    if False:\n        raise",
      ["tests/test_cli.py::TestAmalgamVerbs::test_scan_budget_is_exact"]),
     ("a canonical form never counts its nodes", "algcore.py",

@@ -878,19 +878,28 @@ class TestCanonicalForm:
         return FiniteAlgebra(Signature((("g", 2),)), n,
                              {"g": [x ^ y for x, y in itertools.product(range(n), repeat=2)]})
 
-    def test_node_budget_is_exact(self):
+    @staticmethod
+    def with_max_nodes(monkeypatch, max_nodes):
+        monkeypatch.setattr(algcore, "DEFAULT_BUDGET",
+                            dataclasses.replace(algcore.DEFAULT_BUDGET, max_nodes=max_nodes))
+
+    def test_node_budget_is_exact(self, monkeypatch):
         # the XOR table of Z2^3 takes 13,701 search nodes
         alg = self.xor_group(3)
-        assert canonical_form(alg, Budget(max_nodes=13_701)) == canonical_form(alg)
+        form = canonical_form(alg)
+        self.with_max_nodes(monkeypatch, 13_701)
+        assert canonical_form(alg) == form
+        self.with_max_nodes(monkeypatch, 13_700)
         with pytest.raises(BudgetExceededError,
                            match="^canonical form search exceeded 13700 nodes$"):
-            canonical_form(alg, Budget(max_nodes=13_700))
+            canonical_form(alg)
 
-    def test_a_search_past_its_budget_stops(self):
+    def test_a_search_past_its_budget_stops(self, monkeypatch):
         # Z2^4 has no answer after 50,000 nodes, nor after 2,000,000 (20 s)
+        self.with_max_nodes(monkeypatch, 20_000)
         with pytest.raises(BudgetExceededError,
                            match="^canonical form search exceeded 20000 nodes$"):
-            canonical_form(self.xor_group(4), Budget(max_nodes=20_000))
+            canonical_form(self.xor_group(4))
 
 
 class TestBudget:

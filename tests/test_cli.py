@@ -328,16 +328,18 @@ class TestAmalgamVerbs:
         assert json.loads(out)["matches_parity_rule"] is True
 
     @pytest.mark.parametrize("n, max_len, strings", [(3, 0, 1), (3, 4, 61), (4, 3, 79)])
-    def test_scan_budget_is_exact(self, n, max_len, strings):
+    def test_scan_budget_is_exact(self, monkeypatch, n, max_len, strings):
         # one torsion test per string and subgroup element: a budget of exactly
         # that many answers, one less raises before any string is tested
         ctx = sym_stab_amalgam(n)
         count = strings * ctx.base.size
-        rows, _ = cli._parity_scan(ctx, max_len, Budget(max_enumeration=count))
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", Budget(max_enumeration=count))
+        rows, _ = cli._parity_scan(ctx, max_len)
         assert len(rows) == strings
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", Budget(max_enumeration=count - 1))
         with pytest.raises(BudgetExceededError, match=f" {count} torsion tests, over the budget "
                                                       f"{count - 1}$"):
-            cli._parity_scan(ctx, max_len, Budget(max_enumeration=count - 1))
+            cli._parity_scan(ctx, max_len)
 
 
 class TestPaperlab:

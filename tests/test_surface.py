@@ -135,7 +135,7 @@ SURFACE = {
     "prevar.algcore.all_congruences": "(alg, budget)",
     "prevar.algcore.apply_relabeling": "(alg, perm)",
     "prevar.algcore.are_isomorphic": "(a, b)",
-    "prevar.algcore.canonical_form": "(alg, budget)",
+    "prevar.algcore.canonical_form": "(alg)",
     "prevar.algcore.congruence_generated": "(alg, pairs)",
     "prevar.algcore.cyclic_unary": "(d)",
     "prevar.algcore.direct_product": "(algebras, signature)",
